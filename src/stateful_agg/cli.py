@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -20,16 +17,6 @@ import numpy as np
 
 from . import dp, dropout, ideal, params, program, protocol
 from .prng import ctx_rng
-
-THREADS_ENV = "STATEFUL_AGG_THREADS"
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _fail(code: int, msg: str):
     click.echo(f"error: {msg}", err=True)
@@ -232,25 +219,16 @@ def cmd_bench(n_list, l_list, rounds, input_bits, out_path, plot_path):
     except ValueError:
         _fail(2, "n-list and l-list must be comma-separated integers")
 
-    def cell(args):
-        n, ell = args
-        t0 = time.monotonic()
+    def cell(n, ell):
         ps = params.grid_search(n, ell, rounds, input_bits)
         cost = ps.cost()
-        return (n, ell, ps.N, ps.logq, ps.pf, cost.client_server_bytes, cost.expansion,
-                time.monotonic() - t0)
+        return (n, ell, ps.N, ps.logq, ps.pf, cost.client_server_bytes, cost.expansion)
 
-    cells = [(n, ell) for n in ns for ell in ls]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = [cell(c) for c in cells]
+    rows = [cell(n, ell) for n in ns for ell in ls]
 
     header = ["n", "l", "N", "logq", "pf", "client_comm_bytes", "expansion"]
     click.echo("  ".join(f"{h:>12}" for h in header + ["formatted"]))
-    for n, ell, N, logq, pf, bytes_, exp, _t in rows:
+    for n, ell, N, logq, pf, bytes_, exp in rows:
         click.echo(
             f"{n:>12}  {ell:>12}  {N:>12}  {logq:>12}  {pf:>12}  "
             f"{int(bytes_):>12}  {exp:>12.2f}  {params.format_bytes(bytes_):>12}"
@@ -259,14 +237,14 @@ def cmd_bench(n_list, l_list, rounds, input_bits, out_path, plot_path):
         with open(out_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for n, ell, N, logq, pf, bytes_, exp, _t in rows:
+            for n, ell, N, logq, pf, bytes_, exp in rows:
                 w.writerow([n, ell, N, logq, pf, int(bytes_), f"{exp:.2f}"])
         click.echo(f"wrote {out_path}")
     if plot_path:
         with open(plot_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "l", "client_bytes", "cleartext_bytes"])
-            for n, ell, _N, _lq, _pf, bytes_, _e, _t in rows:
+            for n, ell, _N, _lq, _pf, bytes_, _e in rows:
                 w.writerow([n, ell, int(bytes_), ell * input_bits // 8])
         click.echo(f"wrote {plot_path}")
 

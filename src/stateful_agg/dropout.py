@@ -54,7 +54,6 @@ __all__ = [
     "mask_and_store",
     "backup_shares",
     "recover_round",
-    "adjusted_open",
     "run_dropout_protocol",
     "survivor_inputs",
     "random_schedule",
@@ -153,7 +152,13 @@ class Router:
     mask_shares: dict[tuple[int, int], dict[int, tuple[int, int]]] = field(default_factory=dict)
     mask_escrow: dict[tuple[int, int], int] = field(default_factory=dict)
     released_mask_secrets: set[tuple[int, int]] = field(default_factory=set)
-    released_key_backups: set[tuple[int, int]] = field(default_factory=set)
+
+    def forget_round(self, rnd: int) -> None:
+        """Drop round rnd's backups, mask shares and escrow once recovery
+        has read them; the release log stays for the privacy check."""
+        for store in (self.backups, self.mask_shares, self.mask_escrow):
+            for key in [key for key in store if key[0] == rnd]:
+                del store[key]
 
 
 @dataclass
@@ -236,16 +241,23 @@ def backup_shares(
     ctx: RoundContext,
     sender: int,
     pieces: list[tuple[int, ring.RingElement]],
+    committees: dict[int, tuple[int, ...]],
 ) -> None:
     """Threshold-share each resharing piece to its receiver's committee.
 
     The piece sent to receiver R in cohort i+1 is recoverable by any t of
-    R's h chaperones (cohort i+2) if R drops."""
+    R's h chaperones (cohort i+2) if R drops.  `committees` caches the key
+    committees of cohort i+1 by receiver for the whole round; missing ones
+    are derived and added."""
     pset = ctx.pset
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, sender)
-    for recv, piece in pieces:
-        committee = chaperone_committee(ctx.run_seed, pset, ctx.index + 1, recv, "key")
-        tsh = sharing.tshare(piece, pset.h, pset.t, rng)
+    shared = sharing.tshare_many([piece for _, piece in pieces], pset.h, pset.t, rng)
+    for (recv, _), tsh in zip(pieces, shared):
+        committee = committees.get(recv)
+        if committee is None:
+            committee = committees[recv] = chaperone_committee(
+                ctx.run_seed, pset, ctx.index + 1, recv, "key"
+            )
         bundle = {chap: (point, value) for chap, (point, value) in zip(committee, tsh.shares)}
         router.backups.setdefault((ctx.index + 1, recv), []).append(bundle)
 
@@ -276,7 +288,8 @@ def recover_round(
     Recovers the incoming pieces of rnd's dropped clients into the key
     deficit, finalizes the round's deficit snapshot, and reconstructs the
     self-masks of its survivors.  Returns released item counts
-    (key elements, mask scalars) for cost accounting.
+    (key elements, mask scalars) for cost accounting, counted per piece.
+    Frees the round's backups and mask shares afterwards.
     """
     pset = server.pset
     rp = server.ring_params
@@ -284,23 +297,31 @@ def recover_round(
     pieces_recovered = 0
     released_elems = 0
     for j in sorted(dropped):
-        for bundle in router.backups.get((rnd, j), []):
-            alive = [
-                (point, value)
-                for chap, (point, value) in sorted(bundle.items())
-                if chap not in next_dropped
-            ]
-            if len(alive) < pset.t:
-                raise QuorumError(
-                    f"round {rnd}: only {len(alive)} of {pset.t} committee shares "
-                    f"available for dropped client {j}",
-                    transcript,
-                )
-            piece = sharing.trec(alive[: pset.t], pset.t)
-            delta = piece if delta is None else delta + piece
-            pieces_recovered += 1
-            released_elems += pset.t
-        router.released_key_backups.add((rnd, j))
+        bundles = router.backups.get((rnd, j), [])
+        if not bundles:
+            continue
+        # Every bundle of (rnd, j) went to j's one key committee, and Shamir
+        # sharing is linear: interpolating the point-wise sum of the bundles
+        # recovers the sum of j's incoming pieces.
+        alive = [
+            (chap, point)
+            for chap, (point, _) in sorted(bundles[0].items())
+            if chap not in next_dropped
+        ]
+        if len(alive) < pset.t:
+            raise QuorumError(
+                f"round {rnd}: only {len(alive)} of {pset.t} committee shares "
+                f"available for dropped client {j}",
+                transcript,
+            )
+        summed = [
+            (point, sharing.reconstruct_additive([bundle[chap][1] for bundle in bundles]))
+            for chap, point in alive[: pset.t]
+        ]
+        incoming = sharing.trec(summed, pset.t)
+        delta = incoming if delta is None else delta + incoming
+        pieces_recovered += len(bundles)
+        released_elems += pset.t * len(bundles)
     if delta is not None:
         server.drift = delta if server.drift is None else server.drift + delta
     if rnd in server.deficit:
@@ -341,12 +362,8 @@ def recover_round(
             else:
                 total = [a + b for a, b in zip(total, mask)]
         server.masks_sum[rnd] = tuple(total) if total is not None else None
+    router.forget_round(rnd)
     return released_elems, mask_scalars
-
-
-def adjusted_open(server: ServerState, rnd: int) -> np.ndarray:
-    """Open with deficit corrections and survivor-mask subtraction applied."""
-    return server.open_round(rnd)
 
 
 def run_dropout_protocol(
@@ -386,6 +403,7 @@ def run_dropout_protocol(
         next_mail: list[list] = [[] for _ in range(n)]
         round_keys: list[ring.RingElement | None] = []
         messages = []
+        key_committees: dict[int, tuple[int, ...]] = {}
         for j in range(n):
             if j in dropped:
                 round_keys.append(None)
@@ -394,7 +412,7 @@ def run_dropout_protocol(
             diagnostics.mask_secrets[(i, j)] = res.mask_secret
             for recv, piece in res.pieces:
                 next_mail[recv].append(piece)
-            backup_shares(router, ctx, j, res.pieces)
+            backup_shares(router, ctx, j, res.pieces, key_committees)
             _distribute_mask_shares(router, ctx, res)
             messages.append(res.message)
             round_keys.append(res.state.key_share)
@@ -412,13 +430,13 @@ def run_dropout_protocol(
             )
             rec.c2s_bytes += (elems * pset.N + scalars) * pset.logq / 8.0
             if p.instruction(i - 1).mode == prog.REVEAL:
-                transcript.reveals.append((i - 1, adjusted_open(server, i - 1)))
+                transcript.reveals.append((i - 1, server.open_round(i - 1)))
         transcript.rows.append(rec)
         router.mail = next_mail
     # Flush round r+1: repairs for round r, then its reveal if any.
     recover_round(server, router, p.r, sched.get(p.r, frozenset()), frozenset(), diagnostics, transcript)
     if p.r >= 1 and p.instruction(p.r).mode == prog.REVEAL:
-        transcript.reveals.append((p.r, adjusted_open(server, p.r)))
+        transcript.reveals.append((p.r, server.open_round(p.r)))
     diagnostics.assert_dropped_masks_private(router)
     result = RunResult(
         reveals=list(transcript.reveals),

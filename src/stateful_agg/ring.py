@@ -95,12 +95,33 @@ def choose_limbs(N: int, logq: int) -> tuple[int, ...]:
 
     Bit widths are split as evenly as possible across limbs so no limb
     exceeds the uint64-safe cap; the last limb is then nudged to land the
-    product exactly in [2^(logq-1), 2^logq).
+    product exactly in [2^(logq-1), 2^logq).  Where that split has no
+    primes, a search over limb counts and widths takes over; raises
+    ValueError naming N and logq when no split exists at all.
     """
     two_n = 2 * N
     min_bits = max(4, two_n.bit_length() + 1)
     if logq < min_bits:
         raise ValueError(f"logq={logq} too small for N={N}")
+    try:
+        return _even_split(two_n, logq)
+    except ValueError:
+        pass
+    top = LIMB_MAX_BITS + 1
+    # Every limb exceeds 2N = 2^a, so c limbs have more than a*c bits.
+    a = two_n.bit_length() - 1
+    for count in range(-(-logq // top), (logq - 1) // a + 1):
+        found = _search_split(two_n, 2 ** (logq - 1), 2**logq, count, ())
+        if found is not None:
+            return tuple(sorted(found))
+    raise ValueError(
+        f"no distinct primes congruent to 1 mod 2N below 2^{top} have a product "
+        f"of exactly logq={logq} bits for N={N}"
+    )
+
+
+def _even_split(two_n: int, logq: int) -> tuple[int, ...]:
+    """The even split of `choose_limbs`; ValueError where it has no primes."""
     count = max(1, math.ceil(logq / LIMB_MAX_BITS))
     if count == 1:
         p = find_ntt_prime(two_n, logq)
@@ -128,14 +149,46 @@ def choose_limbs(N: int, logq: int) -> tuple[int, ...]:
     while True:
         p = k * two_n + 1
         if (others * p).bit_length() > logq:
-            raise ValueError(f"could not hit logq={logq} with N={N}")
+            raise ValueError(f"could not hit logq={logq} with 2N={two_n}")
         if p.bit_length() > LIMB_MAX_BITS + 1:
-            raise ValueError(f"limb split for logq={logq}, N={N} exceeds the word cap")
+            raise ValueError(f"limb split for logq={logq}, 2N={two_n} exceeds the word cap")
         if _is_prime(p) and p not in limbs and (others * p).bit_length() == logq:
             limbs.append(p)
             break
         k += 1
     return tuple(sorted(limbs))
+
+
+def _search_split(two_n: int, lo: int, hi: int, count: int, used: tuple[int, ...]):
+    """`count` distinct primes k*two_n + 1 below 2^(LIMB_MAX_BITS+1), none in
+    `used`, whose product lies in [lo, hi); None when there are none.
+
+    Each limb but the last is the largest unused prime of some bit width,
+    widest first; the last limb is the smallest prime that fits."""
+    top = LIMB_MAX_BITS + 1
+    if count == 1:
+        k = max(1, -(-(lo - 1) // two_n))
+        end = min(hi, 2**top)
+        while (p := k * two_n + 1) < end:
+            if p not in used and _is_prime(p):
+                return [p]
+            k += 1
+        return None
+    for bits in range(top, two_n.bit_length() - 1, -1):
+        k = (2**bits - 2) // two_n
+        while (p := k * two_n + 1).bit_length() == bits and (p in used or not _is_prime(p)):
+            k -= 1
+        if p.bit_length() != bits:
+            continue
+        rest_lo, rest_hi = -(-lo // p), -(-hi // p)
+        if rest_lo >= 2 ** (top * (count - 1)):
+            break  # narrower limbs only leave more for the rest
+        if rest_hi <= (two_n + 1) ** (count - 1):
+            continue
+        rest = _search_split(two_n, rest_lo, rest_hi, count - 1, used + (p,))
+        if rest is not None:
+            return [p, *rest]
+    return None
 
 
 def _primitive_2n_root(p: int, two_n: int) -> int:

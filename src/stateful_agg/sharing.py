@@ -11,6 +11,7 @@ secrets in Z_q are shared the same way via their limb residues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "ashare",
     "reconstruct_additive",
     "tshare",
+    "tshare_many",
     "trec",
     "seed_reshare",
     "expand_seed",
@@ -110,6 +112,66 @@ def _from_residues(res: np.ndarray, params: ring.RingParams, scalar: bool):
     return ring.RingElement(res.astype(np.uint64), params)
 
 
+def _shamir_stack(res: np.ndarray, h: int, t: int, rng: np.random.Generator, limbs) -> np.ndarray:
+    """Shares of a (K, L, W) residue stack at points 1..h, shape (h, K, L, W).
+
+    The polynomial coefficients are drawn secret by secret, then by power,
+    then by limb, so a stack of K secrets consumes `rng` exactly as K
+    single-secret calls do.  Each point sums its Vandermonde terms x^k
+    unreduced in uint64 and reduces once, or every few terms when
+    (t-1) * max(x^k mod p) * p could overflow.
+    """
+    K, L, W = res.shape
+    coeffs = np.empty((L, t - 1, K, W), dtype=np.uint64)
+    for k in range(K):
+        for c in range(t - 1):
+            for l, p in enumerate(limbs):
+                coeffs[l, c, k] = rng.integers(0, p, size=W, dtype=np.uint64)
+    out = np.empty((h, K, L, W), dtype=np.uint64)
+    for l, p in enumerate(limbs):
+        pw = np.uint64(p)
+        powers = [[pow(x, c, p) for c in range(1, t)] for x in range(1, h + 1)]
+        vmax = max((v for row in powers for v in row), default=1)
+        # Terms c*v (c < p, v <= vmax) that fit in uint64 on top of a sum below p.
+        chunk = max(1, (2**64 - p) // (vmax * (p - 1)))
+        for xi, row in enumerate(powers):
+            acc = res[:, l].astype(np.uint64)
+            for c, v in enumerate(row, start=1):
+                acc += coeffs[l, c - 1] * np.uint64(v)
+                if c % chunk == 0:
+                    acc -= acc // pw * pw
+            out[xi, :, l] = acc - acc // pw * pw
+    return out
+
+
+def _share(secrets: Sequence, h: int, t: int, rng: np.random.Generator, params) -> list[ThresholdShares]:
+    scalar = not isinstance(secrets[0], ring.RingElement)
+    if not scalar:
+        params = secrets[0].params
+    elif params is None:
+        raise ValueError("scalar secrets need ring params for the modulus")
+    if t < 1 or t > h:
+        raise ValueError(f"threshold t={t} must satisfy 1 <= t <= h={h}")
+    if h >= min(params.limbs):
+        raise ValueError("committee size must be below every prime limb")
+    res = np.stack([_as_residues(s, params) for s in secrets])
+    out = _shamir_stack(res, h, t, rng, params.limbs)
+
+    def value(share_res: np.ndarray):
+        if scalar:
+            return _from_residues(share_res, params, True)
+        return ring.RingElement(share_res, params)  # a view into `out`, no copy
+
+    return [
+        ThresholdShares(
+            tuple((x, value(out[x - 1, k])) for x in range(1, h + 1)),
+            t,
+            params if scalar else None,
+        )
+        for k in range(len(secrets))
+    ]
+
+
 def tshare(
     secret,
     h: int,
@@ -122,38 +184,40 @@ def tshare(
     Shares are degree-(t-1) polynomial evaluations at points 1..h with the
     secret as constant term, done per coefficient and per limb.
     """
-    if isinstance(secret, ring.RingElement):
-        params = secret.params
-        scalar = False
-    else:
-        if params is None:
-            raise ValueError("scalar secrets need ring params for the modulus")
-        scalar = True
-    if t < 1 or t > h:
-        raise ValueError(f"threshold t={t} must satisfy 1 <= t <= h={h}")
-    if h >= min(params.limbs):
-        raise ValueError("committee size must be below every prime limb")
-    res = _as_residues(secret, params)
-    width = res.shape[1]
-    coeffs = [
-        np.stack(
-            [rng.integers(0, p, size=width, dtype=np.uint64) for p in params.limbs]
-        )
-        for _ in range(t - 1)
-    ]
-    out = []
-    for x in range(1, h + 1):
-        val = res.astype(np.uint64).copy()
-        for l, p in enumerate(params.limbs):
-            pw = np.uint64(p)
-            acc = np.zeros(width, dtype=np.uint64)
-            xpow = 1
-            for c in coeffs:
-                xpow = xpow * x % p
-                acc = (acc + c[l] * np.uint64(xpow)) % pw
-            val[l] = (val[l] + acc) % pw
-        out.append((x, _from_residues(val, params, scalar)))
-    return ThresholdShares(tuple(out), t, params if scalar else None)
+    return _share([secret], h, t, rng, params)[0]
+
+
+def tshare_many(
+    secrets: Sequence,
+    h: int,
+    t: int,
+    rng: np.random.Generator,
+    params: ring.RingParams | None = None,
+) -> list[ThresholdShares]:
+    """Shamir-share several ring elements (or several scalars) at once.
+
+    Gives exactly the shares of one `tshare` call per secret, in order, on
+    the same generator.
+    """
+    if not secrets:
+        return []
+    return _share(secrets, h, t, rng, params)
+
+
+@lru_cache(maxsize=256)
+def _lagrange_at_zero(xs: tuple[int, ...], limbs: tuple[int, ...]) -> np.ndarray:
+    """Weights (len(xs), L) interpolating at 0 from points xs, per limb."""
+    lam = np.empty((len(xs), len(limbs)), dtype=np.uint64)
+    for l, p in enumerate(limbs):
+        for i, xi in enumerate(xs):
+            num, den = 1, 1
+            for xj in xs:
+                if xj != xi:
+                    num = num * xj % p
+                    den = den * (xj - xi) % p
+            lam[i, l] = num * pow(den, -1, p) % p
+    lam.setflags(write=False)
+    return lam
 
 
 def trec(shares, t: int | None = None, params: ring.RingParams | None = None):
@@ -168,7 +232,7 @@ def trec(shares, t: int | None = None, params: ring.RingParams | None = None):
             raise ValueError("threshold required when passing raw share pairs")
     if len(pairs) < t:
         raise ValueError(f"need at least {t} shares, got {len(pairs)}")
-    xs = [x for x, _ in pairs]
+    xs = tuple(x for x, _ in pairs)
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate evaluation points")
     first = pairs[0][1]
@@ -176,19 +240,9 @@ def trec(shares, t: int | None = None, params: ring.RingParams | None = None):
     if scalar and params is None:
         raise ValueError("scalar reconstruction needs ring params")
     pr = params if scalar else first.params
-    res_shape = (len(pr.limbs), 1 if scalar else pr.N)
-    acc = np.zeros(res_shape, dtype=np.uint64)
-    for i, (xi, vi) in enumerate(pairs):
-        vres = _as_residues(vi, pr)
-        for l, p in enumerate(pr.limbs):
-            num, den = 1, 1
-            for j, (xj, _) in enumerate(pairs):
-                if i == j:
-                    continue
-                num = num * xj % p
-                den = den * (xj - xi) % p
-            lam = num * pow(den % p, -1, p) % p
-            acc[l] = (acc[l] + vres[l] * np.uint64(lam)) % np.uint64(p)
+    vals = np.stack([_as_residues(v, pr) for _, v in pairs])
+    lam = _lagrange_at_zero(xs, pr.limbs)
+    acc = (vals * lam[:, :, None] % pr._ps).sum(axis=0) % pr._ps
     return _from_residues(acc, pr, scalar)
 
 

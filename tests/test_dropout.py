@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,59 @@ def test_schedule_validation():
         dropout.run_dropout_protocol(p, pset, {2: frozenset({0, 1, 2})}, seed=1)
     with pytest.raises(ValueError, match="outside"):
         dropout.run_dropout_protocol(p, pset, {9: frozenset({0})}, seed=1)
+
+
+def _run_digest(res, diag) -> str:
+    h = hashlib.sha256()
+    for rnd, vec in res.reveals:
+        h.update(f"{rnd}:{[int(v) for v in vec]}".encode())
+    for shares in res.key_history:
+        for sh in shares:
+            h.update(b"-" if sh is None else sh.res.tobytes())
+    for rnd, deficit in sorted(diag.deficits.items()):
+        h.update(b"-" if deficit is None else deficit.res.tobytes())
+    h.update(repr(sorted(diag.recovered_pieces.items())).encode())
+    h.update(repr([(row.c2s_bytes, row.c2c_bytes, row.c2c_messages) for row in res.transcript.rows]).encode())
+    return h.hexdigest()
+
+
+PINNED_DIGEST = "8cce77125c29a6046c2a4dbd2f3401435e21aa6578e9b2cb8b3af5616f399364"
+
+
+def test_key_history_and_reveals_are_pinned():
+    # Key shares, deficits, reveals and traffic of a run with drops in
+    # consecutive rounds; the digest pins every backup and recovery to the
+    # draws the seed fixes, so a change to either shows here.
+    p = _sum_program(6, 3)
+    pset = _pset(p, 8, h=5, t=3, beta=0.25)
+    data = random_data(run_rng("pinned"), p, 8)
+    schedule = {2: frozenset({0, 5}), 3: frozenset({1}), 5: frozenset({2, 7})}
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=53, track_keys=True
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 53, schedule).reveals)
+    assert _run_digest(res, diag) == PINNED_DIGEST
+
+
+def _mask_quorum_case(alive):
+    # Client 0 survives round 2; all but `alive` of its mask chaperones drop
+    # in round 3, when the chaperones must release its mask shares.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    committee = dropout.chaperone_committee(59, pset, 2, 0, "mask")
+    schedule = {3: frozenset(committee[alive:])}
+    return p, pset, schedule
+
+
+def test_mask_quorum_exactly_t_alive():
+    p, pset, schedule = _mask_quorum_case(alive=3)
+    data = random_data(run_rng("maskq"), p, 8)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=59)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 59, schedule).reveals)
+    assert diag.masks_reconstructed[(2, 0)]
+
+
+def test_mask_quorum_t_minus_one_alive_aborts():
+    p, pset, schedule = _mask_quorum_case(alive=2)
+    with pytest.raises(dropout.QuorumError, match="round 2: cannot reconstruct mask"):
+        dropout.run_dropout_protocol(p, pset, schedule, seed=59)

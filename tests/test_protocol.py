@@ -30,6 +30,17 @@ def test_long_running_aggregation_matches_reference():
     assert reveals_equal(res.reveals, _reference(p, pset, data, 1).reveals)
 
 
+def test_single_31_bit_limb_run_matches_reference():
+    # logq=31 at N=2048 has no even two-limb split; one 31-bit limb realizes it.
+    p = _sum_program(3, 4)
+    pset = desk_paramset(p, n=4, N=2048).with_overrides(logq=31)
+    assert params.noise_budget(pset).ok
+    assert len(pset.ring().limbs) == 1
+    data = random_data(run_rng("limb31"), p, 4)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=3)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 3).reveals)
+
+
 def test_zero_input_reveal_is_zero():
     p = prog.Program(ell=4, rounds=[prog.Instruction.make(prog.REVEAL, prog.InputRule.zero())])
     pset = desk_paramset(p, n=3)

@@ -218,3 +218,30 @@ def test_choose_limbs_bit_lengths():
         assert len(set(limbs)) == len(limbs)
         # every split must build a valid parameter set
         ring.RingParams(n, 3, limbs=limbs)
+
+
+# Values of logq that no set of distinct primes congruent to 1 mod 2N and
+# below 2^(LIMB_MAX_BITS+1) can realize, up to each N's security cap.
+INFEASIBLE_LOGQ = {2048: {15}, 4096: {15}, 8192: {16, 19, 32}, 16384: {19, 32, 33, 35}}
+
+
+def test_choose_limbs_every_logq_up_to_the_security_cap():
+    from stateful_agg.params import SECURITY_LOGQ
+
+    for n, cap in sorted(SECURITY_LOGQ.items()):
+        infeasible = set()
+        for logq in range((2 * n).bit_length() + 1, cap + 1):
+            try:
+                limbs = ring.choose_limbs(n, logq)
+            except ValueError as exc:
+                assert f"logq={logq}" in str(exc) and f"N={n}" in str(exc)
+                infeasible.add(logq)
+                continue
+            assert len(set(limbs)) == len(limbs)
+            assert all(ring._is_prime(p) and (p - 1) % (2 * n) == 0 for p in limbs)
+            assert all(p.bit_length() <= ring.LIMB_MAX_BITS + 1 for p in limbs)
+            q = 1
+            for p in limbs:
+                q *= p
+            assert q.bit_length() == logq, (n, logq)
+        assert infeasible == INFEASIBLE_LOGQ[n], n

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,91 @@ def test_seed_reshare_peer_bits():
     sr = sharing.seed_reshare(SMALL.zero(), 7, rng)
     assert len(sr.seeds) == 7
     assert all(s < 2**sharing.SEED_BITS for s in sr.seeds)
+
+
+def _horner_shares(secrets, h, t, rng, pr):
+    """Reference sharing: coefficients drawn secret by secret, then by power,
+    then by limb; each point and limb evaluated by Horner's rule over Python
+    ints.  Returns per secret the (L, W) residues of shares at points 1..h."""
+    out = []
+    for s in secrets:
+        if isinstance(s, ring.RingElement):
+            res = [[int(v) for v in row] for row in s.res]
+        else:
+            res = [[int(s) % p] for p in pr.limbs]
+        width = len(res[0])
+        coeffs = [
+            [rng.integers(0, p, size=width, dtype=np.uint64) for p in pr.limbs]
+            for _ in range(t - 1)
+        ]
+        shares = []
+        for x in range(1, h + 1):
+            val = []
+            for l, p in enumerate(pr.limbs):
+                row = []
+                for w in range(width):
+                    acc = 0
+                    for c in reversed(range(t - 1)):
+                        acc = (acc + int(coeffs[c][l][w])) * x % p
+                    row.append((acc + res[l][w]) % p)
+                val.append(row)
+            shares.append(val)
+        out.append(shares)
+    return out
+
+
+def _share_residues(ts, pr):
+    if ts.params is None:
+        return [[[int(v) for v in row] for row in value.res] for _, value in ts.shares]
+    return [[[value % p] for p in pr.limbs] for _, value in ts.shares]
+
+
+# A single 31-bit limb: with h = t = 20 the terms x^k mod p reach ~2^31, so
+# (t-1) * max(x^k mod p) * p exceeds 2^64 and the kernel must reduce early.
+WIDE = ring.RingParams(8, 3, limbs=(ring.find_ntt_prime(16, 31),))
+
+
+@pytest.mark.parametrize(
+    "logq, limbs, h, t",
+    [(27, 1, 5, 3), (50, 2, 6, 4), (100, 4, 4, 2), (50, 2, 4, 1), (100, 4, 5, 5), (None, 1, 20, 20)],
+)
+def test_tshare_matches_horner_reference(logq, limbs, h, t):
+    pr = WIDE if logq is None else ring.RingParams.from_bits(8, logq, 3)
+    assert len(pr.limbs) == limbs
+    if pr is WIDE:
+        p = pr.limbs[0]
+        vmax = max(pow(x, k, p) for x in range(1, h + 1) for k in range(1, t))
+        assert (t - 1) * vmax * (p - 1) >= 2**64
+    elems = [ring.sample_uniform(run_rng("hr-e", h, t, k), pr) for k in range(3)]
+    scalars = [int(run_rng("hr-s", h, t, k).integers(0, 2**62)) % pr.q for k in range(3)]
+    for secrets in (elems, scalars):
+        want = _horner_shares(secrets, h, t, run_rng("hr", h, t), pr)
+        many = sharing.tshare_many(secrets, h, t, run_rng("hr", h, t), params=pr)
+        rng = run_rng("hr", h, t)
+        single = [sharing.tshare(s, h, t, rng, params=pr) for s in secrets]
+        for ref, a, b in zip(want, many, single):
+            assert _share_residues(a, pr) == ref
+            assert _share_residues(b, pr) == ref
+            assert [x for x, _ in a.shares] == list(range(1, h + 1))
+
+
+def test_trec_every_t_subset_and_summed_bundles():
+    pr = ring.RingParams.from_bits(8, 50, 3)
+    h, t = 5, 3
+    rng = run_rng("subsets")
+    secrets = [ring.sample_uniform(rng, pr) for _ in range(3)]
+    shared = sharing.tshare_many(secrets, h, t, rng)
+    # Shamir is linear: the point-wise sum of the sharings shares the sum.
+    summed = [
+        (x, sharing.reconstruct_additive([ts.shares[x - 1][1] for ts in shared]))
+        for x in range(1, h + 1)
+    ]
+    total = sharing.reconstruct_additive(secrets)
+    for subset in itertools.combinations(range(h), t):
+        for ts, secret in zip(shared, secrets):
+            assert sharing.trec([ts.shares[i] for i in subset], t) == secret
+        assert sharing.trec([summed[i] for i in subset], t) == total
+    scalar = 987654321012345 % pr.q
+    ts = sharing.tshare(scalar, h, t, rng, params=pr)
+    for subset in itertools.combinations(ts.shares, t):
+        assert sharing.trec(list(subset), t, params=pr) == scalar
