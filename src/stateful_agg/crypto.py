@@ -122,18 +122,30 @@ def reveal_message(
     the caller already derived it for the whole cohort.
     """
     params = key_share.params
-    t = params.T
     base = list(mask_elems) if mask_elems is not None else reveal_mask(round_elems, weights)
     m = len(base)
+    # Flooding scales each round's Gaussian by w_k * T; the per-limb
+    # residues of that product are the same for every message element.
+    flood_cols = []
+    if sigma_flood > 0:
+        flood_cols = [
+            np.array([wt * params.T % p for p in params.limbs], dtype=np.uint64).reshape(-1, 1)
+            for wt in weights.values()
+            if wt
+        ]
+    ps = params._ps
+    ps_signed = ps.astype(np.int64)
     out = []
     for e in range(m):
         w = ring.mul(base[e], key_share)
-        if sigma_flood > 0:
-            g = params.zero()
-            for _k, wt in weights.items():
-                if wt:
-                    g = g + ring.sample_gaussian(rng, sigma_flood, params).scalar(wt)
-            w = w + g.scalar(t)
+        if flood_cols:
+            # One draw per weighted round, summed in residue form: every
+            # term is below p < 2^31, so the sum stays inside uint64.
+            g = np.zeros_like(w.res)
+            for col in flood_cols:
+                ints = ring.gaussian_ints(rng, sigma_flood, params.N)
+                g += np.mod(ints, ps_signed).view(np.uint64) * col % ps
+            w = w + ring.RingElement(g % ps, params)
         if x_elems is not None:
             w = w + x_elems[e]
         if mask is not None:

@@ -316,7 +316,9 @@ def make_paramset(
 
     With enforce_security the modulus is clamped to the embedded table (and
     N must appear in it); otherwise desk-scale toy degrees are accepted and
-    logq is sized from the noise budget plus a safety margin.  When packing
+    logq is sized from the noise budget plus a safety margin, then stepped
+    up to the first width a limb split realizes (its limbs are kept, so
+    `ParamSet.ring()` does not search again).  When packing
     (pf > 1) the slot width also covers the program's weight accumulation so
     lane sums cannot carry across slots; unpacked coefficients wrap mod T,
     which is the functionality's own semantics.
@@ -334,7 +336,8 @@ def make_paramset(
     _, sigma_n = sigma_schedule(r)
     if logq is None:
         req, _ = _budget_bits(T, sigma_n, n, *stats)
-        logq = math.floor(req + 1.0) + 1 + margin_bits
+        logq, limbs = _buildable_logq(N, math.floor(req + 1.0) + 1 + margin_bits, enforce_security)
+        flags.setdefault("limbs", limbs)
     if enforce_security and logq > max_logq(N):
         raise ValueError(f"logq={logq} exceeds the {max_logq(N)}-bit cap for N={N}")
     if d is None:
@@ -352,6 +355,19 @@ def make_paramset(
     )
 
 
+def _buildable_logq(N: int, logq: int, enforce_security: bool) -> tuple[int, tuple[int, ...]]:
+    """The smallest logq at or above the given one that a limb split
+    realizes, with its limbs; never above the security cap when enforced."""
+    cap = max_logq(N) if enforce_security else None
+    while True:
+        try:
+            return logq, ring.choose_limbs(N, logq)
+        except ValueError:
+            if cap is not None and logq >= cap:
+                raise
+            logq += 1
+
+
 def grid_search(
     n: int,
     ell: int,
@@ -364,12 +380,15 @@ def grid_search(
     """Minimize upload bytes over ring degree, packing factor, and modulus
     width, subject to the security table and the noise budget."""
     _, sigma_n = sigma_schedule(r)
-    slot = slot_width_for(input_bits, n, dp_sigma)
     best = None
     for N in sorted(SECURITY_LOGQ):
         cap = SECURITY_LOGQ[N]
         pf = 1
-        while pf * slot <= cap:
+        while True:
+            # The slot width make_paramset gives this packing factor.
+            slot = slot_width_for(input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0)
+            if pf * slot > cap:
+                break
             T = 2 ** (pf * slot)
             req, _ = _budget_bits(T, sigma_n, n, *stats)
             logq = math.floor(req + 1.0) + 1

@@ -14,6 +14,7 @@ can store unreduced aggregates and apply one linear function at reveal time.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,6 +100,8 @@ def validate(p: Program) -> list[str]:
     errs: list[str] = []
     if p.ell < 1:
         errs.append("vector length must be >= 1")
+    if p.modulus is not None and not (isinstance(p.modulus, numbers.Integral) and p.modulus > 0):
+        errs.append("modulus must be a positive integer")
     for i, instr in enumerate(p.rounds, start=1):
         if instr.mode not in (STORE, REVEAL):
             errs.append(f"round {i}: unknown mode {instr.mode!r}")
@@ -108,13 +111,11 @@ def validate(p: Program) -> list[str]:
             errs.append(f"round {i}: gaussian rule needs positive variance")
         if instr.rule.variance < 0:
             errs.append(f"round {i}: negative variance")
-        for k, w in instr.weights:
+        for k, _w in instr.weights:
             if k >= i:
                 errs.append(f"round {i}: weight references round {k} (must be < {i})")
             elif k < 1:
                 errs.append(f"round {i}: weight references round {k} (must be >= 1)")
-            if p.modulus is not None and not 0 <= w % p.modulus < p.modulus:
-                errs.append(f"round {i}: weight {w} not reducible mod modulus")
     return errs
 
 

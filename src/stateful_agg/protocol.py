@@ -240,20 +240,20 @@ class ServerState:
 
         Each stored round k was produced under the then-current key s minus
         deficit_k; multiplying the public basis by the deficit restores what
-        a full-key run would have uploaded.
+        a full-key run would have uploaded.  The products are recomputed at
+        every reveal because dropout recovery rewrites a round's deficit.
         """
-        rp = self.ring_params
-        m = self.pset.m
-        acc = None
-        for k, w in list(weights.items()) + [(i, 1)]:
-            dk = self.deficit.get(k)
-            if dk is None or w == 0:
-                continue
-            if acc is None:
-                acc = [rp.zero() for _ in range(m)]
-            for e in range(m):
-                acc[e] = acc[e] - ring.mul(self.basis[k][e], dk).scalar(w)
-        return acc
+        terms = [
+            (w, k, self.deficit[k])
+            for k, w in list(weights.items()) + [(i, 1)]
+            if w and self.deficit.get(k) is not None
+        ]
+        if not terms:
+            return None
+        return [
+            -ring.mul_sum((w, self.basis[k][e], dk) for w, k, dk in terms)
+            for e in range(self.pset.m)
+        ]
 
     def _mask_total(self, i: int, weights: dict[int, int]):
         acc = None

@@ -25,6 +25,7 @@ __all__ = [
     "PackedPlaintext",
     "add",
     "mul",
+    "mul_sum",
     "scalar_mul",
     "sample_uniform",
     "sample_gaussian",
@@ -501,6 +502,39 @@ def mul_ntt(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(_intt(prod, tbl), pr)
 
 
+def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElement:
+    """Sum of w * a * b over (w, a, b) terms, with one inverse NTT.
+
+    The pointwise products of the (cached) forward transforms are weighted
+    per limb and summed in residue form; the transform is linear, so one
+    inverse NTT of the sum equals the sum of the individual products.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("mul_sum needs at least one term")
+    first = terms[0][1]
+    for _w, a, b in terms:
+        _check_same_params(first, a)
+        _check_same_params(a, b)
+    pr = first.params
+    if pr.N < NTT_MIN_DEGREE:
+        acc = pr.zero()
+        for w, a, b in terms:
+            acc = acc + mul_schoolbook(a, b).scalar(w)
+        return acc
+    tbl = _tables(pr.limbs, pr.N)
+    ps = tbl.ps_flat
+    # Each term is below p < 2^31, so up to 2^33 terms sum in uint64.
+    acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
+    for w, a, b in terms:
+        prod = a._ntt() * b._ntt() % ps
+        if w != 1:
+            wcol = np.array([int(w) % p for p in pr.limbs], dtype=np.uint64).reshape(-1, 1)
+            prod = prod * wcol % ps
+        acc += prod
+    return RingElement(_intt(acc % ps, tbl), pr)
+
+
 def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:
     """Quadratic negacyclic convolution, exact per limb via Python ints."""
     _check_same_params(a, b)
@@ -530,27 +564,60 @@ def sample_uniform(rng: np.random.Generator, params: RingParams) -> RingElement:
     return RingElement(res, params)
 
 
+# Measured crossover: a 64-draw call costs ~40% more through the guide
+# table than through searchsorted, a 2048-draw call about a third as much.
+_GUIDE_MIN_DRAWS = 256
+
+
 @lru_cache(maxsize=64)
-def _gauss_table(sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table for the discrete Gaussian, truncated at 12 sigma."""
+def _gauss_table(sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse-CDF table for the discrete Gaussian, truncated at 12 sigma,
+    with its guide table."""
     bound = int(math.ceil(12 * sigma))
     zs = np.arange(-bound, bound + 1, dtype=np.int64)
     logp = -(zs.astype(np.float64) ** 2) / (2 * sigma * sigma)
     pmf = np.exp(logp - logp.max())
     cdf = np.cumsum(pmf)
     cdf /= cdf[-1]
-    return zs, cdf
+    return zs, cdf, _guide_table(cdf)
 
 
-def gaussian_ints(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """Discrete Gaussian integers, stddev sigma, via inverse-CDF lookup."""
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """guide[b] for b = 0..m (m = len(cdf)): the first index whose cdf
+    reaches b/m, so a draw u in bucket floor(u*m) starts its search there
+    and usually lands within a step (Chen & Asau, 1974).
+
+    The thresholds sit 2^-50 below b/m: u*m can round up to b for a u just
+    under b/m, and the search from guide[b] only ever steps forward.
+    """
+    m = len(cdf)
+    return np.searchsorted(cdf, np.arange(m + 1) / m - 2.0**-50, side="left")
+
+
+def gaussian_ints(
+    rng: np.random.Generator, sigma: float, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Discrete Gaussian integers, stddev sigma, via inverse-CDF lookup.
+
+    Returns zs[searchsorted(cdf, u, "left")] for u = rng.random(size).  The
+    guide table finds that index in one step for most draws; the rest (the
+    tails crowd into the first and last buckets) are searched.  Below
+    _GUIDE_MIN_DRAWS draws the table's fixed cost outweighs the search.
+    """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return np.zeros(size, dtype=np.int64)
-    zs, cdf = _gauss_table(float(sigma))
+    zs, cdf, guide = _gauss_table(float(sigma))
     u = rng.random(size)
-    return zs[np.searchsorted(cdf, u, side="left")]
+    if u.size < _GUIDE_MIN_DRAWS:
+        return zs[np.searchsorted(cdf, u, side="left")]
+    idx = guide[(u * (len(guide) - 1)).astype(np.intp)]
+    idx += cdf[idx] < u
+    miss = cdf[idx] < u
+    if miss.any():
+        idx[miss] = np.searchsorted(cdf, u[miss], side="left")
+    return zs[idx]
 
 
 def sample_gaussian(rng: np.random.Generator, sigma: float, params: RingParams) -> RingElement:

@@ -4,6 +4,8 @@ oracles the library is checked against."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from stateful_agg import params
@@ -86,3 +88,28 @@ def reveals_equal(a, b) -> bool:
 
 def run_rng(*parts) -> np.random.Generator:
     return ctx_rng("test", *parts)
+
+
+def running_sum_program(r: int, ell: int) -> prog.Program:
+    """Round i reveals x_i + v_(i-1): every reveal reads every earlier round."""
+    return prog.Program(ell=ell, rounds=[
+        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {i - 1: 1} if i > 1 else {})
+        for i in range(1, r + 1)
+    ])
+
+
+def run_digest(res, diag=None) -> str:
+    """SHA-256 over a run's reveals, key history, deficits and transcript rows."""
+    h = hashlib.sha256()
+    for rnd, vec in res.reveals:
+        h.update(f"{rnd}:{[int(v) for v in vec]}".encode())
+    for shares in res.key_history:
+        for sh in shares:
+            h.update(b"-" if sh is None else sh.res.tobytes())
+    for _rnd, deficit in sorted((diag.deficits if diag else {}).items()):
+        h.update(b"-" if deficit is None else deficit.res.tobytes())
+    h.update(repr([
+        (row.round, row.mode, row.c2s_bytes, row.c2c_bytes, row.c2c_messages, row.dropped)
+        for row in res.transcript.rows
+    ]).encode())
+    return h.hexdigest()

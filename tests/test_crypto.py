@@ -160,3 +160,36 @@ def test_noise_budget_no_wraparound_smalls():
         c = crypto.store_message(pub, s, _encode(x), 3.2, ctx_rng("b", trial)).w[0]
         plain = (c - ring.mul(pub[0], s)).centered() % PR.T
         assert [int(v) for v in ring.decode([plain], 8, 1, 12)] == x
+
+
+def _reveal_reference(round_elems, weights, key_share, sigma_flood, rng, x_elems):
+    # Reference flooding: one sampled element per weighted round, scaled by
+    # its weight, summed, then scaled by T.
+    params = key_share.params
+    out = []
+    for e, base in enumerate(crypto.reveal_mask(round_elems, weights)):
+        g = params.zero()
+        for wt in weights.values():
+            if wt:
+                g = g + ring.sample_gaussian(rng, sigma_flood, params).scalar(wt)
+        out.append(ring.mul(base, key_share) + g.scalar(params.T) + x_elems[e])
+    return out
+
+
+@pytest.mark.parametrize("case", ["empty", "single", "mixed", "47-rounds"])
+def test_reveal_message_matches_per_round_flooding(case):
+    pr = ring.RingParams.from_bits(256, 54, 2**12)
+    rng = run_rng("rv-ref", case)
+    rounds = 47 if case == "47-rounds" else 4
+    elems = {k: [ring.sample_uniform(rng, pr) for _ in range(2)] for k in range(1, rounds + 1)}
+    weights = {
+        "empty": {},
+        "single": {1: 1},
+        "mixed": {1: 0, 2: pr.q - 1, 3: 5, 4: 0},
+        "47-rounds": {k: int(rng.integers(0, 2**40)) for k in elems},
+    }[case]
+    s = ring.sample_uniform(rng, pr)
+    x = [ring.sample_uniform(rng, pr) for _ in range(2)]
+    got = crypto.reveal_message(elems, weights, s, 44.8, ctx_rng("rv", case), x_elems=x)
+    want = _reveal_reference(elems, weights, s, 44.8, ctx_rng("rv", case), x)
+    assert list(got.w) == want

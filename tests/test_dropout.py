@@ -6,7 +6,10 @@ import pytest
 from stateful_agg import dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
 
-from helpers import desk_paramset, random_data, random_program, reveals_equal, run_rng
+from helpers import (
+    desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
+    running_sum_program,
+)
 
 
 def _sum_program(r, ell):
@@ -280,3 +283,22 @@ def test_mask_quorum_t_minus_one_alive_aborts():
     p, pset, schedule = _mask_quorum_case(alive=2)
     with pytest.raises(dropout.QuorumError, match="round 2: cannot reconstruct mask"):
         dropout.run_dropout_protocol(p, pset, schedule, seed=59)
+
+
+def test_running_sum_dropout_run_is_pinned():
+    # Reveals in every round read every earlier round, while recovery
+    # rewrites the deficits those reveals correct for.
+    p = running_sum_program(6, 8)
+    pset = params.make_paramset(
+        n=6, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, h=4, t=2, beta=0.34,
+        stats=prog.reveal_stats(p),
+    )
+    data = random_data(run_rng("pin-dropout"), p, 6, input_bits=20)
+    schedule = {2: frozenset({1}), 3: frozenset({4}), 5: frozenset({0, 3})}
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=73, track_keys=True
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 73, schedule).reveals)
+    assert sum(d is not None for d in diag.deficits.values()) >= 3
+    want = "33a66fb74451455678e528a26b688cf99e2dec1c6dbc86d84c10eac38cf43338"
+    assert run_digest(res, diag) == want

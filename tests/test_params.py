@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stateful_agg import params
+from stateful_agg import dp, ideal, params, protocol
 from stateful_agg import program as prog
 from stateful_agg.dp import tree_program
 
@@ -185,3 +185,43 @@ def test_paramset_stats_from_program():
     stats = prog.reveal_stats(p)
     ps = params.make_paramset(n=10, r=p.r, ell=1, input_bits=8, N=16, d=3, stats=stats)
     assert params.noise_budget(ps, stats).ok
+
+
+def test_grid_search_sizes_modulus_for_the_packed_slot_width():
+    # A reveal's flattened weights sum to 56179 in absolute value, which
+    # widens packed slots by 16 bits; the modulus has to be sized for the
+    # plaintext modulus of the wider slots.
+    p = dp.mf_program(dp.random_banded(4, 3, 16, np.random.default_rng(1)), 0.0, ell=4096)
+    stats = prog.reveal_stats(p)
+    ps = params.grid_search(4, p.ell, p.r, 8, stats=stats)
+    assert params.noise_budget(ps, stats).ok
+    data = np.random.default_rng(2).integers(0, 2**8, size=(p.r, 4, p.ell)).astype(object)
+    res = protocol.run_protocol(p, ps, data_inputs=data, seed=3)
+    inputs = ideal.materialize_inputs(p, data, 4, protocol.run_noise_seed(3), ps.gamma)
+    want = ideal.evaluate_program(p, inputs, ps.T).reveals
+    assert [i for i, _ in res.reveals] == [i for i, _ in want]
+    for (_, got), (_, ref) in zip(res.reveals, want):
+        assert [int(v) for v in got] == [int(v) for v in ref]
+
+
+def _one_reveal(ell):
+    return prog.Program(ell=ell, rounds=[prog.Instruction.make(prog.REVEAL, prog.InputRule.data())])
+
+
+def test_make_paramset_steps_past_an_unbuildable_modulus():
+    # The noise budget asks for logq=32 here, which no limb split realizes
+    # at N=8192; the derived modulus steps up to the next one that builds.
+    p = _one_reveal(8)
+    stats = prog.reveal_stats(p)
+    ps = params.make_paramset(n=4, r=1, ell=8, input_bits=16, N=8192, stats=stats)
+    assert ps.logq == 33
+    assert ps.limbs is not None
+    assert ps.ring().limbs == ps.limbs
+    assert ps.ring().logq == ps.logq
+    assert params.noise_budget(ps, stats).ok
+
+
+def test_make_paramset_pinned_unbuildable_modulus_still_raises():
+    ps = params.make_paramset(n=4, r=1, ell=8, input_bits=16, N=8192, logq=32)
+    with pytest.raises(ValueError, match=r"logq=32 bits for N=8192"):
+        ps.ring()

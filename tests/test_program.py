@@ -143,3 +143,12 @@ def test_load_invalid_program(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="invalid program"):
         prog.load_program(path)
+
+
+@pytest.mark.parametrize("modulus", [0, -5])
+def test_validate_rejects_nonpositive_modulus(modulus):
+    p = prog.Program(ell=1, modulus=modulus, rounds=[
+        prog.Instruction.make(prog.STORE, prog.InputRule.data()),
+        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {1: 3}),
+    ])
+    assert prog.validate(p) == ["modulus must be a positive integer"]

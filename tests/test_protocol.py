@@ -4,7 +4,10 @@ import pytest
 from stateful_agg import ideal, params, protocol, ring
 from stateful_agg import program as prog
 
-from helpers import desk_paramset, random_data, random_program, reveals_equal, run_rng
+from helpers import (
+    desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
+    running_sum_program,
+)
 
 
 def _sum_program(r, ell):
@@ -222,3 +225,17 @@ def test_weights_on_reveal_rounds_supported():
     data = random_data(run_rng("revref"), p, 4)
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=55)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 55).reveals)
+
+
+def test_running_sum_run_is_pinned():
+    # Every round reveals, so flooding noise, server corrections (seed
+    # resharing) and the two-limb NTT path all feed the digest.
+    p = running_sum_program(10, 8)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(p)
+    )
+    assert len(pset.ring().limbs) == 2
+    data = random_data(run_rng("pin-running"), p, 4, input_bits=20)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=71, track_keys=True)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
+    assert run_digest(res) == "60a20d232c13ab8e225237fbbe11e29792dd6f7e97b252b9a75074c67673686e"

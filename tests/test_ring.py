@@ -245,3 +245,95 @@ def test_choose_limbs_every_logq_up_to_the_security_cap():
                 q *= p
             assert q.bit_length() == logq, (n, logq)
         assert infeasible == INFEASIBLE_LOGQ[n], n
+
+
+def _searchsorted_table(sigma):
+    # Reference inverse-CDF table: the sampler must return exactly
+    # zs[searchsorted(cdf, u, "left")] for every u it draws.
+    bound = int(np.ceil(12 * sigma))
+    zs = np.arange(-bound, bound + 1, dtype=np.int64)
+    logp = -(zs.astype(np.float64) ** 2) / (2 * sigma * sigma)
+    cdf = np.cumsum(np.exp(logp - logp.max()))
+    return zs, cdf / cdf[-1]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose .random returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        return self.u.reshape(size).copy()
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
+def test_gaussian_ints_match_searchsorted(sigma):
+    zs, cdf = _searchsorted_table(sigma)
+    for size in (1, 64, 2048, (3, 700), 10**6):
+        got = ring.gaussian_ints(ctx_rng("gss", sigma, str(size)), sigma, size)
+        u = ctx_rng("gss", sigma, str(size)).random(size)
+        assert got.shape == u.shape
+        assert np.array_equal(got, zs[np.searchsorted(cdf, u, side="left")])
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
+def test_gaussian_ints_match_searchsorted_on_crafted_uniforms(sigma):
+    # Bucket edges b/m, every cdf value, their neighbours on both sides and
+    # the ends of [0, 1): the draws where a table lookup can go wrong.
+    zs, cdf = _searchsorted_table(sigma)
+    m = len(cdf)
+    edges = np.concatenate([np.arange(m + 1) / m, cdf, [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = zs[np.searchsorted(cdf, u, side="left")]
+    # Calls below the guide table's minimum size search directly.
+    small = np.array_split(np.arange(len(u)), -(-len(u) // (ring._GUIDE_MIN_DRAWS - 1)))
+    for part in small:
+        got = ring.gaussian_ints(_FixedUniforms(u[part]), sigma, len(part))
+        assert np.array_equal(got, want[part])
+    reps = -(-ring._GUIDE_MIN_DRAWS // len(u))
+    got = ring.gaussian_ints(_FixedUniforms(np.tile(u, reps)), sigma, reps * len(u))
+    assert np.array_equal(got, np.tile(want, reps))
+
+
+def _mul_sum_case(N, logq, seed):
+    pr = ring.RingParams(N, 2**8 + 1, limbs=ring.choose_limbs(N, logq))
+    rng = run_rng("mul-sum", N, logq, seed)
+    weights = [0, 1, pr.q - 1, 2**64 + 12345, 7]
+    return pr, [(w, ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)) for w in weights]
+
+
+@pytest.mark.parametrize(
+    "N,logq,limbs",
+    [(32, 40, 2), (2048, 30, 1), (2048, 54, 2), (4096, 109, 4)],
+)
+def test_mul_sum_matches_weighted_products(N, logq, limbs):
+    pr, terms = _mul_sum_case(N, logq, 0)
+    assert len(pr.limbs) == limbs
+    want = pr.zero()
+    for w, a, b in terms:
+        want = want + ring.mul(a, b).scalar(w)
+    assert ring.mul_sum(terms) == want
+    assert ring.mul_sum(terms[1:2]) == ring.mul(terms[1][1], terms[1][2])
+    assert ring.mul_sum(terms[:1]) == pr.zero()
+
+
+def test_mul_sum_rejects_mixed_params_and_no_terms():
+    pr, terms = _mul_sum_case(32, 40, 1)
+    other = ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 41))
+    with pytest.raises(ValueError, match="mismatch"):
+        ring.mul_sum(terms + [(1, other.one(), other.one())])
+    with pytest.raises(ValueError, match="at least one"):
+        ring.mul_sum([])
+
+
+def test_gaussian_ints_guide_never_starts_past_the_answer(monkeypatch):
+    # u just below 5/6 lands in bucket 5 of 6 (u*6 rounds up to 5.0); with a
+    # cdf value at u itself, that bucket must start its search at or before it.
+    u = np.nextafter(5 / 6, 0.0)
+    assert int(u * 6) == 5
+    zs, cdf = np.arange(6), np.array([0.1, 0.3, 0.5, 0.7, u, 1.0])
+    monkeypatch.setattr(ring, "_gauss_table", lambda sigma: (zs, cdf, ring._guide_table(cdf)))
+    draws = ring.gaussian_ints(_FixedUniforms([u] * 256), 1.0, 256)
+    assert draws.tolist() == [4] * 256
