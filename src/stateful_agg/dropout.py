@@ -1,5 +1,6 @@
-"""Dropout-resilient protocol: chaperone committees, threshold backups of
-key shares, and self-masked uploads.
+"""Dropout recovery: a layer on the round engine of `protocol`, with
+chaperone committees, threshold backups of key shares, and self-masked
+uploads.
 
 A client that drops out of its round sends nothing at all.  Three repairs
 keep the run correct:
@@ -17,6 +18,11 @@ keep the run correct:
   round's accumulated key deficit, restoring what a full-key cohort would
   have uploaded.
 
+`Recovery` plugs these into `protocol.run_rounds`: the engine asks it which
+clients drop, for each survivor's self-mask, to back up each survivor's
+pieces and mask secret, and to repair each round before its reveal.  The
+backups need whole ring elements, so the run reshares plainly.
+
 The simulator's router is the ground truth for who dropped; it refuses to
 release a dropped client's mask secret, and the run aborts with
 QuorumError if any needed committee falls below its threshold.
@@ -24,25 +30,22 @@ QuorumError if any needed committee falls below its threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import crypto, ring, sharing
+from . import ring, sharing
 from . import program as prog
-from .ideal import materialize_inputs
 from .params import ParamSet
-from .prng import ctx_rng, hash_key
+from .prng import ctx_rng
 from .protocol import (
-    ClientState,
+    ClientStepResult,
     ProtocolError,
     RoundContext,
-    RoundRecord,
     RunResult,
     ServerState,
     Transcript,
-    build_context,
-    run_noise_seed,
+    run_rounds,
 )
 
 __all__ = [
@@ -51,7 +54,7 @@ __all__ = [
     "Diagnostics",
     "chaperone_committee",
     "prg_mask",
-    "mask_and_store",
+    "Recovery",
     "backup_shares",
     "recover_round",
     "run_dropout_protocol",
@@ -143,9 +146,8 @@ def _uniform_zq(rng: np.random.Generator, params: ring.RingParams) -> int:
 
 @dataclass
 class Router:
-    """Simulator-side ground truth: mailboxes, backups, and release guards."""
+    """Simulator-side ground truth: backups and release guards."""
 
-    mail: list[list]
     backups: dict[tuple[int, int], list[dict[int, tuple[int, ring.RingElement]]]] = field(
         default_factory=dict
     )
@@ -180,62 +182,6 @@ class Diagnostics:
             raise ProtocolError(f"mask secrets of dropped clients released: {sorted(leaked)}")
 
 
-@dataclass
-class DropoutStepResult:
-    state: ClientState
-    message: crypto.StoreMessage
-    pieces: list[tuple[int, ring.RingElement]]
-    mask_secret: int
-    c2s_bits: int = 0
-    c2c_bits: int = 0
-    c2c_messages: int = 0
-
-
-def mask_and_store(
-    state: ClientState, ctx: RoundContext, incoming, x_vec
-) -> DropoutStepResult:
-    """Client round with self-masking: like the synchronous step, but the
-    upload carries PRG(mask secret) and resharing pieces are returned for
-    chaperone backup."""
-    pset = ctx.pset
-    rp = pset.ring()
-    i, j = ctx.index, state.index
-    rp_zero_share = rp.zero()
-    if ctx.index == 1:
-        key_share = ring.sample_uniform(ctx_rng(ctx.run_seed, "initial-key", j), rp)
-    else:
-        key_share = rp_zero_share
-        for item in incoming or ():
-            key_share = key_share + item
-    secret = _uniform_zq(ctx_rng(ctx.run_seed, "mask-secret", i, j), rp)
-    mask = prg_mask(secret, pset.m, rp)
-    noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
-    x_elems = ring.encode(x_vec, pset.pf, pset.slot_width, rp)
-    if ctx.instr.mode == prog.STORE:
-        msg = crypto.store_message(
-            ctx.public, key_share, x_elems, pset.sigma_n, noise_rng, mask=mask
-        )
-    else:
-        msg = crypto.reveal_message(
-            {}, ctx.weights, key_share, pset.sigma_flood, noise_rng,
-            x_elems=x_elems, mask_elems=ctx.basis, mask=mask,
-        )
-    share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
-    receivers = [int(v) for v in share_rng.integers(0, pset.n, size=pset.d)]
-    parts = sharing.ashare(key_share, pset.d, share_rng)
-    pieces = list(zip(receivers, parts.shares))
-    logq, N = pset.logq, pset.N
-    return DropoutStepResult(
-        state=ClientState(i, j, key_share),
-        message=msg,
-        pieces=pieces,
-        mask_secret=secret,
-        c2s_bits=pset.packed_coeffs * logq,
-        c2c_bits=pset.d * N * logq + pset.d * pset.h * N * logq + pset.h * logq,
-        c2c_messages=pset.d + pset.d * pset.h + pset.h,
-    )
-
-
 def backup_shares(
     router: Router,
     ctx: RoundContext,
@@ -258,20 +204,7 @@ def backup_shares(
             committee = committees[recv] = chaperone_committee(
                 ctx.run_seed, pset, ctx.index + 1, recv, "key"
             )
-        bundle = {chap: (point, value) for chap, (point, value) in zip(committee, tsh.shares)}
-        router.backups.setdefault((ctx.index + 1, recv), []).append(bundle)
-
-
-def _distribute_mask_shares(router: Router, ctx: RoundContext, res: DropoutStepResult) -> None:
-    pset = ctx.pset
-    rp = pset.ring()
-    i, j = ctx.index, res.state.index
-    committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
-    tsh = sharing.tshare(res.mask_secret, pset.h, pset.t, ctx_rng(ctx.run_seed, "mask-share", i, j), params=rp)
-    router.mask_shares[(i, j)] = {
-        chap: (point, value) for chap, (point, value) in zip(committee, tsh.shares)
-    }
-    router.mask_escrow[(i, j)] = res.mask_secret
+        router.backups.setdefault((ctx.index + 1, recv), []).append(dict(zip(committee, tsh.shares)))
 
 
 def recover_round(
@@ -357,13 +290,59 @@ def recover_round(
             router.released_mask_secrets.add(key)
             diagnostics.masks_reconstructed[key] = True
             mask = prg_mask(secret, pset.m, rp)
-            if total is None:
-                total = mask
-            else:
-                total = [a + b for a, b in zip(total, mask)]
+            total = mask if total is None else [a + b for a, b in zip(total, mask)]
         server.masks_sum[rnd] = tuple(total) if total is not None else None
     router.forget_round(rnd)
     return released_elems, mask_scalars
+
+
+class Recovery:
+    """The dropout layer `protocol.run_rounds` calls at four points of a
+    run; it keeps the schedule, the router and the diagnostics."""
+
+    def __init__(self, schedule: DropoutSchedule):
+        self.schedule = schedule
+        self.router = Router()
+        self.diagnostics = Diagnostics(dropped=dict(schedule))
+        # Key committees of cohort i+1 by receiver, cached per round i.
+        self.key_committees: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def dropped(self, i: int) -> frozenset[int]:
+        return self.schedule.get(i, frozenset())
+
+    def mask(self, ctx: RoundContext, j: int) -> list[ring.RingElement]:
+        """Survivor j's self-mask for round ctx.index, from a fresh secret."""
+        rp = ctx.pset.ring()
+        secret = _uniform_zq(ctx_rng(ctx.run_seed, "mask-secret", ctx.index, j), rp)
+        self.diagnostics.mask_secrets[(ctx.index, j)] = secret
+        return prg_mask(secret, ctx.pset.m, rp)
+
+    def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
+        """Share a survivor's resharing pieces to their receivers' key
+        committees and its mask secret to its own mask committee; returns
+        the extra client-to-client bits and messages."""
+        pset, i, j = ctx.pset, ctx.index, res.state.index
+        backup_shares(self.router, ctx, j, res.reshares, self.key_committees.setdefault(i, {}))
+        secret = self.diagnostics.mask_secrets[(i, j)]
+        committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
+        rng = ctx_rng(ctx.run_seed, "mask-share", i, j)
+        tsh = sharing.tshare(secret, pset.h, pset.t, rng, params=pset.ring())
+        self.router.mask_shares[(i, j)] = dict(zip(committee, tsh.shares))
+        self.router.mask_escrow[(i, j)] = secret
+        # h shares of each of the d pieces, plus h shares of the secret.
+        return pset.h * (pset.d * pset.N + 1) * pset.logq, pset.h * (pset.d + 1)
+
+    def repair(
+        self, server: ServerState, rnd: int, next_dropped: frozenset[int], transcript: Transcript
+    ) -> float:
+        """Repairs of round rnd before its reveal; returns the bytes the
+        chaperones release to the server."""
+        self.key_committees.pop(rnd, None)
+        elems, scalars = recover_round(
+            server, self.router, rnd, self.dropped(rnd), next_dropped,
+            self.diagnostics, transcript,
+        )
+        return (elems * server.pset.N + scalars) * server.pset.logq / 8.0
 
 
 def run_dropout_protocol(
@@ -379,68 +358,11 @@ def run_dropout_protocol(
     Reveals equal the reference run on inputs with dropped submissions
     zeroed.  Raises QuorumError when a committee cannot reach quorum.
     """
-    errs = prog.validate(p)
-    if errs:
-        raise ValueError("invalid program: " + "; ".join(errs))
-    if p.ell != pset.ell:
-        raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
     if not 1 <= pset.t <= pset.h:
         raise ValueError("need 1 <= t <= h")
-    sched = normalize_schedule(schedule, pset, p.r)
-    rp = pset.ring()
-    n = pset.n
-    inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
-    global_seed = hash_key(seed, "public-elements")
-    server = ServerState(p, pset)
-    router = Router(mail=[[] for _ in range(n)])
-    transcript = Transcript()
-    diagnostics = Diagnostics(dropped=dict(sched))
-    key_history: list[list[ring.RingElement | None]] = []
-    for i in range(1, p.r + 1):
-        ctx = build_context(server, global_seed, i, seed)
-        dropped = sched.get(i, frozenset())
-        rec = RoundRecord(round=i, mode=ctx.instr.mode, dropped=len(dropped))
-        next_mail: list[list] = [[] for _ in range(n)]
-        round_keys: list[ring.RingElement | None] = []
-        messages = []
-        key_committees: dict[int, tuple[int, ...]] = {}
-        for j in range(n):
-            if j in dropped:
-                round_keys.append(None)
-                continue
-            res = mask_and_store(ClientState(i, j), ctx, router.mail[j], inputs[i - 1][j])
-            diagnostics.mask_secrets[(i, j)] = res.mask_secret
-            for recv, piece in res.pieces:
-                next_mail[recv].append(piece)
-            backup_shares(router, ctx, j, res.pieces, key_committees)
-            _distribute_mask_shares(router, ctx, res)
-            messages.append(res.message)
-            round_keys.append(res.state.key_share)
-            rec.c2s_bytes += res.c2s_bits / 8.0
-            rec.c2c_bytes += res.c2c_bits / 8.0
-            rec.c2c_messages += res.c2c_messages
-        if track_keys:
-            key_history.append(round_keys)
-        server.absorb_round(i, ctx.basis, messages, [], server.drift)
-        # Round-boundary repairs for the previous round, then its reveal.
-        if i >= 2:
-            prev_dropped = sched.get(i - 1, frozenset())
-            elems, scalars = recover_round(
-                server, router, i - 1, prev_dropped, dropped, diagnostics, transcript
-            )
-            rec.c2s_bytes += (elems * pset.N + scalars) * pset.logq / 8.0
-            if p.instruction(i - 1).mode == prog.REVEAL:
-                transcript.reveals.append((i - 1, server.open_round(i - 1)))
-        transcript.rows.append(rec)
-        router.mail = next_mail
-    # Flush round r+1: repairs for round r, then its reveal if any.
-    recover_round(server, router, p.r, sched.get(p.r, frozenset()), frozenset(), diagnostics, transcript)
-    if p.r >= 1 and p.instruction(p.r).mode == prog.REVEAL:
-        transcript.reveals.append((p.r, server.open_round(p.r)))
-    diagnostics.assert_dropped_masks_private(router)
-    result = RunResult(
-        reveals=list(transcript.reveals),
-        transcript=transcript,
-        key_history=key_history if track_keys else None,
+    recovery = Recovery(normalize_schedule(schedule, pset, p.r))
+    result = run_rounds(
+        p, replace(pset, seed_resharing=False), data_inputs, seed, track_keys, recovery
     )
-    return result, diagnostics
+    recovery.diagnostics.assert_dropped_masks_private(recovery.router)
+    return result, recovery.diagnostics

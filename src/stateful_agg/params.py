@@ -383,8 +383,9 @@ def grid_search(
     best = None
     for N in sorted(SECURITY_LOGQ):
         cap = SECURITY_LOGQ[N]
-        pf = 1
+        pf = 0
         while True:
+            pf += 1
             # The slot width make_paramset gives this packing factor.
             slot = slot_width_for(input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0)
             if pf * slot > cap:
@@ -392,16 +393,19 @@ def grid_search(
             T = 2 ** (pf * slot)
             req, _ = _budget_bits(T, sigma_n, n, *stats)
             logq = math.floor(req + 1.0) + 1
-            if logq <= cap:
-                bytes_ = (-(-ell // pf) + N) * logq / 8.0
-                key = (bytes_, N, pf)
-                if best is None or key < best[0]:
-                    best = (key, N, pf, logq)
-            pf += 1
+            if logq > cap:
+                continue
+            try:
+                logq, limbs = _buildable_logq(N, logq, enforce_security=True)
+            except ValueError:
+                continue  # no width from here up to the cap builds
+            key = ((-(-ell // pf) + N) * logq / 8.0, N, pf)
+            if best is None or key < best[0]:
+                best = (key, logq, limbs)
     if best is None:
         raise ValueError("no feasible parameters: every (N, pf, logq) cell violates a cap")
-    _, N, pf, logq = best
+    (_, N, pf), logq, limbs = best
     return make_paramset(
         n=n, r=r, ell=ell, input_bits=input_bits, N=N, logq=logq, pf=pf,
-        gamma=gamma, dp_sigma=dp_sigma, stats=stats, enforce_security=True,
+        gamma=gamma, dp_sigma=dp_sigma, stats=stats, enforce_security=True, limbs=limbs,
     )

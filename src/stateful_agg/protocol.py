@@ -1,4 +1,4 @@
-"""Round-barrier simulator for the fully-synchronous protocol (no dropouts).
+"""The round engine of secure stateful aggregation.
 
 One cohort of n ephemeral clients acts per round.  A persistent global key
 s, defined by the uniform samples of the first cohort, is carried from
@@ -16,8 +16,12 @@ public elements for a store, the composed negative combination for a
 reveal) and applies the flattened weight vector once, at reveal time.  The
 server originates no messages of its own; it only aggregates and forwards.
 
-Within a round, client steps are pure functions of (seed, round, index) and
-could run in any order or in parallel; the loop here is sequential for
+`run_rounds` is the one round loop.  `run_protocol` drives it with no
+dropouts; `dropout.run_dropout_protocol` hands it a recovery layer, which
+the loop asks which clients drop, for each survivor's self-mask and
+backups, and for the repairs of each round before its reveal.  Within a
+round, client steps are pure functions of (seed, round, index) and could
+run in any order or in parallel; the loop is sequential for
 reproducibility of the transcript row order.
 """
 
@@ -44,6 +48,7 @@ __all__ = [
     "ProtocolError",
     "client_step",
     "server_step",
+    "run_rounds",
     "run_protocol",
 ]
 
@@ -116,43 +121,41 @@ class ClientStepResult:
     c2c_bits: int = 0
 
 
-def _derive_key_share(state: ClientState, ctx: RoundContext, incoming) -> ring.RingElement:
-    rp = ctx.pset.ring()
-    if ctx.index == 1:
-        return ring.sample_uniform(
-            ctx_rng(ctx.run_seed, "initial-key", state.index), rp
-        )
-    share = rp.zero()
-    for item in incoming or ():
-        piece = sharing.expand_seed(item, rp) if isinstance(item, int) else item
-        share = share + piece
-    return share
-
-
-def client_step(state: ClientState, ctx: RoundContext, incoming, x_vec) -> ClientStepResult:
+def client_step(
+    state: ClientState, ctx: RoundContext, incoming, x_vec, mask=None
+) -> ClientStepResult:
     """One client's round: derive key share, encrypt, reshare onward.
 
     incoming holds the previous cohort's share pieces routed to this client
-    (ring elements, or raw seeds under seed resharing).  Returns the upload,
-    the routed reshare pieces, and the server-bound correction if any.
+    (ring elements, or raw seeds under seed resharing); mask, if given, is
+    added to the upload.  Returns the upload, the routed reshare pieces, and
+    the server-bound correction if any.
     """
     pset = ctx.pset
     rp = pset.ring()
     i, j = ctx.index, state.index
-    key_share = _derive_key_share(state, ctx, incoming)
+    if i == 1:
+        key_share = ring.sample_uniform(ctx_rng(ctx.run_seed, "initial-key", j), rp)
+    else:
+        key_share = rp.zero()
+        for item in incoming or ():
+            key_share = key_share + (
+                sharing.expand_seed(item, rp) if isinstance(item, int) else item
+            )
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
     x_elems = ring.encode(x_vec, pset.pf, pset.slot_width, rp)
     if ctx.instr.mode == prog.STORE:
-        msg = crypto.store_message(ctx.public, key_share, x_elems, pset.sigma_n, noise_rng)
+        msg = crypto.store_message(
+            ctx.public, key_share, x_elems, pset.sigma_n, noise_rng, mask=mask
+        )
     else:
         msg = crypto.reveal_message(
             {}, ctx.weights, key_share, pset.sigma_flood, noise_rng,
-            x_elems=x_elems, mask_elems=ctx.basis,
+            x_elems=x_elems, mask_elems=ctx.basis, mask=mask,
         )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = [int(v) for v in share_rng.integers(0, pset.n, size=pset.d)]
     correction = None
-    reshares: list[tuple[int, object]] = []
     if pset.seed_resharing:
         sr = sharing.seed_reshare(key_share, pset.d, share_rng)
         reshares = list(zip(receivers, sr.seeds))
@@ -190,33 +193,10 @@ class ServerState:
         self.deficit: dict[int, ring.RingElement | None] = {}
         self.masks_sum: dict[int, tuple[ring.RingElement, ...] | None] = {}
         self.drift: ring.RingElement | None = None
-        self.cursor = 0
 
     def weights_for(self, i: int) -> dict[int, int]:
         bar = self.bars[i - 1]
         return {k: int(bar[k - 1]) for k in range(1, i) if int(bar[k - 1])}
-
-    def absorb_round(
-        self,
-        i: int,
-        basis: tuple[ring.RingElement, ...],
-        messages,
-        corrections,
-        deficit: ring.RingElement | None,
-    ) -> None:
-        rp = self.ring_params
-        m = self.pset.m
-        agg = [rp.zero() for _ in range(m)]
-        for msg in messages:
-            for e in range(m):
-                agg[e] = agg[e] + msg.w[e]
-        self.stored[i] = tuple(agg)
-        self.basis[i] = tuple(basis)
-        self.deficit[i] = deficit
-        self.masks_sum[i] = None
-        self.cursor = i
-        for corr in corrections:
-            self.drift = corr if self.drift is None else self.drift + corr
 
     def open_round(self, i: int) -> np.ndarray:
         """Decode the value revealed at round i (delivered one round later)."""
@@ -270,24 +250,26 @@ class ServerState:
         return acc
 
 
-def server_step(server: ServerState, ctx: RoundContext, messages) -> np.ndarray | None:
-    """Aggregate a full round of uploads; open the previous round if it was
-    a reveal.  Missing uploads are a synchrony violation here."""
-    pset = server.pset
-    if len(messages) != pset.n:
+def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
+    """Absorb a round's uploads, one from every client not in `dropped`;
+    any other count is a synchrony violation."""
+    rp = server.ring_params
+    expected = server.pset.n - len(dropped)
+    if len(messages) != expected:
         raise ProtocolError(
-            f"round {ctx.index}: expected {pset.n} messages, got {len(messages)}"
+            f"round {ctx.index}: expected {expected} messages, got {len(messages)}"
         )
-    # Cohort ctx.index operated under the key as reshared so far.
-    deficit = server.drift
-    server.absorb_round(
-        ctx.index, ctx.basis, [m.message for m in messages],
-        [m.correction for m in messages if m.correction is not None], deficit,
-    )
-    prev = ctx.index - 1
-    if prev >= 1 and server.program.instruction(prev).mode == prog.REVEAL:
-        return server.open_round(prev)
-    return None
+    agg = [rp.zero() for _ in range(server.pset.m)]
+    for res in messages:
+        agg = [a + w for a, w in zip(agg, res.message.w)]
+    i = ctx.index
+    server.stored[i] = tuple(agg)
+    server.basis[i] = tuple(ctx.basis)
+    # Cohort i operated under the key as reshared so far.
+    server.deficit[i] = server.drift
+    for res in messages:
+        if res.correction is not None:
+            server.drift = res.correction if server.drift is None else server.drift + res.correction
 
 
 def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> RoundContext:
@@ -305,6 +287,78 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     return RoundContext(i, instr, public, basis, weights, pset, run_seed)
 
 
+def run_rounds(
+    p: prog.Program,
+    pset: ParamSet,
+    data_inputs=None,
+    seed: int = 0,
+    track_keys: bool = False,
+    recovery=None,
+) -> RunResult:
+    """Run every round of the program, then flush the last reveal.
+
+    Round i's reveal is opened after round i+1's uploads are absorbed.  A
+    recovery layer (see `dropout.Recovery`) names each round's dropped
+    clients, masks and backs up every survivor's step, and repairs round
+    i-1 before its reveal; without one no client drops.
+    """
+    errs = prog.validate(p)
+    if errs:
+        raise ValueError("invalid program: " + "; ".join(errs))
+    if p.ell != pset.ell:
+        raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
+    n = pset.n
+    inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
+    global_seed = hash_key(seed, "public-elements")
+    server = ServerState(p, pset)
+    transcript = Transcript()
+    key_history: list[list[ring.RingElement | None]] = []
+
+    def deliver(k: int) -> None:
+        if k >= 1 and p.instruction(k).mode == prog.REVEAL:
+            transcript.reveals.append((k, server.open_round(k)))
+
+    mail: list[list] = [[] for _ in range(n)]
+    for i in range(1, p.r + 1):
+        ctx = build_context(server, global_seed, i, seed)
+        dropped = recovery.dropped(i) if recovery else frozenset()
+        rec = RoundRecord(round=i, mode=ctx.instr.mode, dropped=len(dropped))
+        next_mail: list[list] = [[] for _ in range(n)]
+        results = []
+        keys: list[ring.RingElement | None] = [None] * n
+        for j in range(n):
+            if j in dropped:
+                continue
+            mask = recovery.mask(ctx, j) if recovery else None
+            res = client_step(ClientState(i, j), ctx, mail[j], inputs[i - 1][j], mask)
+            backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
+            for recv, payload in res.reshares:
+                next_mail[recv].append(payload)
+            rec.c2s_bytes += res.c2s_bits / 8.0
+            rec.c2c_bytes += (res.c2c_bits + backup_bits) / 8.0
+            rec.c2c_messages += len(res.reshares) + backup_messages
+            results.append(res)
+            keys[j] = res.state.key_share
+        if track_keys:
+            key_history.append(keys)
+        server_step(server, ctx, results, dropped)
+        if recovery and i >= 2:
+            rec.c2s_bytes += recovery.repair(server, i - 1, dropped, transcript)
+        deliver(i - 1)
+        transcript.rows.append(rec)
+        mail = next_mail
+    # Flush round r+1: round r's repairs (no transcript row counts them),
+    # then its reveal.
+    if recovery:
+        recovery.repair(server, p.r, frozenset(), transcript)
+    deliver(p.r)
+    return RunResult(
+        reveals=list(transcript.reveals),
+        transcript=transcript,
+        key_history=key_history if track_keys else None,
+    )
+
+
 def run_protocol(
     p: prog.Program,
     pset: ParamSet,
@@ -314,44 +368,4 @@ def run_protocol(
 ) -> RunResult:
     """Simulate the whole program; reveals are exact mod T in the noise
     regime the parameter set was sized for."""
-    errs = prog.validate(p)
-    if errs:
-        raise ValueError("invalid program: " + "; ".join(errs))
-    if p.ell != pset.ell:
-        raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
-    rp = pset.ring()
-    n = pset.n
-    inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
-    global_seed = hash_key(seed, "public-elements")
-    server = ServerState(p, pset)
-    transcript = Transcript()
-    key_history: list[list[ring.RingElement]] = []
-    mail: list[list] = [[] for _ in range(n)]
-    for i in range(1, p.r + 1):
-        ctx = build_context(server, global_seed, i, seed)
-        rec = RoundRecord(round=i, mode=ctx.instr.mode)
-        next_mail: list[list] = [[] for _ in range(n)]
-        results = []
-        for j in range(n):
-            res = client_step(ClientState(i, j), ctx, mail[j], inputs[i - 1][j])
-            for recv, payload in res.reshares:
-                next_mail[recv].append(payload)
-            rec.c2s_bytes += res.c2s_bits / 8.0
-            rec.c2c_bytes += res.c2c_bits / 8.0
-            rec.c2c_messages += len(res.reshares)
-            results.append(res)
-        if track_keys:
-            key_history.append([res.state.key_share for res in results])
-        out = server_step(server, ctx, results)
-        if out is not None:
-            transcript.reveals.append((i - 1, out))
-        transcript.rows.append(rec)
-        mail = next_mail
-    # Flush: a final-round reveal is delivered in a synthetic round r+1.
-    if p.r >= 1 and p.instruction(p.r).mode == prog.REVEAL:
-        transcript.reveals.append((p.r, server.open_round(p.r)))
-    return RunResult(
-        reveals=list(transcript.reveals),
-        transcript=transcript,
-        key_history=key_history if track_keys else None,
-    )
+    return run_rounds(p, pset, data_inputs, seed, track_keys)

@@ -302,3 +302,20 @@ def test_running_sum_dropout_run_is_pinned():
     assert sum(d is not None for d in diag.deficits.values()) >= 3
     want = "33a66fb74451455678e528a26b688cf99e2dec1c6dbc86d84c10eac38cf43338"
     assert run_digest(res, diag) == want
+
+
+def test_empty_schedule_key_history_matches_plain_resharing_run():
+    # Without dropouts the recovery layer leaves key derivation and plain
+    # resharing as the synchronous run does them.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 6, beta=0.0)
+    data = random_data(run_rng("empty-keys"), p, 6)
+    res, _ = dropout.run_dropout_protocol(
+        p, pset, {}, data_inputs=data, seed=7, track_keys=True
+    )
+    sync = protocol.run_protocol(
+        p, pset.with_overrides(seed_resharing=False), data_inputs=data, seed=7,
+        track_keys=True,
+    )
+    assert len(res.key_history) == p.r
+    assert res.key_history == sync.key_history

@@ -225,3 +225,23 @@ def test_make_paramset_pinned_unbuildable_modulus_still_raises():
     ps = params.make_paramset(n=4, r=1, ell=8, input_bits=16, N=8192, logq=32)
     with pytest.raises(ValueError, match=r"logq=32 bits for N=8192"):
         ps.ring()
+
+
+def test_grid_search_picks_a_modulus_that_builds():
+    # Every pick over these shapes builds its ring and holds its own noise
+    # budget; the smallest needs the 14-bit floor of a limb at N=2048.
+    failures = []
+    for n in (1, 2, 4, 10, 100, 1000):
+        for ell in (1, 8, 64, 1000):
+            for r in (1, 4, 64):
+                for input_bits in (1, 2, 4, 8, 16):
+                    ps = params.grid_search(n, ell, r, input_bits)
+                    try:
+                        built = ps.ring().logq == ps.logq
+                    except ValueError:
+                        built = False
+                    if not (built and params.noise_budget(ps).ok):
+                        failures.append((n, ell, r, input_bits, ps.N, ps.logq))
+    assert failures == []
+    ps = params.grid_search(1, 1, 1, 1)
+    assert (ps.N, ps.logq) == (2048, 14)

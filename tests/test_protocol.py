@@ -239,3 +239,38 @@ def test_running_sum_run_is_pinned():
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=71, track_keys=True)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
     assert run_digest(res) == "60a20d232c13ab8e225237fbbe11e29792dd6f7e97b252b9a75074c67673686e"
+
+
+def test_plain_resharing_running_sum_run_is_pinned():
+    # Plain resharing routes whole ring elements, the piece path the
+    # dropout recovery layer backs up; keys, reveals and traffic feed the
+    # digest.
+    p = running_sum_program(10, 8)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, seed_resharing=False,
+        stats=prog.reveal_stats(p),
+    )
+    data = random_data(run_rng("pin-plain"), p, 4, input_bits=20)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=79, track_keys=True)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 79).reveals)
+    assert run_digest(res) == "f666670ee98b9d28959ed6766556b969f89e946c0be8ec46290b231204459411"
+
+
+def test_server_step_expects_one_upload_per_survivor():
+    p = _sum_program(2, 1)
+    pset = desk_paramset(p, n=4)
+    server = protocol.ServerState(p, pset)
+    ctx = protocol.build_context(server, "gs", 1, 0)
+    uploads = [
+        protocol.client_step(protocol.ClientState(1, j), ctx, [], np.zeros(p.ell, dtype=object))
+        for j in range(pset.n)
+    ]
+    dropped = frozenset({1, 3})
+    for count in range(pset.n + 1):
+        if count == pset.n - len(dropped):
+            continue
+        with pytest.raises(protocol.ProtocolError, match="round 1: expected 2 messages"):
+            protocol.server_step(server, ctx, uploads[:count], dropped)
+    assert 1 not in server.stored
+    protocol.server_step(server, ctx, uploads[:2], dropped)
+    assert 1 in server.stored
