@@ -95,15 +95,16 @@ def reveal_mask(
     some = next(iter(round_elems.values()), None)
     if some is None:
         raise ValueError("no rounds available")
-    m = len(some)
-    params = some[0].params
-    acc = [params.zero() for _ in range(m)]
-    for k, w in weights.items():
+    for k in weights:
         if k not in round_elems:
             raise ValueError(f"weight references unknown round {k}")
-        for e in range(m):
-            acc[e] = acc[e] - round_elems[k][e].scalar(w)
-    return acc
+    params = some[0].params
+    ps = params._ps
+    out = []
+    for e in range(len(some)):
+        total = ring.scaled_sum(((w, round_elems[k][e]) for k, w in weights.items()), params)
+        out.append(ring.RingElement((ps - total % ps) % ps, params))
+    return out
 
 
 def reveal_message(
@@ -173,20 +174,14 @@ def open(
     signed magnitude stays below q/2.
     """
     params = reveal_agg[0].params
-    m = len(reveal_agg)
-    acc = list(reveal_agg)
-    for k, w in weights.items():
-        if w == 0:
-            continue
-        elems = stored[k]
-        for e in range(m):
-            acc[e] = acc[e] + elems[e].scalar(w)
-    if corrections is not None:
-        for e in range(m):
-            acc[e] = acc[e] - corrections[e]
-    if masks_sum is not None:
-        for e in range(m):
-            acc[e] = acc[e] - masks_sum[e]
-    t = params.T
-    coeff_arrays = [a.centered() % t for a in acc]
+    ps = params._ps
+    coeff_arrays = []
+    for e, agg in enumerate(reveal_agg):
+        # One uint64 accumulator: each term and each p - x lies below p < 2^31.
+        acc = ring.scaled_sum(((w, stored[k][e]) for k, w in weights.items() if w), params)
+        acc += agg.res
+        for sub in (corrections, masks_sum):
+            if sub is not None:
+                acc += ps - sub[e].res
+        coeff_arrays.append(ring.RingElement(acc % ps, params).centered() % params.T)
     return ring.decode(coeff_arrays, ell, pf, slot_width)

@@ -378,7 +378,11 @@ def grid_search(
     stats: tuple[float, float] = (1.0, 1.0),
 ) -> ParamSet:
     """Minimize upload bytes over ring degree, packing factor, and modulus
-    width, subject to the security table and the noise budget."""
+    width, subject to the security table and the noise budget.
+
+    With dp_sigma > 0 only pf=1 is considered: packed slots hold
+    nonnegative values, and Gaussian inputs are signed.
+    """
     _, sigma_n = sigma_schedule(r)
     best = None
     for N in sorted(SECURITY_LOGQ):
@@ -388,7 +392,7 @@ def grid_search(
             pf += 1
             # The slot width make_paramset gives this packing factor.
             slot = slot_width_for(input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0)
-            if pf * slot > cap:
+            if pf * slot > cap or (pf > 1 and dp_sigma > 0):
                 break
             T = 2 ** (pf * slot)
             req, _ = _budget_bits(T, sigma_n, n, *stats)

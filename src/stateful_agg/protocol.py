@@ -21,7 +21,8 @@ dropouts; `dropout.run_dropout_protocol` hands it a recovery layer, which
 the loop asks which clients drop, for each survivor's self-mask and
 backups, and for the repairs of each round before its reveal.  Within a
 round, client steps are pure functions of (seed, round, index) and could
-run in any order or in parallel; the loop is sequential for
+run in any order, or in parallel processes (not threads: seed expansion
+re-keys one generator per process); the loop is sequential for
 reproducibility of the transcript row order.
 """
 
@@ -137,11 +138,7 @@ def client_step(
     if i == 1:
         key_share = ring.sample_uniform(ctx_rng(ctx.run_seed, "initial-key", j), rp)
     else:
-        key_share = rp.zero()
-        for item in incoming or ():
-            key_share = key_share + (
-                sharing.expand_seed(item, rp) if isinstance(item, int) else item
-            )
+        key_share = sharing.piece_sum(incoming or (), rp)
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
     x_elems = ring.encode(x_vec, pset.pf, pset.slot_width, rp)
     if ctx.instr.mode == prog.STORE:
@@ -236,18 +233,18 @@ class ServerState:
         ]
 
     def _mask_total(self, i: int, weights: dict[int, int]):
-        acc = None
-        m = self.pset.m
+        terms = [
+            (w, self.masks_sum[k])
+            for k, w in list(weights.items()) + [(i, 1)]
+            if w and self.masks_sum.get(k)
+        ]
+        if not terms:
+            return None
         rp = self.ring_params
-        for k, w in list(weights.items()) + [(i, 1)]:
-            mk = self.masks_sum.get(k)
-            if not mk or w == 0:
-                continue
-            if acc is None:
-                acc = [rp.zero() for _ in range(m)]
-            for e in range(m):
-                acc[e] = acc[e] + mk[e].scalar(w)
-        return acc
+        return [
+            ring.RingElement(ring.scaled_sum(((w, mk[e]) for w, mk in terms), rp) % rp._ps, rp)
+            for e in range(self.pset.m)
+        ]
 
 
 def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
@@ -307,6 +304,13 @@ def run_rounds(
         raise ValueError("invalid program: " + "; ".join(errs))
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
+    if pset.pf >= 2:
+        noisy = [i for i, ins in enumerate(p.rounds, start=1) if ins.rule.variance > 0]
+        if noisy:
+            raise ValueError(
+                f"packing (pf={pset.pf}) needs nonnegative inputs, but the Gaussian rule of "
+                f"round {noisy[0]} draws signed noise; use pf=1"
+            )
     n = pset.n
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
     global_seed = hash_key(seed, "public-elements")

@@ -26,6 +26,7 @@ __all__ = [
     "add",
     "mul",
     "mul_sum",
+    "scaled_sum",
     "scalar_mul",
     "sample_uniform",
     "sample_gaussian",
@@ -383,16 +384,16 @@ class RingParams:
             )
         return RingElement(res, self)
 
-    def from_scalar(self, value: int) -> "RingElement":
-        res = np.zeros((len(self.limbs), self.N), dtype=np.uint64)
-        for l, p in enumerate(self.limbs):
-            res[l, 0] = value % p
-        return RingElement(res, self)
-
 
 def _check_same_params(a: "RingElement", b: "RingElement") -> None:
     if a.params is not b.params and a.params != b.params:
         raise ValueError("ring params mismatch")
+
+
+def _limb_col(k: int, limbs: tuple[int, ...]) -> np.ndarray:
+    """An integer's residues as an (L, 1) column, one per limb."""
+    k = int(k)
+    return np.array([k % p for p in limbs], dtype=np.uint64).reshape(-1, 1)
 
 
 class RingElement:
@@ -422,9 +423,6 @@ class RingElement:
         c = self.coeffs
         return np.where(c > q // 2, c - q, c)
 
-    def is_zero(self) -> bool:
-        return not self.res.any()
-
     # Arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -443,9 +441,7 @@ class RingElement:
 
     def scalar(self, k: int) -> "RingElement":
         ps = self.params._ps
-        k = int(k)
-        kcol = np.array([k % p for p in self.params.limbs], dtype=np.uint64).reshape(-1, 1)
-        return RingElement(self.res * kcol % ps, self.params)
+        return RingElement(self.res * _limb_col(k, self.params.limbs) % ps, self.params)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -502,6 +498,21 @@ def mul_ntt(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(_intt(prod, tbl), pr)
 
 
+def scaled_sum(terms: Iterable[tuple[int, RingElement]], params: RingParams) -> np.ndarray:
+    """Sum of w * a over (w, a) terms as unreduced residues (L, N).
+
+    Each term is reduced below p < 2^31, so up to 2^33 terms sum inside
+    uint64; the caller reduces once.
+    """
+    acc = np.zeros((len(params.limbs), params.N), dtype=np.uint64)
+    ps = params._ps
+    for w, a in terms:
+        if a.params is not params and a.params != params:
+            raise ValueError("ring params mismatch")
+        acc += a.res * _limb_col(w, params.limbs) % ps
+    return acc
+
+
 def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElement:
     """Sum of w * a * b over (w, a, b) terms, with one inverse NTT.
 
@@ -529,8 +540,7 @@ def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElemen
     for w, a, b in terms:
         prod = a._ntt() * b._ntt() % ps
         if w != 1:
-            wcol = np.array([int(w) % p for p in pr.limbs], dtype=np.uint64).reshape(-1, 1)
-            prod = prod * wcol % ps
+            prod = prod * _limb_col(w, pr.limbs) % ps
         acc += prod
     return RingElement(_intt(acc % ps, tbl), pr)
 

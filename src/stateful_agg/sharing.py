@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ring
-from .prng import ctx_rng
+from .prng import hash_key, rekeyed_rng
 
 __all__ = [
     "AdditiveShares",
@@ -30,6 +30,7 @@ __all__ = [
     "trec",
     "seed_reshare",
     "expand_seed",
+    "piece_sum",
     "shamir_points",
     "SEED_BITS",
 ]
@@ -54,20 +55,17 @@ def ashare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> Additi
     """Split into d uniform elements summing to the secret."""
     if d < 1:
         raise ValueError("share count must be >= 1")
-    parts = [ring.sample_uniform(rng, secret.params) for _ in range(d - 1)]
-    last = secret
-    for p in parts:
-        last = last - p
-    parts.append(last)
+    pr = secret.params
+    parts = [ring.sample_uniform(rng, pr) for _ in range(d - 1)]
+    # secret + (d-1)*p - sum(parts) stays nonnegative, so one reduction does.
+    total = _residue_sum(parts, pr)
+    parts.append(ring.RingElement((secret.res + (d - 1) * pr._ps - total) % pr._ps, pr))
     return AdditiveShares(tuple(parts))
 
 
 def reconstruct_additive(shares: AdditiveShares | Sequence[ring.RingElement]) -> ring.RingElement:
     elems = shares.shares if isinstance(shares, AdditiveShares) else tuple(shares)
-    acc = elems[0]
-    for e in elems[1:]:
-        acc = acc + e
-    return acc
+    return piece_sum(elems, elems[0].params)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,28 @@ class SeedReshare:
 
 def expand_seed(seed: int, params: ring.RingParams) -> ring.RingElement:
     """Deterministic expansion of a short seed to a uniform ring element."""
-    return ring.sample_uniform(ctx_rng("seed-expand", seed), params)
+    return ring.sample_uniform(rekeyed_rng(hash_key("seed-expand", seed)), params)
+
+
+def _residue_sum(pieces, params: ring.RingParams) -> np.ndarray:
+    """Unreduced uint64 residues (L, N) of the pieces' sum, each seed (an
+    int) counted as its expansion.  Every term is below p < 2^31, so up to
+    2^33 pieces sum without overflow."""
+    acc = np.zeros((len(params.limbs), params.N), dtype=np.uint64)
+    for piece in pieces:
+        if isinstance(piece, ring.RingElement):
+            if piece.params is not params and piece.params != params:
+                raise ValueError("ring params mismatch")
+            acc += piece.res
+        else:
+            acc += expand_seed(piece, params).res
+    return acc
+
+
+def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
+    """Sum of reshare pieces, ring elements or seeds (counted as their
+    expansions), with one reduction."""
+    return ring.RingElement(_residue_sum(pieces, params) % params._ps, params)
 
 
 def seed_reshare(
@@ -273,8 +292,8 @@ def seed_reshare(
     """Reshare via d fresh 128-bit seeds; peers get seeds, server gets y*."""
     if d < 1:
         raise ValueError("share count must be >= 1")
-    seeds = tuple(int.from_bytes(rng.bytes(SEED_BITS // 8), "big") for _ in range(d))
-    total = secret.params.zero()
-    for s in seeds:
-        total = total + expand_seed(s, secret.params)
-    return SeedReshare(seeds, secret - total)
+    # One draw of d*16 bytes equals d draws of 16: both are whole uint32 words.
+    width = SEED_BITS // 8
+    raw = rng.bytes(width * d)
+    seeds = tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, width * d, width))
+    return SeedReshare(seeds, secret - piece_sum(seeds, secret.params))

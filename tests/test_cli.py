@@ -216,3 +216,20 @@ def test_run_with_inputs_csv(runner, tmp_path):
     out = _read_csv(tmp_path / "reveals.csv")
     # total sum: rounds 1-2, clients 0-1: v0 = 10+11+20+21, v1 = 0+1+0+1
     assert out[1] == ["2", "62", "2"]
+
+
+def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
+    prog_file = tmp_path / "t.json"
+    res = runner.invoke(main, [
+        "gen", "tree", "--height", "2", "--sigma", "2.0", "--l", "8", "--out", str(prog_file),
+    ])
+    assert res.exit_code == 0, res.output
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"pf": 2}))
+    res = runner.invoke(main, [
+        "run", "--program", str(prog_file), "--n", "4", "--seed", "1",
+        "--params", str(pfile), "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2
+    assert "packing (pf=2) needs nonnegative inputs" in res.output
+    assert "Gaussian rule of round 1" in res.output

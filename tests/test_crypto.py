@@ -193,3 +193,61 @@ def test_reveal_message_matches_per_round_flooding(case):
     got = crypto.reveal_message(elems, weights, s, 44.8, ctx_rng("rv", case), x_elems=x)
     want = _reveal_reference(elems, weights, s, 44.8, ctx_rng("rv", case), x)
     assert list(got.w) == want
+
+
+def _reveal_mask_per_round(round_elems, weights):
+    """Reference: one scalar multiple and one subtraction per weighted round."""
+    m = len(next(iter(round_elems.values())))
+    pr = next(iter(round_elems.values()))[0].params
+    acc = [pr.zero() for _ in range(m)]
+    for k, w in weights.items():
+        for e in range(m):
+            acc[e] = acc[e] - round_elems[k][e].scalar(w)
+    return acc
+
+
+def _open_per_round(stored, reveal_agg, weights, ell, corrections, masks_sum):
+    acc = list(reveal_agg)
+    for k, w in weights.items():
+        if w:
+            for e in range(len(acc)):
+                acc[e] = acc[e] + stored[k][e].scalar(w)
+    for sub in (corrections, masks_sum):
+        if sub is not None:
+            acc = [a - s for a, s in zip(acc, sub)]
+    coeffs = [a.centered() % a.params.T for a in acc]
+    return ring.decode(coeffs, ell, 1, 12)
+
+
+def _weight_sets(q):
+    rounds = range(1, 48)
+    rng = run_rng("accum-weights")
+    mixed = {k: [0, 1, q - 1, 2**64 + 12345, -3, 2**70 - 1][k % 6] for k in rounds}
+    return [
+        {},
+        {5: 0},
+        {1: 0, 2: 0},
+        {k: 1 for k in rounds},
+        {k: q - 1 for k in rounds},
+        {k: 2**64 + k for k in rounds},
+        mixed,
+        {k: int(rng.integers(-(2**62), 2**62)) * (2**40 + k) for k in rounds},
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_reveal_mask_and_open_match_per_round_scalars(m):
+    # 47 rounds; weights include {}, 0, 1, q-1 and values above 2^64.
+    rng = run_rng("accum", m)
+    stored = {k: tuple(ring.sample_uniform(rng, PR) for _ in range(m)) for k in range(1, 48)}
+    reveal_agg = [ring.sample_uniform(rng, PR) for _ in range(m)]
+    corr = [ring.sample_uniform(rng, PR) for _ in range(m)]
+    masks = [ring.sample_uniform(rng, PR) for _ in range(m)]
+    for weights in _weight_sets(PR.q):
+        assert crypto.reveal_mask(stored, weights) == _reveal_mask_per_round(stored, weights)
+        for c, s in ((None, None), (corr, None), (None, masks), (corr, masks)):
+            got = crypto.open(stored, reveal_agg, weights, 8 * m, 1, 12, corrections=c, masks_sum=s)
+            want = _open_per_round(stored, reveal_agg, weights, 8 * m, c, s)
+            assert [int(v) for v in got] == [int(v) for v in want]
+    with pytest.raises(ValueError, match="unknown round 48"):
+        crypto.reveal_mask(stored, {1: 1, 48: 0})

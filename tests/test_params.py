@@ -245,3 +245,12 @@ def test_grid_search_picks_a_modulus_that_builds():
     assert failures == []
     ps = params.grid_search(1, 1, 1, 1)
     assert (ps.N, ps.logq) == (2048, 14)
+
+
+def test_grid_search_never_packs_gaussian_inputs():
+    # Long vectors pick pf >= 2 without noise; signed noise keeps pf=1.
+    assert params.grid_search(10**3, 10**5, 1000, 16).pf >= 2
+    for n, ell in ((10**3, 10**5), (4, 20000), (100, 1000)):
+        ps = params.grid_search(n, ell, 1000, 16, dp_sigma=2.0)
+        assert ps.pf == 1
+        assert params.noise_budget(ps).ok

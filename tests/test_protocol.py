@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stateful_agg import ideal, params, protocol, ring
+from stateful_agg import dropout, ideal, params, protocol, ring
 from stateful_agg import program as prog
+from stateful_agg.dp import tree_program
 
 from helpers import (
     desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
@@ -274,3 +275,31 @@ def test_server_step_expects_one_upload_per_survivor():
     assert 1 not in server.stored
     protocol.server_step(server, ctx, uploads[:2], dropped)
     assert 1 in server.stored
+
+
+def test_packed_gaussian_run_fails_closed_before_round_one(monkeypatch):
+    # Gaussian inputs are signed and packed slots hold nonnegative values.
+    p = tree_program(2, 2.0, ell=8)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=8, input_bits=8, N=32, pf=2, dp_sigma=2.0,
+        stats=prog.reveal_stats(p),
+    )
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a client step ran")
+
+    monkeypatch.setattr(protocol, "client_step", no_step)
+    with pytest.raises(ValueError, match=r"packing \(pf=2\).*Gaussian rule of round 1.*pf=1"):
+        protocol.run_protocol(p, pset, seed=1)
+    with pytest.raises(ValueError, match=r"packing \(pf=2\)"):
+        dropout.run_dropout_protocol(p, pset, {}, seed=1)
+
+
+def test_grid_search_pick_for_gaussian_program_runs():
+    p = tree_program(2, 2.0, ell=20000)
+    pset = params.grid_search(4, 20000, p.r, 8, dp_sigma=2.0, stats=prog.reveal_stats(p))
+    assert pset.pf == 1
+    data = random_data(run_rng("gauss-grid"), p, 4, input_bits=8)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=4)
+    assert len(res.reveals) == 4
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 4).reveals)

@@ -243,3 +243,74 @@ def test_trec_every_t_subset_and_summed_bundles():
     ts = sharing.tshare(scalar, h, t, rng, params=pr)
     for subset in itertools.combinations(ts.shares, t):
         assert sharing.trec(list(subset), t, params=pr) == scalar
+
+
+# One, two and four limbs; the single limb is 31 bits wide.
+SUM_PARAMS = [
+    ring.RingParams(64, 3, limbs=(ring.find_ntt_prime(128, 31),)),
+    ring.RingParams.from_bits(64, 50, 3),
+    ring.RingParams.from_bits(64, 100, 3),
+]
+
+
+@pytest.mark.parametrize("pr", SUM_PARAMS, ids=["1-limb-31-bit", "2-limb", "4-limb"])
+@pytest.mark.parametrize("d", [0, 1, 34, 64])
+def test_piece_sum_equals_per_seed_expansion_sum(pr, d):
+    rng = run_rng("piece-sum", len(pr.limbs), d)
+    seeds = [int.from_bytes(rng.bytes(16), "big") for _ in range(d)]
+    want = pr.zero()
+    for s in seeds:
+        want = want + sharing.expand_seed(s, pr)
+    assert sharing.piece_sum(seeds, pr) == want
+    elems = [ring.sample_uniform(rng, pr) for _ in range(d)]
+    mixed = pr.zero()
+    for e in elems:
+        mixed = mixed + e
+    assert sharing.piece_sum(elems, pr) == mixed
+    assert sharing.piece_sum(seeds + elems, pr) == want + mixed
+
+
+def test_piece_sum_rejects_foreign_params():
+    other = ring.RingParams(8, 2, q=113)
+    with pytest.raises(ValueError, match="mismatch"):
+        sharing.piece_sum([SMALL.zero(), other.zero()], SMALL)
+
+
+@pytest.mark.parametrize("d", [1, 2, 34])
+@pytest.mark.parametrize("lead", [0, 1, 3])
+def test_seed_reshare_one_draw_equals_single_seed_draws(d, lead):
+    # `lead` uint32 draws first, so the generator may start mid-word.
+    pr = SUM_PARAMS[1]
+    secret = ring.sample_uniform(run_rng("one-draw-secret"), pr)
+    rng, ref = run_rng("one-draw", d, lead), run_rng("one-draw", d, lead)
+    rng.integers(0, 2**32, size=lead, dtype=np.uint32)
+    ref.integers(0, 2**32, size=lead, dtype=np.uint32)
+    sr = sharing.seed_reshare(secret, d, rng)
+    want = tuple(int.from_bytes(ref.bytes(16), "big") for _ in range(d))
+    assert sr.seeds == want
+    total = pr.zero()
+    for s in want:
+        total = total + sharing.expand_seed(s, pr)
+    assert sr.correction == secret - total
+    assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == ref.integers(
+        0, 2**32, size=5, dtype=np.uint32
+    ).tolist()
+
+
+@pytest.mark.parametrize("pr", SUM_PARAMS, ids=["1-limb-31-bit", "2-limb", "4-limb"])
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+def test_ashare_and_reconstruct_match_elementwise_reference(pr, d):
+    secret = ring.sample_uniform(run_rng("ashare-ref-secret", d), pr)
+    ref_rng = run_rng("ashare-ref", len(pr.limbs), d)
+    parts = [ring.sample_uniform(ref_rng, pr) for _ in range(d - 1)]
+    last = secret
+    for p in parts:
+        last = last - p
+    want = parts + [last]
+    got = sharing.ashare(secret, d, run_rng("ashare-ref", len(pr.limbs), d))
+    assert list(got.shares) == want
+    acc = want[0]
+    for e in want[1:]:
+        acc = acc + e
+    assert sharing.reconstruct_additive(got) == acc == secret
+    assert sharing.reconstruct_additive(list(reversed(want))) == secret
