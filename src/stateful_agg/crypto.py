@@ -16,6 +16,7 @@ cancels every key term and leaves the plaintext plus a T-multiple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,15 +74,14 @@ def store_message(
     if mask is not None and len(mask) != len(a_elems):
         raise ValueError("mask shape does not match message shape")
     params = key_share.params
-    t = params.T
     out = []
     for k, (a, x) in enumerate(zip(a_elems, x_elems)):
-        w = ring.mul(a, key_share) + x
+        terms = [(1, ring.mul(a, key_share)), (1, x)]
         if sigma_n > 0:
-            w = w + ring.sample_gaussian(rng, sigma_n, params).scalar(t)
+            terms.append((params.T, ring.sample_gaussian(rng, sigma_n, params)))
         if mask is not None:
-            w = w + mask[k]
-        out.append(w)
+            terms.append((1, mask[k]))
+        out.append(ring.lincomb(terms, params))
     return StoreMessage(tuple(out))
 
 
@@ -99,12 +99,10 @@ def reveal_mask(
         if k not in round_elems:
             raise ValueError(f"weight references unknown round {k}")
     params = some[0].params
-    ps = params._ps
-    out = []
-    for e in range(len(some)):
-        total = ring.scaled_sum(((w, round_elems[k][e]) for k, w in weights.items()), params)
-        out.append(ring.RingElement((ps - total % ps) % ps, params))
-    return out
+    return [
+        ring.lincomb(((-w, round_elems[k][e]) for k, w in weights.items()), params)
+        for e in range(len(some))
+    ]
 
 
 def reveal_message(
@@ -124,34 +122,18 @@ def reveal_message(
     """
     params = key_share.params
     base = list(mask_elems) if mask_elems is not None else reveal_mask(round_elems, weights)
-    m = len(base)
-    # Flooding scales each round's Gaussian by w_k * T; the per-limb
-    # residues of that product are the same for every message element.
-    flood_cols = []
-    if sigma_flood > 0:
-        flood_cols = [
-            np.array([wt * params.T % p for p in params.limbs], dtype=np.uint64).reshape(-1, 1)
-            for wt in weights.values()
-            if wt
-        ]
-    ps = params._ps
-    ps_signed = ps.astype(np.int64)
+    # One Gaussian per weighted round, scaled by w_k * T, drawn as lincomb
+    # reaches it so that only one is held at a time.
+    flood = [w * params.T for w in weights.values() if w] if sigma_flood > 0 else []
     out = []
-    for e in range(m):
-        w = ring.mul(base[e], key_share)
-        if flood_cols:
-            # One draw per weighted round, summed in residue form: every
-            # term is below p < 2^31, so the sum stays inside uint64.
-            g = np.zeros_like(w.res)
-            for col in flood_cols:
-                ints = ring.gaussian_ints(rng, sigma_flood, params.N)
-                g += np.mod(ints, ps_signed).view(np.uint64) * col % ps
-            w = w + ring.RingElement(g % ps, params)
+    for e in range(len(base)):
+        terms = [(1, ring.mul(base[e], key_share))]
         if x_elems is not None:
-            w = w + x_elems[e]
+            terms.append((1, x_elems[e]))
         if mask is not None:
-            w = w + mask[e]
-        out.append(w)
+            terms.append((1, mask[e]))
+        noise = ((wt, ring.sample_gaussian(rng, sigma_flood, params)) for wt in flood)
+        out.append(ring.lincomb(chain(terms, noise), params))
     return RevealMessage(tuple(out))
 
 
@@ -174,14 +156,9 @@ def open(
     signed magnitude stays below q/2.
     """
     params = reveal_agg[0].params
-    ps = params._ps
     coeff_arrays = []
     for e, agg in enumerate(reveal_agg):
-        # One uint64 accumulator: each term and each p - x lies below p < 2^31.
-        acc = ring.scaled_sum(((w, stored[k][e]) for k, w in weights.items() if w), params)
-        acc += agg.res
-        for sub in (corrections, masks_sum):
-            if sub is not None:
-                acc += ps - sub[e].res
-        coeff_arrays.append(ring.RingElement(acc % ps, params).centered() % params.T)
+        terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items() if w]
+        terms += [(-1, sub[e]) for sub in (corrections, masks_sum) if sub is not None]
+        coeff_arrays.append(ring.lincomb(terms, params).centered() % params.T)
     return ring.decode(coeff_arrays, ell, pf, slot_width)

@@ -226,7 +226,7 @@ def recover_round(
     """
     pset = server.pset
     rp = server.ring_params
-    delta = None
+    recovered = []
     pieces_recovered = 0
     released_elems = 0
     for j in sorted(dropped):
@@ -251,12 +251,10 @@ def recover_round(
             (point, sharing.reconstruct_additive([bundle[chap][1] for bundle in bundles]))
             for chap, point in alive[: pset.t]
         ]
-        incoming = sharing.trec(summed, pset.t)
-        delta = incoming if delta is None else delta + incoming
+        recovered.append(sharing.trec(summed, pset.t))
         pieces_recovered += len(bundles)
         released_elems += pset.t * len(bundles)
-    if delta is not None:
-        server.drift = delta if server.drift is None else server.drift + delta
+    server.shift_drift(recovered)
     if rnd in server.deficit:
         server.deficit[rnd] = server.drift
     diagnostics.recovered_pieces[rnd] = pieces_recovered
@@ -265,7 +263,7 @@ def recover_round(
     # Survivor masks: chaperones release only for clients that completed.
     mask_scalars = 0
     if rnd in server.stored:
-        total = None
+        masks = []
         for j in range(pset.n):
             if j in dropped:
                 continue
@@ -289,9 +287,9 @@ def recover_round(
                 mask_scalars += pset.t
             router.released_mask_secrets.add(key)
             diagnostics.masks_reconstructed[key] = True
-            mask = prg_mask(secret, pset.m, rp)
-            total = mask if total is None else [a + b for a, b in zip(total, mask)]
-        server.masks_sum[rnd] = tuple(total) if total is not None else None
+            masks.append(prg_mask(secret, pset.m, rp))
+        total = tuple(ring.lincomb(((1, mk[e]) for mk in masks), rp) for e in range(pset.m))
+        server.masks_sum[rnd] = total if masks else None
     router.forget_round(rnd)
     return released_elems, mask_scalars
 

@@ -383,7 +383,7 @@ def grid_search(
     With dp_sigma > 0 only pf=1 is considered: packed slots hold
     nonnegative values, and Gaussian inputs are signed.
     """
-    _, sigma_n = sigma_schedule(r)
+    committee_sizes(n, r, gamma, 0.5)  # a bad gamma fails by name, not as an empty grid
     best = None
     for N in sorted(SECURITY_LOGQ):
         cap = SECURITY_LOGQ[N]
@@ -394,22 +394,16 @@ def grid_search(
             slot = slot_width_for(input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0)
             if pf * slot > cap or (pf > 1 and dp_sigma > 0):
                 break
-            T = 2 ** (pf * slot)
-            req, _ = _budget_bits(T, sigma_n, n, *stats)
-            logq = math.floor(req + 1.0) + 1
-            if logq > cap:
-                continue
             try:
-                logq, limbs = _buildable_logq(N, logq, enforce_security=True)
+                pset = make_paramset(
+                    n=n, r=r, ell=ell, input_bits=input_bits, N=N, pf=pf, gamma=gamma,
+                    dp_sigma=dp_sigma, stats=stats, margin_bits=0, enforce_security=True,
+                )
             except ValueError:
-                continue  # no width from here up to the cap builds
-            key = ((-(-ell // pf) + N) * logq / 8.0, N, pf)
+                continue  # the budget needs more than the cap, or nothing up to it builds
+            key = (pset.cost().client_server_bytes, N, pf)
             if best is None or key < best[0]:
-                best = (key, logq, limbs)
+                best = (key, pset)
     if best is None:
         raise ValueError("no feasible parameters: every (N, pf, logq) cell violates a cap")
-    (_, N, pf), logq, limbs = best
-    return make_paramset(
-        n=n, r=r, ell=ell, input_bits=input_bits, N=N, logq=logq, pf=pf,
-        gamma=gamma, dp_sigma=dp_sigma, stats=stats, enforce_security=True, limbs=limbs,
-    )
+    return best[1]

@@ -81,9 +81,6 @@ class Transcript:
     def row(self, i: int) -> RoundRecord:
         return self.rows[i - 1]
 
-    def total_c2s(self) -> float:
-        return sum(r.c2s_bytes for r in self.rows)
-
 
 @dataclass
 class RunResult:
@@ -240,11 +237,19 @@ class ServerState:
         ]
         if not terms:
             return None
-        rp = self.ring_params
         return [
-            ring.RingElement(ring.scaled_sum(((w, mk[e]) for w, mk in terms), rp) % rp._ps, rp)
+            ring.lincomb(((w, mk[e]) for w, mk in terms), self.ring_params)
             for e in range(self.pset.m)
         ]
+
+    def shift_drift(self, elems) -> None:
+        """Add elements to the key drift (None while zero); with none it stays
+        the same object, whose cached transform the deficit snapshots share."""
+        terms = [(1, e) for e in elems]
+        if terms:
+            if self.drift is not None:
+                terms.append((1, self.drift))
+            self.drift = ring.lincomb(terms, self.ring_params)
 
 
 def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
@@ -256,17 +261,15 @@ def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozen
         raise ProtocolError(
             f"round {ctx.index}: expected {expected} messages, got {len(messages)}"
         )
-    agg = [rp.zero() for _ in range(server.pset.m)]
-    for res in messages:
-        agg = [a + w for a, w in zip(agg, res.message.w)]
     i = ctx.index
-    server.stored[i] = tuple(agg)
+    server.stored[i] = tuple(
+        ring.lincomb(((1, res.message.w[e]) for res in messages), rp)
+        for e in range(server.pset.m)
+    )
     server.basis[i] = tuple(ctx.basis)
     # Cohort i operated under the key as reshared so far.
     server.deficit[i] = server.drift
-    for res in messages:
-        if res.correction is not None:
-            server.drift = res.correction if server.drift is None else server.drift + res.correction
+    server.shift_drift(res.correction for res in messages if res.correction is not None)
 
 
 def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> RoundContext:

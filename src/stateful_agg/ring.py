@@ -26,7 +26,7 @@ __all__ = [
     "add",
     "mul",
     "mul_sum",
-    "scaled_sum",
+    "lincomb",
     "scalar_mul",
     "sample_uniform",
     "sample_gaussian",
@@ -498,19 +498,23 @@ def mul_ntt(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(_intt(prod, tbl), pr)
 
 
-def scaled_sum(terms: Iterable[tuple[int, RingElement]], params: RingParams) -> np.ndarray:
-    """Sum of w * a over (w, a) terms as unreduced residues (L, N).
+def lincomb(terms: Iterable[tuple[int, RingElement]], params: RingParams) -> RingElement:
+    """Sum of w * a mod q over (w, a) terms, with one reduction.
 
-    Each term is reduced below p < 2^31, so up to 2^33 terms sum inside
-    uint64; the caller reduces once.
+    Weights are any Python integers: negative, zero (skipped) or wider than
+    a word.  Unit weights add without a multiply.  Every term is reduced
+    below p < 2^31, so up to 2^33 terms sum inside uint64.
     """
     acc = np.zeros((len(params.limbs), params.N), dtype=np.uint64)
     ps = params._ps
     for w, a in terms:
         if a.params is not params and a.params != params:
             raise ValueError("ring params mismatch")
-        acc += a.res * _limb_col(w, params.limbs) % ps
-    return acc
+        if w == 1:
+            acc += a.res
+        elif w:
+            acc += a.res * _limb_col(w, params.limbs) % ps
+    return RingElement(acc % ps, params)
 
 
 def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElement:
@@ -529,13 +533,10 @@ def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElemen
         _check_same_params(a, b)
     pr = first.params
     if pr.N < NTT_MIN_DEGREE:
-        acc = pr.zero()
-        for w, a, b in terms:
-            acc = acc + mul_schoolbook(a, b).scalar(w)
-        return acc
+        return lincomb(((w, mul_schoolbook(a, b)) for w, a, b in terms), pr)
     tbl = _tables(pr.limbs, pr.N)
     ps = tbl.ps_flat
-    # Each term is below p < 2^31, so up to 2^33 terms sum in uint64.
+    # As in lincomb: each term is below p < 2^31.
     acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
     for w, a, b in terms:
         prod = a._ntt() * b._ntt() % ps
@@ -633,10 +634,7 @@ def gaussian_ints(
 def sample_gaussian(rng: np.random.Generator, sigma: float, params: RingParams) -> RingElement:
     """Element with independent discrete-Gaussian coefficients, reduced mod q."""
     ints = gaussian_ints(rng, sigma, params.N)
-    res = np.empty((len(params.limbs), params.N), dtype=np.uint64)
-    for l, p in enumerate(params.limbs):
-        res[l] = np.mod(ints, p).astype(np.uint64)
-    return RingElement(res, params)
+    return RingElement(np.mod(ints, params._ps.astype(np.int64)).view(np.uint64), params)
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,7 @@ def ashare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> Additi
         raise ValueError("share count must be >= 1")
     pr = secret.params
     parts = [ring.sample_uniform(rng, pr) for _ in range(d - 1)]
-    # secret + (d-1)*p - sum(parts) stays nonnegative, so one reduction does.
-    total = _residue_sum(parts, pr)
-    parts.append(ring.RingElement((secret.res + (d - 1) * pr._ps - total) % pr._ps, pr))
+    parts.append(secret - piece_sum(parts, pr))
     return AdditiveShares(tuple(parts))
 
 
@@ -265,25 +263,13 @@ def expand_seed(seed: int, params: ring.RingParams) -> ring.RingElement:
     return ring.sample_uniform(rekeyed_rng(hash_key("seed-expand", seed)), params)
 
 
-def _residue_sum(pieces, params: ring.RingParams) -> np.ndarray:
-    """Unreduced uint64 residues (L, N) of the pieces' sum, each seed (an
-    int) counted as its expansion.  Every term is below p < 2^31, so up to
-    2^33 pieces sum without overflow."""
-    acc = np.zeros((len(params.limbs), params.N), dtype=np.uint64)
-    for piece in pieces:
-        if isinstance(piece, ring.RingElement):
-            if piece.params is not params and piece.params != params:
-                raise ValueError("ring params mismatch")
-            acc += piece.res
-        else:
-            acc += expand_seed(piece, params).res
-    return acc
-
-
 def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
     """Sum of reshare pieces, ring elements or seeds (counted as their
     expansions), with one reduction."""
-    return ring.RingElement(_residue_sum(pieces, params) % params._ps, params)
+    return ring.lincomb(
+        ((1, p if isinstance(p, ring.RingElement) else expand_seed(p, params)) for p in pieces),
+        params,
+    )
 
 
 def seed_reshare(

@@ -251,3 +251,18 @@ def test_reveal_mask_and_open_match_per_round_scalars(m):
             assert [int(v) for v in got] == [int(v) for v in want]
     with pytest.raises(ValueError, match="unknown round 48"):
         crypto.reveal_mask(stored, {1: 1, 48: 0})
+
+
+def test_store_message_with_noise_and_mask_matches_termwise_sum():
+    rng = run_rng("store-terms")
+    a = crypto.derive_public("store-terms", 1, 2, PR).elems
+    s = ring.sample_uniform(rng, PR)
+    x = _encode(list(range(16)))
+    mask = [ring.sample_uniform(rng, PR) for _ in range(2)]
+    got = crypto.store_message(a, s, x, 3.2, ctx_rng("st", 1), mask=mask)
+    g = ctx_rng("st", 1)
+    want = [
+        ring.mul(a[k], s) + x[k] + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T) + mask[k]
+        for k in range(2)
+    ]
+    assert list(got.w) == want

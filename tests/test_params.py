@@ -254,3 +254,8 @@ def test_grid_search_never_packs_gaussian_inputs():
         ps = params.grid_search(n, ell, 1000, 16, dp_sigma=2.0)
         assert ps.pf == 1
         assert params.noise_budget(ps).ok
+
+
+def test_grid_search_rejects_a_bad_gamma_by_name():
+    with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\)"):
+        params.grid_search(10, 10, 10, 8, gamma=1.0)

@@ -303,3 +303,20 @@ def test_grid_search_pick_for_gaussian_program_runs():
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=4)
     assert len(res.reveals) == 4
     assert reveals_equal(res.reveals, _reference(p, pset, data, 4).reveals)
+
+
+def test_server_step_stores_the_sum_of_the_uploads():
+    p = _sum_program(2, 40)
+    pset = desk_paramset(p, n=5)
+    server = protocol.ServerState(p, pset)
+    ctx = protocol.build_context(server, "gs", 1, 0)
+    data = random_data(run_rng("agg"), p, pset.n)
+    uploads = [
+        protocol.client_step(protocol.ClientState(1, j), ctx, [], data[0][j])
+        for j in range(pset.n)
+    ]
+    protocol.server_step(server, ctx, uploads)
+    want = list(uploads[0].message.w)
+    for res in uploads[1:]:
+        want = [a + w for a, w in zip(want, res.message.w)]
+    assert list(server.stored[1]) == want

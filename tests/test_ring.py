@@ -337,3 +337,34 @@ def test_gaussian_ints_guide_never_starts_past_the_answer(monkeypatch):
     monkeypatch.setattr(ring, "_gauss_table", lambda sigma: (zs, cdf, ring._guide_table(cdf)))
     draws = ring.gaussian_ints(_FixedUniforms([u] * 256), 1.0, 256)
     assert draws.tolist() == [4] * 256
+
+
+def _lincomb_params():
+    one = ring.find_ntt_prime(64, 31)
+    assert one.bit_length() == 31
+    return [
+        ring.RingParams(32, 2**8 + 1, limbs=(one,)),
+        ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 40)),
+        ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 109)),
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_lincomb_matches_per_term_scalars(which):
+    pr = _lincomb_params()[which]
+    assert len(pr.limbs) == [1, 2, 4][which]
+    rng = run_rng("lincomb", which)
+    weights = [0, 1, -1, pr.q - 1, pr.q + 1, 2**64 + 12345, -(2**70)]
+    terms = [(weights[k % 7], ring.sample_uniform(rng, pr)) for k in range(47)]
+    want = pr.zero()
+    for w, a in terms:
+        want = want + a.scalar(w)
+    assert ring.lincomb(terms, pr) == want
+    assert ring.lincomb(iter(terms), pr) == want
+    assert ring.lincomb([], pr) == pr.zero()
+
+
+def test_lincomb_rejects_mixed_params():
+    pr, other = _lincomb_params()[1:]
+    with pytest.raises(ValueError, match="ring params mismatch"):
+        ring.lincomb([(1, pr.one()), (0, other.one())], pr)
