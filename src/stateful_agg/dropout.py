@@ -18,14 +18,17 @@ keep the run correct:
   round's accumulated key deficit, restoring what a full-key cohort would
   have uploaded.
 
-`Recovery` plugs these into `protocol.run_rounds`: the engine asks it which
-clients drop, for each survivor's self-mask, to back up each survivor's
-pieces and mask secret, and to repair each round before its reveal.  The
-backups need whole ring elements, so the run reshares plainly.
+`Recovery` plugs these into `protocol.run_protocol`: the engine asks it
+which clients drop, for each survivor's self-mask, to back up each
+survivor's pieces and mask secret, and to repair each round before its
+reveal.  It alone holds the backups and mask shares, by round, until the
+round's repair hands the server the recovered pieces and survivors' masks
+in one call.  The backups need whole ring elements, so the run reshares
+plainly.
 
-The simulator's router is the ground truth for who dropped; it refuses to
-release a dropped client's mask secret, and the run aborts with
-QuorumError if any needed committee falls below its threshold.
+The schedule is the ground truth for who dropped: a dropped client's mask
+secret is never released, and the run aborts with QuorumError if any
+needed committee falls below its threshold.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from .protocol import (
     RoundContext,
     RunResult,
     ServerState,
-    Transcript,
-    run_rounds,
+    run_protocol,
 )
 
 __all__ = [
@@ -65,10 +67,6 @@ __all__ = [
 
 class QuorumError(ProtocolError):
     """A needed chaperone committee fell below its reconstruction threshold."""
-
-    def __init__(self, msg: str, transcript: Transcript | None = None):
-        super().__init__(msg)
-        self.transcript = transcript
 
 
 DropoutSchedule = dict[int, frozenset[int]]
@@ -145,57 +143,46 @@ def _uniform_zq(rng: np.random.Generator, params: ring.RingParams) -> int:
 
 
 @dataclass
-class Router:
-    """Simulator-side ground truth: backups and release guards."""
-
-    backups: dict[tuple[int, int], list[dict[int, tuple[int, ring.RingElement]]]] = field(
-        default_factory=dict
-    )
-    mask_shares: dict[tuple[int, int], dict[int, tuple[int, int]]] = field(default_factory=dict)
-    mask_escrow: dict[tuple[int, int], int] = field(default_factory=dict)
-    released_mask_secrets: set[tuple[int, int]] = field(default_factory=set)
-
-    def forget_round(self, rnd: int) -> None:
-        """Drop round rnd's backups, mask shares and escrow once recovery
-        has read them; the release log stays for the privacy check."""
-        for store in (self.backups, self.mask_shares, self.mask_escrow):
-            for key in [key for key in store if key[0] == rnd]:
-                del store[key]
-
-
-@dataclass
 class Diagnostics:
+    # Release log of survivors' mask secrets, by (round, client).
     masks_reconstructed: dict[tuple[int, int], bool] = field(default_factory=dict)
     recovered_pieces: dict[int, int] = field(default_factory=dict)
     mask_secrets: dict[tuple[int, int], int] = field(default_factory=dict)
-    dropped: dict[int, frozenset[int]] = field(default_factory=dict)
     # Cumulative key deficit (recovery accumulator) applicable to each round.
     deficits: dict[int, ring.RingElement | None] = field(default_factory=dict)
 
-    def assert_dropped_masks_private(self, router: Router) -> None:
+    def assert_dropped_masks_private(self, schedule: DropoutSchedule) -> None:
         leaked = {
-            (c, j)
-            for (c, j) in router.released_mask_secrets
-            if j in self.dropped.get(c, frozenset())
+            (c, j) for (c, j) in self.masks_reconstructed if j in schedule.get(c, frozenset())
         }
         if leaked:
             raise ProtocolError(f"mask secrets of dropped clients released: {sorted(leaked)}")
 
 
+def _quorum(shares: dict, next_dropped: frozenset[int], t: int, msg: str) -> list[int]:
+    """The first t chaperones holding `shares` that are still alive one
+    round later; QuorumError(msg) if fewer than t are.  msg may name the
+    live count as {alive}."""
+    alive = [chap for chap in sorted(shares) if chap not in next_dropped]
+    if len(alive) < t:
+        raise QuorumError(msg.format(alive=len(alive)))
+    return alive[:t]
+
+
 def backup_shares(
-    router: Router,
+    recovery: Recovery,
     ctx: RoundContext,
     sender: int,
     pieces: list[tuple[int, ring.RingElement]],
-    committees: dict[int, tuple[int, ...]],
 ) -> None:
     """Threshold-share each resharing piece to its receiver's committee.
 
     The piece sent to receiver R in cohort i+1 is recoverable by any t of
-    R's h chaperones (cohort i+2) if R drops.  `committees` caches the key
-    committees of cohort i+1 by receiver for the whole round; missing ones
-    are derived and added."""
+    R's h chaperones (cohort i+2) if R drops.  The key committees of cohort
+    i+1 are cached by receiver for the whole round i."""
     pset = ctx.pset
+    committees = recovery.key_committees.setdefault(ctx.index, {})
+    backups = recovery.backups.setdefault(ctx.index + 1, {})
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, sender)
     shared = sharing.tshare_many([piece for _, piece in pieces], pset.h, pset.t, rng)
     for (recv, _), tsh in zip(pieces, shared):
@@ -204,105 +191,90 @@ def backup_shares(
             committee = committees[recv] = chaperone_committee(
                 ctx.run_seed, pset, ctx.index + 1, recv, "key"
             )
-        router.backups.setdefault((ctx.index + 1, recv), []).append(dict(zip(committee, tsh.shares)))
+        backups.setdefault(recv, []).append(dict(zip(committee, tsh.shares)))
 
 
 def recover_round(
     server: ServerState,
-    router: Router,
+    recovery: Recovery,
     rnd: int,
-    dropped: frozenset[int],
     next_dropped: frozenset[int],
-    diagnostics: Diagnostics,
-    transcript: Transcript | None = None,
 ) -> tuple[int, int]:
     """Round-boundary repairs for `rnd`, executed one round later.
 
-    Recovers the incoming pieces of rnd's dropped clients into the key
-    deficit, finalizes the round's deficit snapshot, and reconstructs the
-    self-masks of its survivors.  Returns released item counts
-    (key elements, mask scalars) for cost accounting, counted per piece.
-    Frees the round's backups and mask shares afterwards.
+    Recovers the incoming pieces of rnd's dropped clients and reconstructs
+    the self-masks of its survivors, then hands both to the server's
+    repair.  Returns released item counts (key elements, mask scalars) for
+    cost accounting, counted per piece.  Frees the round's backups, mask
+    shares and key committees.
     """
     pset = server.pset
     rp = server.ring_params
+    diagnostics = recovery.diagnostics
+    dropped = recovery.dropped(rnd)
+    backups = recovery.backups.pop(rnd, {})
+    mask_shares = recovery.mask_shares.pop(rnd, {})
+    recovery.key_committees.pop(rnd, None)
     recovered = []
     pieces_recovered = 0
-    released_elems = 0
     for j in sorted(dropped):
-        bundles = router.backups.get((rnd, j), [])
+        bundles = backups.get(j, [])
         if not bundles:
             continue
-        # Every bundle of (rnd, j) went to j's one key committee, and Shamir
-        # sharing is linear: interpolating the point-wise sum of the bundles
-        # recovers the sum of j's incoming pieces.
-        alive = [
-            (chap, point)
-            for chap, (point, _) in sorted(bundles[0].items())
-            if chap not in next_dropped
-        ]
-        if len(alive) < pset.t:
-            raise QuorumError(
-                f"round {rnd}: only {len(alive)} of {pset.t} committee shares "
-                f"available for dropped client {j}",
-                transcript,
-            )
+        # Every bundle of j went to j's one key committee, and Shamir sharing
+        # is linear: interpolating the point-wise sum of the bundles recovers
+        # the sum of j's incoming pieces.
+        chaps = _quorum(
+            bundles[0], next_dropped, pset.t,
+            f"round {rnd}: only {{alive}} of {pset.t} committee shares "
+            f"available for dropped client {j}",
+        )
         summed = [
-            (point, sharing.reconstruct_additive([bundle[chap][1] for bundle in bundles]))
-            for chap, point in alive[: pset.t]
+            (bundles[0][chap][0], sharing.reconstruct_additive([b[chap][1] for b in bundles]))
+            for chap in chaps
         ]
         recovered.append(sharing.trec(summed, pset.t))
         pieces_recovered += len(bundles)
-        released_elems += pset.t * len(bundles)
-    server.shift_drift(recovered)
-    if rnd in server.deficit:
-        server.deficit[rnd] = server.drift
-    diagnostics.recovered_pieces[rnd] = pieces_recovered
-    diagnostics.deficits[rnd] = server.drift
 
     # Survivor masks: chaperones release only for clients that completed.
+    masks = []
     mask_scalars = 0
-    if rnd in server.stored:
-        masks = []
-        for j in range(pset.n):
-            if j in dropped:
-                continue
-            key = (rnd, j)
-            if pset.self_mask_reveal:
-                secret = router.mask_escrow[key]
-                mask_scalars += 1
-            else:
-                shares = router.mask_shares.get(key, {})
-                alive = [
-                    (point, value)
-                    for chap, (point, value) in sorted(shares.items())
-                    if chap not in next_dropped
-                ]
-                if len(alive) < pset.t:
-                    raise QuorumError(
-                        f"round {rnd}: cannot reconstruct mask of surviving client {j}",
-                        transcript,
-                    )
-                secret = sharing.trec(alive[: pset.t], pset.t, params=rp)
-                mask_scalars += pset.t
-            router.released_mask_secrets.add(key)
-            diagnostics.masks_reconstructed[key] = True
-            masks.append(prg_mask(secret, pset.m, rp))
-        total = tuple(ring.lincomb(((1, mk[e]) for mk in masks), rp) for e in range(pset.m))
-        server.masks_sum[rnd] = total if masks else None
-    router.forget_round(rnd)
-    return released_elems, mask_scalars
+    for j in range(pset.n):
+        if j in dropped:
+            continue
+        if pset.self_mask_reveal:
+            secret = diagnostics.mask_secrets[(rnd, j)]
+            mask_scalars += 1
+        else:
+            shares = mask_shares[j]
+            chaps = _quorum(
+                shares, next_dropped, pset.t,
+                f"round {rnd}: cannot reconstruct mask of surviving client {j}",
+            )
+            secret = sharing.trec([shares[chap] for chap in chaps], pset.t, params=rp)
+            mask_scalars += pset.t
+        diagnostics.masks_reconstructed[(rnd, j)] = True
+        masks.append(prg_mask(secret, pset.m, rp))
+    diagnostics.recovered_pieces[rnd] = pieces_recovered
+    diagnostics.deficits[rnd] = server.repair(rnd, recovered, masks)
+    return pset.t * pieces_recovered, mask_scalars
 
 
 class Recovery:
-    """The dropout layer `protocol.run_rounds` calls at four points of a
-    run; it keeps the schedule, the router and the diagnostics."""
+    """The dropout layer `protocol.run_protocol` calls at four points of a
+    run, and the one holder of its recovery state: the schedule, the
+    diagnostics, and the backups, mask shares and key committees of rounds
+    not yet repaired, each keyed by round and popped at the round's repair."""
 
     def __init__(self, schedule: DropoutSchedule):
         self.schedule = schedule
-        self.router = Router()
-        self.diagnostics = Diagnostics(dropped=dict(schedule))
-        # Key committees of cohort i+1 by receiver, cached per round i.
+        self.diagnostics = Diagnostics()
+        # Round -> receiver -> bundles of Shamir shares of its incoming
+        # pieces, each bundle mapping chaperone -> (point, share).
+        self.backups: dict[int, dict[int, list[dict[int, tuple[int, ring.RingElement]]]]] = {}
+        # Round -> sender -> chaperone -> (point, share) of its mask secret.
+        self.mask_shares: dict[int, dict[int, dict[int, tuple[int, int]]]] = {}
+        # Round i -> key committees of cohort i+1 by receiver.
         self.key_committees: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def dropped(self, i: int) -> frozenset[int]:
@@ -320,26 +292,19 @@ class Recovery:
         committees and its mask secret to its own mask committee; returns
         the extra client-to-client bits and messages."""
         pset, i, j = ctx.pset, ctx.index, res.state.index
-        backup_shares(self.router, ctx, j, res.reshares, self.key_committees.setdefault(i, {}))
+        backup_shares(self, ctx, j, res.reshares)
         secret = self.diagnostics.mask_secrets[(i, j)]
         committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
         rng = ctx_rng(ctx.run_seed, "mask-share", i, j)
         tsh = sharing.tshare(secret, pset.h, pset.t, rng, params=pset.ring())
-        self.router.mask_shares[(i, j)] = dict(zip(committee, tsh.shares))
-        self.router.mask_escrow[(i, j)] = secret
+        self.mask_shares.setdefault(i, {})[j] = dict(zip(committee, tsh.shares))
         # h shares of each of the d pieces, plus h shares of the secret.
         return pset.h * (pset.d * pset.N + 1) * pset.logq, pset.h * (pset.d + 1)
 
-    def repair(
-        self, server: ServerState, rnd: int, next_dropped: frozenset[int], transcript: Transcript
-    ) -> float:
+    def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:
         """Repairs of round rnd before its reveal; returns the bytes the
         chaperones release to the server."""
-        self.key_committees.pop(rnd, None)
-        elems, scalars = recover_round(
-            server, self.router, rnd, self.dropped(rnd), next_dropped,
-            self.diagnostics, transcript,
-        )
+        elems, scalars = recover_round(server, self, rnd, next_dropped)
         return (elems * server.pset.N + scalars) * server.pset.logq / 8.0
 
 
@@ -359,8 +324,9 @@ def run_dropout_protocol(
     if not 1 <= pset.t <= pset.h:
         raise ValueError("need 1 <= t <= h")
     recovery = Recovery(normalize_schedule(schedule, pset, p.r))
-    result = run_rounds(
-        p, replace(pset, seed_resharing=False), data_inputs, seed, track_keys, recovery
+    result = run_protocol(
+        p, replace(pset, seed_resharing=False), data_inputs, seed, track_keys,
+        recovery=recovery,
     )
-    recovery.diagnostics.assert_dropped_masks_private(recovery.router)
+    recovery.diagnostics.assert_dropped_masks_private(recovery.schedule)
     return result, recovery.diagnostics

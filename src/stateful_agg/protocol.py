@@ -16,14 +16,16 @@ public elements for a store, the composed negative combination for a
 reveal) and applies the flattened weight vector once, at reveal time.  The
 server originates no messages of its own; it only aggregates and forwards.
 
-`run_rounds` is the one round loop.  `run_protocol` drives it with no
-dropouts; `dropout.run_dropout_protocol` hands it a recovery layer, which
-the loop asks which clients drop, for each survivor's self-mask and
-backups, and for the repairs of each round before its reveal.  Within a
-round, client steps are pure functions of (seed, round, index) and could
-run in any order, or in parallel processes (not threads: seed expansion
-re-keys one generator per process); the loop is sequential for
-reproducibility of the transcript row order.
+`run_protocol` is the one round loop.  Without a recovery layer no client
+drops; `dropout.run_dropout_protocol` hands it one, which the loop asks
+which clients drop, for each survivor's self-mask and backups, and for the
+repairs of each round before its reveal.  A repair settles the round's key
+deficit and strips the survivors' self-masks from its stored aggregate, so
+every reveal reads mask-free aggregates.  Within a round, client steps are
+pure functions of (seed, round, index) and could run in any order, or in
+parallel processes (not threads: seed expansion re-keys one generator per
+process); the loop is sequential for reproducibility of the transcript row
+order.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "ProtocolError",
     "client_step",
     "server_step",
-    "run_rounds",
     "run_protocol",
 ]
 
@@ -185,7 +186,6 @@ class ServerState:
         # Key deficit of the cohort that produced round k's messages
         # (accumulated resharing corrections, None while zero).
         self.deficit: dict[int, ring.RingElement | None] = {}
-        self.masks_sum: dict[int, tuple[ring.RingElement, ...] | None] = {}
         self.drift: ring.RingElement | None = None
 
     def weights_for(self, i: int) -> dict[int, int]:
@@ -196,17 +196,9 @@ class ServerState:
         """Decode the value revealed at round i (delivered one round later)."""
         pset = self.pset
         weights = self.weights_for(i)
-        corr = self._corrections(i, weights)
-        masks = self._mask_total(i, weights)
         return crypto.open(
-            self.stored,
-            self.stored[i],
-            weights,
-            pset.ell,
-            pset.pf,
-            pset.slot_width,
-            corrections=corr,
-            masks_sum=masks,
+            self.stored, self.stored[i], weights, pset.ell, pset.pf, pset.slot_width,
+            corrections=self._corrections(i, weights),
         )
 
     def _corrections(self, i: int, weights: dict[int, int]):
@@ -229,19 +221,6 @@ class ServerState:
             for e in range(self.pset.m)
         ]
 
-    def _mask_total(self, i: int, weights: dict[int, int]):
-        terms = [
-            (w, self.masks_sum[k])
-            for k, w in list(weights.items()) + [(i, 1)]
-            if w and self.masks_sum.get(k)
-        ]
-        if not terms:
-            return None
-        return [
-            ring.lincomb(((w, mk[e]) for w, mk in terms), self.ring_params)
-            for e in range(self.pset.m)
-        ]
-
     def shift_drift(self, elems) -> None:
         """Add elements to the key drift (None while zero); with none it stays
         the same object, whose cached transform the deficit snapshots share."""
@@ -250,6 +229,21 @@ class ServerState:
             if self.drift is not None:
                 terms.append((1, self.drift))
             self.drift = ring.lincomb(terms, self.ring_params)
+
+    def repair(self, rnd: int, recovered, masks) -> ring.RingElement | None:
+        """Dropout repair of round rnd, before anything reads it: shift the
+        drift by the dropped clients' recovered key pieces, make it the
+        round's deficit, and strip the survivors' self-masks (one list of m
+        elements each) from the round's stored aggregate.  Returns the
+        deficit."""
+        self.shift_drift(recovered)
+        self.deficit[rnd] = self.drift
+        if masks:
+            self.stored[rnd] = tuple(
+                ring.lincomb([(1, agg)] + [(-1, mk[e]) for mk in masks], self.ring_params)
+                for e, agg in enumerate(self.stored[rnd])
+            )
+        return self.drift
 
 
 def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
@@ -287,20 +281,23 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     return RoundContext(i, instr, public, basis, weights, pset, run_seed)
 
 
-def run_rounds(
+def run_protocol(
     p: prog.Program,
     pset: ParamSet,
     data_inputs=None,
     seed: int = 0,
     track_keys: bool = False,
+    *,
     recovery=None,
 ) -> RunResult:
-    """Run every round of the program, then flush the last reveal.
+    """Simulate the whole program; reveals are exact mod T in the noise
+    regime the parameter set was sized for.
 
-    Round i's reveal is opened after round i+1's uploads are absorbed.  A
-    recovery layer (see `dropout.Recovery`) names each round's dropped
-    clients, masks and backs up every survivor's step, and repairs round
-    i-1 before its reveal; without one no client drops.
+    Runs every round, then flushes the last reveal.  Round i's reveal is
+    opened after round i+1's uploads are absorbed.  A recovery layer (see
+    `dropout.Recovery`) names each round's dropped clients, masks and backs
+    up every survivor's step, and repairs round i-1 before its reveal;
+    without one no client drops.
     """
     errs = prog.validate(p)
     if errs:
@@ -350,29 +347,17 @@ def run_rounds(
             key_history.append(keys)
         server_step(server, ctx, results, dropped)
         if recovery and i >= 2:
-            rec.c2s_bytes += recovery.repair(server, i - 1, dropped, transcript)
+            rec.c2s_bytes += recovery.repair(server, i - 1, dropped)
         deliver(i - 1)
         transcript.rows.append(rec)
         mail = next_mail
     # Flush round r+1: round r's repairs (no transcript row counts them),
     # then its reveal.
     if recovery:
-        recovery.repair(server, p.r, frozenset(), transcript)
+        recovery.repair(server, p.r, frozenset())
     deliver(p.r)
     return RunResult(
         reveals=list(transcript.reveals),
         transcript=transcript,
         key_history=key_history if track_keys else None,
     )
-
-
-def run_protocol(
-    p: prog.Program,
-    pset: ParamSet,
-    data_inputs=None,
-    seed: int = 0,
-    track_keys: bool = False,
-) -> RunResult:
-    """Simulate the whole program; reveals are exact mod T in the noise
-    regime the parameter set was sized for."""
-    return run_rounds(p, pset, data_inputs, seed, track_keys)

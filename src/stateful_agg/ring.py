@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "RingParams",
     "RingElement",
-    "PackedPlaintext",
     "add",
     "mul",
     "mul_sum",
@@ -642,26 +641,6 @@ def sample_gaussian(rng: np.random.Generator, sigma: float, params: RingParams) 
 # ---------------------------------------------------------------------------
 
 
-class PackedPlaintext:
-    """Layout descriptor for slot packing: pf entries per coefficient."""
-
-    __slots__ = ("length", "pf", "slot_width")
-
-    def __init__(self, length: int, pf: int, slot_width: int):
-        if pf < 1:
-            raise ValueError("packing factor must be >= 1")
-        self.length = length
-        self.pf = pf
-        self.slot_width = slot_width
-
-    @property
-    def coeff_count(self) -> int:
-        return -(-self.length // self.pf)
-
-    def element_count(self, N: int) -> int:
-        return -(-self.coeff_count // N)
-
-
 def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingElement]:
     """Pack a vector of integers into plaintext ring elements.
 
@@ -671,10 +650,11 @@ def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingEle
     lie in [0, 2^slot_width) so that lane sums cannot carry into a
     neighbouring slot before the headroom is exhausted.
     """
+    if pf < 1:
+        raise ValueError("packing factor must be >= 1")
     arr = np.asarray(values)
-    layout = PackedPlaintext(len(arr), pf, slot_width)
     n = params.N
-    total = layout.element_count(n)
+    total = -(-len(arr) // (pf * n))
     if pf == 1:
         # Whole-coefficient encoding accepts signed values, reduced mod T.
         if arr.dtype != object and params.T <= 2**62:

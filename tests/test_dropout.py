@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,6 +284,52 @@ def test_mask_quorum_t_minus_one_alive_aborts():
     p, pset, schedule = _mask_quorum_case(alive=2)
     with pytest.raises(dropout.QuorumError, match="round 2: cannot reconstruct mask"):
         dropout.run_dropout_protocol(p, pset, schedule, seed=59)
+
+
+def _key_quorum_case(alive):
+    # Client 0 drops in round 2; all but `alive` of its key chaperones drop
+    # in round 3, when they must release its incoming pieces.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    committee = dropout.chaperone_committee(61, pset, 2, 0, "key")
+    schedule = {2: frozenset({0}), 3: frozenset(committee[alive:])}
+    return p, pset, schedule
+
+
+def test_key_quorum_exactly_t_alive():
+    p, pset, schedule = _key_quorum_case(alive=3)
+    data = random_data(run_rng("keyq"), p, 8)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=61)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 61, schedule).reveals)
+    assert diag.recovered_pieces[2] > 0
+
+
+def test_key_quorum_t_minus_one_alive_aborts():
+    # Key recovery runs before mask release, so the key committee's error
+    # comes first even though round 3's drops also thin mask committees.
+    p, pset, schedule = _key_quorum_case(alive=2)
+    with pytest.raises(
+        dropout.QuorumError,
+        match="round 2: only 2 of 3 committee shares available for dropped client",
+    ):
+        dropout.run_dropout_protocol(p, pset, schedule, seed=61)
+
+
+def test_repaired_rounds_are_freed():
+    # Each round's backups, mask shares and key committees are popped at its
+    # repair; only the backups meant for the never-run cohort r+1 remain.
+    p = _sum_program(5, 2)
+    pset = _pset(p, 8, h=5, t=2)
+    schedule = {2: frozenset({0, 5}), 3: frozenset({1, 6})}
+    recovery = dropout.Recovery(schedule)
+    data = random_data(run_rng("freed"), p, 8)
+    res = protocol.run_protocol(
+        p, replace(pset, seed_resharing=False), data_inputs=data, seed=67, recovery=recovery
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 67, schedule).reveals)
+    assert all(rnd > p.r for rnd in recovery.backups)
+    assert not recovery.mask_shares
+    assert not recovery.key_committees
 
 
 def test_running_sum_dropout_run_is_pinned():
