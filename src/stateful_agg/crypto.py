@@ -153,12 +153,15 @@ def open(
     lifts each coefficient to its signed representative (noise is signed,
     so reduction mod T must happen on centered values), reduces mod T and
     unpacks the plaintext slots.  Valid in the noise regime where the total
-    signed magnitude stays below q/2.
+    signed magnitude stays below q/2.  When T is a power of two no larger
+    than 2^64 (every T that params.make_paramset builds) the lift runs on
+    the residues (ring.centered_mod_t) and the result is a uint64 array;
+    any other T is lifted through Python ints.
     """
     params = reveal_agg[0].params
     coeff_arrays = []
     for e, agg in enumerate(reveal_agg):
         terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items() if w]
         terms += [(-1, sub[e]) for sub in (corrections, masks_sum) if sub is not None]
-        coeff_arrays.append(ring.lincomb(terms, params).centered() % params.T)
+        coeff_arrays.append(ring.centered_mod_t(ring.lincomb(terms, params)))
     return ring.decode(coeff_arrays, ell, pf, slot_width)

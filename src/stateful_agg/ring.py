@@ -8,7 +8,10 @@ products fit uint64 with room for the butterfly additions).  Values are
 lifted back to Z_q via the CRT only where an integer answer is needed.
 
 Also provides the uniform and discrete-Gaussian samplers and the slot
-packing used to encode input vectors into plaintext coefficients.
+packing used to encode input vectors into plaintext coefficients.  Packing
+works on residues: encode builds limb residues from int64 slot values, and
+the reveal's lift to the centered value mod T (centered_mod_t) runs on
+uint64 mixed-radix digits when T is a power of two no larger than 2^64.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "gaussian_ints",
     "encode",
     "decode",
+    "centered_mod_t",
     "find_ntt_prime",
     "choose_limbs",
 ]
@@ -631,14 +635,37 @@ def gaussian_ints(
 
 
 def sample_gaussian(rng: np.random.Generator, sigma: float, params: RingParams) -> RingElement:
-    """Element with independent discrete-Gaussian coefficients, reduced mod q."""
+    """Element with independent discrete-Gaussian coefficients, reduced mod q.
+
+    Draws are truncated at ceil(12 sigma); below the smallest limb one
+    conditional add of p reduces them, otherwise a signed np.mod does.
+    """
     ints = gaussian_ints(rng, sigma, params.N)
-    return RingElement(np.mod(ints, params._ps.astype(np.int64)).view(np.uint64), params)
+    ps = params._ps.astype(np.int64)
+    if math.ceil(12 * sigma) < min(params.limbs):
+        res = np.where(ints < 0, ints + ps, ints)
+    else:
+        res = np.mod(ints, ps)
+    return RingElement(res.view(np.uint64), params)
 
 
 # ---------------------------------------------------------------------------
 # Plaintext packing
 # ---------------------------------------------------------------------------
+
+# 2^62 is the largest power of two an int64 holds, so encode keeps T and
+# the slot bound 2^slot_width in int64 up to it.
+_INT64_BITS = 62
+
+
+def _int_values(arr: np.ndarray, native: bool) -> np.ndarray:
+    """arr as int64 when `native` and every value converts, else as Python ints."""
+    if native:
+        try:
+            return arr.astype(np.int64)
+        except OverflowError:
+            pass
+    return np.array([int(v) for v in arr], dtype=object)
 
 
 def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingElement]:
@@ -649,6 +676,11 @@ def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingEle
     pf >= 2, values share coefficients in slot_width-bit lanes and must
     lie in [0, 2^slot_width) so that lane sums cannot carry into a
     neighbouring slot before the headroom is exhausted.
+
+    Limb p of a coefficient holding slots v_s is built directly as
+    sum_s (v_s mod p) * (2^(s * slot_width) mod p) mod p.  The values stay
+    in int64 unless one cannot: T > 2^62 with pf == 1, slot_width > 62, or
+    an input too wide for int64; those go through Python ints.
     """
     if pf < 1:
         raise ValueError("packing factor must be >= 1")
@@ -657,41 +689,94 @@ def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingEle
     total = -(-len(arr) // (pf * n))
     if pf == 1:
         # Whole-coefficient encoding accepts signed values, reduced mod T.
-        if arr.dtype != object and params.T <= 2**62:
-            coeffs = np.zeros(total * n, dtype=np.int64)
-            coeffs[: len(arr)] = np.mod(arr.astype(np.int64), params.T)
+        vals = _int_values(arr, params.T <= 2**_INT64_BITS) % params.T
+    else:
+        if pf * slot_width > (params.T - 1).bit_length():
+            raise ValueError("pf * slot_width exceeds plaintext modulus width")
+        vals = _int_values(arr, slot_width <= _INT64_BITS)
+        bad = (vals < 0) | (vals >= 1 << slot_width)
+        if bad.any():
+            raise ValueError(f"value {vals[bad.argmax()]} does not fit a {slot_width}-bit slot")
+    # Every value is now nonnegative, so int64 ones reduce as uint64.
+    slots = np.zeros(total * n * pf, dtype=object if vals.dtype == object else np.uint64)
+    slots[: len(vals)] = vals
+    ps = params._ps
+    res = np.zeros((len(params.limbs), total * n), dtype=np.uint64)
+    for s, lane in enumerate(np.ascontiguousarray(slots.reshape(total * n, pf).T)):
+        if lane.dtype == object:
+            r = np.stack([(lane % p).astype(np.uint64) for p in params.limbs])
         else:
-            coeffs = np.zeros(total * n, dtype=object)
-            coeffs[: len(arr)] = [int(v) % params.T for v in arr]
-        return [params.from_coeffs(coeffs[k * n : (k + 1) * n]) for k in range(total)]
-    if pf * slot_width > (params.T - 1).bit_length():
-        raise ValueError("pf * slot_width exceeds plaintext modulus width")
-    vals = [int(v) for v in arr]
-    limit = 1 << slot_width
-    for v in vals:
-        if not 0 <= v < limit:
-            raise ValueError(f"value {v} does not fit a {slot_width}-bit slot")
-    coeffs = np.zeros(total * n, dtype=object)
-    for i, v in enumerate(vals):
-        coeffs[i // pf] += v << ((i % pf) * slot_width)
-    return [params.from_coeffs(coeffs[k * n : (k + 1) * n]) for k in range(total)]
+            r = lane % ps
+        res += r * _limb_col(1 << (s * slot_width), params.limbs) % ps if s else r
+    res %= ps
+    per_elem = res.reshape(len(params.limbs), total, n).transpose(1, 0, 2).copy()
+    return [RingElement(per_elem[k], params) for k in range(total)]
+
+
+@lru_cache(maxsize=None)
+def _mixed_radix(limbs: tuple[int, ...]):
+    """Constants of the Garner lift over `limbs` (see centered_mod_t).
+
+    With radix_i = p_0 * ... * p_(i-1), a value below q is
+    sum_i d_i * radix_i with digits d_i in [0, p_i), and
+    d_i = (r_i - sum_(j<i) d_j * radix_j) * radix_i^-1 mod p_i.
+    """
+    q = math.prod(limbs)
+    radix = [math.prod(limbs[:i]) for i in range(len(limbs))]
+    steps = [
+        (np.uint64(p), np.uint64(pow(radix[i] % p, -1, p)), [np.uint64(r % p) for r in radix[:i]])
+        for i, p in enumerate(limbs)
+    ]
+    half = [np.uint64(q // 2 // radix[i] % p) for i, p in enumerate(limbs)]
+    wrapped = [np.uint64(r % 2**64) for r in radix]
+    return steps, half, wrapped, np.uint64(-q % 2**64)
+
+
+def centered_mod_t(a: RingElement) -> np.ndarray:
+    """a.centered() % T, computed from the residues.
+
+    When T is a power of two no larger than 2^64 the result is a uint64
+    array: a mixed-radix (Garner) lift gives each coefficient's digits,
+    comparing them with the digits of q // 2 from the most significant
+    tells which coefficients lie above q/2, and the value is formed
+    mod 2^64 with wrapping products and masked with T - 1 (Bajard et al.,
+    SAC 2016; Halevi, Polyakov and Shoup, CT-RSA 2019).  Any other T goes
+    through centered() and returns Python ints.
+    """
+    T = a.params.T
+    if T & (T - 1) or T > 2**64:
+        return a.centered() % T
+    steps, half, wrapped, neg_q = _mixed_radix(a.params.limbs)
+    digits = []
+    for r, (p, inv, weights) in zip(a.res, steps):
+        if weights:
+            y = sum(d * w % p for d, w in zip(digits, weights)) % p
+            r = (r + p - y) * inv % p
+        digits.append(r)
+    above = np.zeros(a.params.N, dtype=bool)
+    tie = np.ones(a.params.N, dtype=bool)
+    for d, h in zip(reversed(digits), reversed(half)):
+        above |= tie & (d > h)
+        tie &= d == h
+    value = sum(d * w for d, w in zip(digits, wrapped))
+    return np.where(above, value + neg_q, value) & np.uint64(T - 1)
 
 
 def decode(elems: Iterable, length: int, pf: int, slot_width: int) -> np.ndarray:
     """Unpack slot-packed coefficients; exact inverse of encode on its range.
 
-    Accepts RingElements or plain coefficient arrays (already reduced mod T).
-    Out-of-range slot contents are returned verbatim.
+    Accepts RingElements, which are lifted with centered_mod_t, or plain
+    coefficient arrays already reduced mod T.  Slots come out by shifts and
+    masks: in uint64 when T is a power of two no larger than 2^64, as Python
+    ints for any other T.  Out-of-range slot contents are returned verbatim.
     """
-    arrays = []
-    for e in elems:
-        arrays.append(e.coeffs if isinstance(e, RingElement) else np.asarray(e, dtype=object))
+    arrays = [centered_mod_t(e) if isinstance(e, RingElement) else np.asarray(e) for e in elems]
     flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=object)
-    out = np.zeros(length, dtype=object)
     if pf == 1:
-        out[:] = flat[:length]
-        return out
-    mask = (1 << slot_width) - 1
-    for i in range(length):
-        out[i] = (int(flat[i // pf]) >> ((i % pf) * slot_width)) & mask
-    return out
+        # A copy: a slice would keep every coefficient alive with the reveal.
+        return flat[:length].copy()
+    idx = np.arange(length)
+    words, shifts, mask = flat[idx // pf], idx % pf * slot_width, (1 << slot_width) - 1
+    if words.dtype == object:
+        return (words >> shifts.astype(object)) & mask
+    return (words.astype(np.uint64) >> shifts.astype(np.uint64)) & np.uint64(mask)

@@ -368,3 +368,119 @@ def test_lincomb_rejects_mixed_params():
     pr, other = _lincomb_params()[1:]
     with pytest.raises(ValueError, match="ring params mismatch"):
         ring.lincomb([(1, pr.one()), (0, other.one())], pr)
+
+
+@pytest.mark.parametrize(
+    "pr,sigma",
+    [
+        # ceil(12 sigma) below the smallest limb: the conditional-add path.
+        (TINY, 0.3),
+        (TINY, 1.0),
+        (ring.RingParams.from_bits(64, 44, 2**16), 13.0),
+        (ring.RingParams.from_bits(64, 44, 2**16), 250.0),
+        # ceil(12 sigma) = 24 and 1200 reach the limb 17: the np.mod path.
+        (TINY, 2.0),
+        (TINY, 100.0),
+    ],
+)
+def test_sample_gaussian_matches_signed_mod(pr, sigma):
+    for seed in range(5):
+        got = ring.sample_gaussian(ctx_rng("gmod", seed), sigma, pr)
+        ints = ring.gaussian_ints(ctx_rng("gmod", seed), sigma, pr.N)
+        want = np.mod(ints, np.array(pr.limbs, dtype=np.int64)[:, None]).astype(np.uint64)
+        assert got.res.dtype == np.uint64
+        assert np.array_equal(got.res, want)
+
+
+def _encode_reference(values, pf, slot_width, params):
+    """Slot packing over Python ints, one value at a time."""
+    vals = [int(v) for v in values]
+    n = params.N
+    if pf == 1:
+        coeffs = [v % params.T for v in vals]
+    else:
+        for v in vals:
+            if not 0 <= v < 1 << slot_width:
+                raise ValueError(f"value {v} does not fit a {slot_width}-bit slot")
+        coeffs = [0] * -(-len(vals) // pf)
+        for i, v in enumerate(vals):
+            coeffs[i // pf] += v << ((i % pf) * slot_width)
+    coeffs += [0] * (-len(coeffs) % n)
+    return [
+        params.from_coeffs(np.array(coeffs[k : k + n], dtype=object))
+        for k in range(0, len(coeffs), n)
+    ]
+
+
+# (pf, slot_width) pairs: every pf up to 4, slot widths up to 62, and sets
+# with T > 2^62 (pf == 1 at 2^64 and 2^70, slots of 63 and 70 bits).
+PACKING_GRID = [
+    (pf, w) for pf in (1, 2, 3, 4) for w in (1, 8, 16, 26, 31, 52, 62)
+] + [(1, 64), (1, 70), (2, 63), (3, 70)]
+
+# 9 limbs: q exceeds every T of the grid by more than a bit.
+WIDE = ring.choose_limbs(8, 280)
+
+
+def _grid_values(rng, pf, w, ell):
+    if pf == 1:
+        # Signed values, some beyond T.
+        return [int(v) * 2 ** max(0, w - 60) + 5 for v in rng.integers(-(2**61), 2**61, ell)]
+    if w <= 62:
+        return [int(v) for v in rng.integers(0, 2**w, ell)]
+    return [(int(v) << (w - 62)) | 1 for v in rng.integers(0, 2**62, ell)]
+
+
+@pytest.mark.parametrize("pf,w", PACKING_GRID)
+def test_encode_matches_python_int_reference(pf, w):
+    pr = ring.RingParams(8, 2 ** (pf * w), limbs=WIDE)
+    rng = run_rng("encode-ref", pf, w)
+    for ell in (0, 1, 5, 8 * pf, 8 * pf + 3, 3 * 8 * pf):
+        vals = _grid_values(rng, pf, w, ell)
+        want = _encode_reference(vals, pf, w, pr)
+        inputs = [vals, np.array(vals, dtype=object)]
+        if all(-(2**63) <= v < 2**63 for v in vals):
+            inputs.append(np.array(vals, dtype=np.int64))
+        for arr in inputs:
+            got = ring.encode(arr, pf, w, pr)
+            assert got == want
+            assert all(e.res.dtype == np.uint64 for e in got)
+    if pf > 1:
+        for bad in (-1, 2**w):
+            with pytest.raises(ValueError, match=f"value {bad} does not fit a {w}-bit slot"):
+                ring.encode([0, 1, bad, 2], pf, w, pr)
+            with pytest.raises(ValueError, match=f"value {bad} does not fit a {w}-bit slot"):
+                _encode_reference([0, 1, bad, 2], pf, w, pr)
+
+
+@pytest.mark.parametrize("pf,w", PACKING_GRID)
+def test_decode_inverts_encode(pf, w):
+    pr = ring.RingParams(8, 2 ** (pf * w), limbs=WIDE)
+    rng = run_rng("decode-roundtrip", pf, w)
+    for ell in (1, 8 * pf + 3, 3 * 8 * pf):
+        vals = _grid_values(rng, pf, w, ell)
+        got = ring.decode(ring.encode(vals, pf, w, pr), ell, pf, w)
+        assert len(got) == ell
+        assert [int(v) for v in got] == [v % pr.T for v in vals]
+
+
+@pytest.mark.parametrize("logq,limbs", [(20, 1), (40, 2), (120, 4)])
+@pytest.mark.parametrize("k", [1, 31, 52, 62, 64])
+def test_centered_mod_t_matches_centered(logq, limbs, k):
+    pr = ring.RingParams(8, 2**k, limbs=ring.choose_limbs(8, logq))
+    assert len(pr.limbs) == limbs
+    q = pr.q
+    rng = run_rng("lift", logq, k)
+    edges = [0, q // 2, q // 2 + 1, q - 1, 1, q // 2 - 1, 2, q - 2]
+    boundary = pr.from_coeffs(np.array(edges, dtype=object))
+    for a in [boundary] + [ring.sample_uniform(rng, pr) for _ in range(50)]:
+        got = ring.centered_mod_t(a)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [int(v) for v in a.centered() % pr.T]
+
+
+@pytest.mark.parametrize("T", [3, 2**8 + 1, 2**65])
+def test_centered_mod_t_falls_back_beyond_powers_of_two_up_to_2_64(T):
+    pr = ring.RingParams(8, T, limbs=ring.choose_limbs(8, 120))
+    a = ring.sample_uniform(run_rng("lift-fallback", T), pr)
+    assert list(ring.centered_mod_t(a)) == list(a.centered() % T)
