@@ -12,6 +12,7 @@ drawn deterministically from a seed so a protocol run can replay it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,25 +50,47 @@ def materialize_inputs(
     rules draw per client with variance target/(n*(1-gamma)); draws depend
     only on (noise_seed, round, client), so two runs with the same seed see
     identical noise.
+
+    The submissions are int64 when the data rounds' values convert to
+    int64 and max|data| plus the widest noise draw (gaussian_ints truncates
+    at 12 sigma) stays below 2^62; otherwise they are Python ints.
     """
-    out = np.zeros((p.r, n, p.ell), dtype=object)
-    data = None if data_inputs is None else np.asarray(data_inputs, dtype=object)
-    if data is not None and data.shape != (p.r, n, p.ell):
+    if data_inputs is None:
+        data = np.zeros((p.r, n, p.ell), dtype=np.int64)
+    else:
+        data = np.asarray(data_inputs)
+    if data.shape != (p.r, n, p.ell):
         raise ValueError(f"data inputs must have shape {(p.r, n, p.ell)}, got {data.shape}")
-    for i, instr in enumerate(p.rounds, start=1):
-        kind = instr.rule.kind
-        if kind == prog.ZERO:
-            continue
+    stds = {
+        i: per_client_std(instr.rule.variance, n, gamma)
+        for i, instr in enumerate(p.rounds, start=1)
+        if instr.rule.kind != prog.ZERO and instr.rule.variance > 0
+    }
+    noise = max((math.ceil(12 * s) for s in stds.values()), default=0)
+    rows = [i for i, instr in enumerate(p.rounds) if instr.rule.kind == prog.DATA]
+    values = _int64_or_object(data[rows], noise)
+    out = np.zeros((p.r, n, p.ell), dtype=values.dtype)
+    out[rows] = values
+    for i, std in stds.items():
         for j in range(n):
-            vec = np.zeros(p.ell, dtype=object)
-            if kind == prog.DATA and data is not None:
-                vec = vec + data[i - 1, j]
-            if instr.rule.variance > 0:
-                std = per_client_std(instr.rule.variance, n, gamma)
-                draw = gaussian_ints(ctx_rng(noise_seed, "input-noise", i, j), std, p.ell)
-                vec = vec + draw.astype(object)
-            out[i - 1, j] = vec
+            draw = gaussian_ints(ctx_rng(noise_seed, "input-noise", i, j), std, p.ell)
+            out[i - 1, j] += draw.astype(out.dtype)
     return out
+
+
+def _int64_or_object(values: np.ndarray, noise: int) -> np.ndarray:
+    """Integer values as int64 when int64 holds them and max|values| + noise
+    < 2^62, else as Python ints."""
+    if values.dtype == object or np.can_cast(values.dtype, np.int64):
+        try:
+            v64 = values.astype(np.int64)
+        except (OverflowError, TypeError, ValueError):
+            v64 = None
+        if v64 is not None and (
+            v64.size == 0 or max(-int(v64.min()), int(v64.max())) + noise < 2**62
+        ):
+            return v64
+    return values.astype(object)
 
 
 def evaluate_program(p: prog.Program, inputs: np.ndarray, T: int) -> IdealResult:

@@ -3,9 +3,12 @@
 N is a power of two and q is a product of one or more distinct odd primes,
 each congruent to 1 mod 2N so that a negacyclic NTT exists.  Coefficients
 are held in residue form, one uint64 row per prime limb; this keeps every
-multiplication inside native 64-bit words (limbs stay below 2^31, so limb
-products fit uint64 with room for the butterfly additions).  Values are
-lifted back to Z_q via the CRT only where an integer answer is needed.
+multiplication inside native 64-bit words: limbs stay below 2^31, so a
+product of two residues fits uint64.  The NTT needs no division: its
+entries stay in [0, 2p), below 2^32, which is what a Shoup product with a
+32-bit precomputed quotient accepts, and each sum is brought back into
+that range with one conditional subtract.  Values are lifted back to Z_q
+via the CRT only where an integer answer is needed.
 
 Also provides the uniform and discrete-Gaussian samplers and the slot
 packing used to encode input vectors into plaintext coefficients.  Packing
@@ -44,7 +47,8 @@ __all__ = [
 # and doubles as the independent reference in tests.
 NTT_MIN_DEGREE = 256
 
-# Limbs are capped below 2^31 so a*b < 2^62 leaves headroom in uint64.
+# Limbs are capped below 2^31: a*b < 2^62 fits uint64, and the NTT's lazy
+# entries in [0, 2p) stay below 2^32 (see _NttTables).
 LIMB_MAX_BITS = 30
 
 
@@ -208,42 +212,82 @@ def _primitive_2n_root(p: int, two_n: int) -> int:
 
 
 def _bit_reverse(n: int) -> np.ndarray:
+    """The permutation i -> i with its log2(n) bits reversed."""
     width = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.int64)
     out = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = int(format(i, f"0{width}b")[::-1], 2) if width else 0
+    for b in range(width):
+        out |= ((idx >> b) & 1) << (width - 1 - b)
     return out
+
+
+def _powers(roots: list[int], limbs: tuple[int, ...], n: int) -> np.ndarray:
+    """(L, n) table of root^i mod p per limb, built by doubling:
+    pows[2^k : 2^(k+1)] = pows[:2^k] * root^(2^k) mod p."""
+    pows = np.empty((len(limbs), n), dtype=np.uint64)
+    pows[:, 0] = 1
+    ps = np.array(limbs, dtype=np.uint64).reshape(-1, 1)
+    k = 1
+    while k < n:
+        step = np.array([pow(w, k, p) for w, p in zip(roots, limbs)], dtype=np.uint64)
+        np.multiply(pows[:, :k], step.reshape(-1, 1), out=pows[:, k : 2 * k])
+        pows[:, k : 2 * k] %= ps
+        k *= 2
+    return pows
+
+
+def _shoup(w: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Shoup's precomputed quotients floor(w * 2^32 / p) for w < p < 2^31."""
+    return (w << np.uint64(32)) // ps
+
+
+# Stages whose twiddle run is shorter than this get their twiddles tiled to
+# a full (L, N/2) row; longer runs are broadcast.  A tiled stage costs two
+# (L, N/2) arrays per direction, so the bound keeps the tables a small
+# multiple of the two plain twiddle tables.
+_TILE_BELOW = 16
 
 
 class _NttTables:
     """Twiddle tables for the negacyclic transform, stacked across limbs so
-    one numpy pass per butterfly stage covers the whole residue matrix."""
+    one numpy pass per butterfly stage covers the whole residue matrix.
+
+    Both transforms run in constant geometry (Pease): each stage pairs the
+    entries k and k + N/2 of one buffer with the entries 2k and 2k + 1 of
+    the other, and the twiddle of pair k at a stage whose run is t is
+    psi[t + k mod t] (powers in bit-reversed order).  `fwd` and `inv` hold
+    per stage the pair (w, wq), wq = floor(w * 2^32 / p), shaped
+    (L, 1, run): a run below _TILE_BELOW is tiled to run = N/2, a longer
+    one is psi[:, t:2t] itself, broadcast over the stage.  `p` and `two_p`
+    are p and 2p repeated over a flattened (L, N/2) half.
+
+    Entries stay in [0, 2p) between stages, below 2^32 for every limb up to
+    LIMB_MAX_BITS + 1 bits.  That is the precondition v < 2^32 of the Shoup
+    product v*w - ((v*wq) >> 32)*p, which lands in [0, 2p).
+    """
 
     def __init__(self, limbs: tuple[int, ...], n: int):
         self.n = n
+        h = n // 2
         brv = _bit_reverse(n)
-        psi_rows, ipsi_rows, ninv = [], [], []
-        for p in limbs:
-            psi = _primitive_2n_root(p, 2 * n)
-            pows = np.empty(n, dtype=np.uint64)
-            acc = 1
-            for i in range(n):
-                pows[i] = acc
-                acc = acc * psi % p
-            psi_rows.append(pows[brv])
-            psi_inv = pow(psi, -1, p)
-            ipows = np.empty(n, dtype=np.uint64)
-            acc = 1
-            for i in range(n):
-                ipows[i] = acc
-                acc = acc * psi_inv % p
-            ipsi_rows.append(ipows[brv])
-            ninv.append(pow(n, -1, p))
-        self.psi = np.stack(psi_rows)  # (L, N), bit-reversed twiddles
-        self.psi_inv = np.stack(ipsi_rows)
-        self.n_inv = np.array(ninv, dtype=np.uint64).reshape(-1, 1)
-        self.ps = np.array(limbs, dtype=np.uint64).reshape(-1, 1, 1)
-        self.ps_flat = self.ps.reshape(-1, 1)
+        roots = [_primitive_2n_root(p, 2 * n) for p in limbs]
+        self.p_col = np.array(limbs, dtype=np.uint64).reshape(-1, 1)
+        self.p = np.repeat(self.p_col, h, axis=1).reshape(-1)
+        self.two_p = 2 * self.p
+        psi = _powers(roots, limbs, n)[:, brv]
+        psi_inv = _powers([pow(r, -1, p) for r, p in zip(roots, limbs)], limbs, n)[:, brv]
+        runs = [2**s for s in range(n.bit_length() - 1)]
+        self.fwd = [self._stage(psi, t) for t in runs]
+        self.inv = [self._stage(psi_inv, t) for t in reversed(runs)]
+        self.n_inv = np.array([pow(n, -1, p) for p in limbs], dtype=np.uint64).reshape(-1, 1)
+        self.n_inv_q = _shoup(self.n_inv, self.p_col)
+
+    def _stage(self, table: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        w = table[:, t : 2 * t]
+        if t < _TILE_BELOW:
+            w = np.tile(w, self.n // 2 // t)
+        w = w.reshape(len(w), 1, -1)
+        return w, _shoup(w, self.p_col.reshape(-1, 1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -251,46 +295,90 @@ def _tables(limbs: tuple[int, ...], n: int) -> _NttTables:
     return _NttTables(limbs, n)
 
 
+def _shoup_mul(v, w, wq, p, out, prod, tmp) -> None:
+    """out = v * w mod p, in [0, 2p), for v < 2^32 (see _NttTables).
+
+    v, prod and tmp are flat contiguous (L * N/2) arrays, out is any
+    (L, N/2) array and may be prod; w, wq are a stage's twiddle pair,
+    broadcast over v seen as (L, N/2 / run, run)."""
+    shape = w.shape[0], -1, w.shape[2]
+    np.multiply(v.reshape(shape), wq, out=tmp.reshape(shape))
+    np.right_shift(tmp, 32, out=tmp)
+    np.multiply(tmp, p, out=tmp)
+    np.multiply(v.reshape(shape), w, out=prod.reshape(shape))
+    np.subtract(prod.reshape(out.shape), tmp.reshape(out.shape), out=out)
+
+
 def _ntt(res: np.ndarray, tbl: _NttTables) -> np.ndarray:
-    """Forward transform of an (L, N) residue stack, bit-reversed output."""
-    a = res.copy()
-    n = tbl.n
-    t, m = 1, n // 2
-    while m >= 1:
-        view = a.reshape(-1, t, 2 * m)
-        w = tbl.psi[:, t : 2 * t, None]
-        u = view[:, :, :m]
-        vw = view[:, :, m:] * w % tbl.ps
-        lo = (u + vw) % tbl.ps
-        hi = (u + tbl.ps - vw) % tbl.ps
-        view[:, :, :m] = lo
-        view[:, :, m:] = hi
-        t *= 2
-        m //= 2
-    return a
+    """Forward transform of an (L, N) residue stack, bit-reversed output.
+
+    Cooley-Tukey butterflies (u + v*w, u - v*w) in constant geometry, with
+    Shoup twiddle products and lazy reduction (Harvey, JSC 2014): entries
+    stay in [0, 2p), each sum takes one conditional subtract of 2p
+    (np.minimum(x, x - 2p) in wrapping uint64), and one of p at the end
+    gives [0, p).  Input residues must lie in [0, 2p).
+
+    Each stage copies the halves into flat scratch rows and writes the
+    outputs through flat stride-2 views: numpy runs a flat array as one
+    loop, where a 2-D view of an (L, N) half takes its slower general path.
+    """
+    L, n = res.shape
+    h = n // 2
+    src, dst, spare = res, np.empty((L, n), dtype=np.uint64), np.empty((L, n), dtype=np.uint64)
+    u, v, vw, tmp = np.empty((4, L * h), dtype=np.uint64)
+    for w, wq in tbl.fwd:
+        np.copyto(u.reshape(L, h), src[:, :h])
+        np.copyto(v.reshape(L, h), src[:, h:])
+        _shoup_mul(v, w, wq, tbl.p, vw, vw, tmp)
+        out = dst.reshape(-1)
+        lo, hi = out[0::2], out[1::2]
+        np.add(u, vw, out=tmp)
+        np.subtract(tmp, tbl.two_p, out=lo)
+        np.minimum(tmp, lo, out=lo)
+        np.subtract(u, vw, out=tmp)
+        np.add(tmp, tbl.two_p, out=hi)
+        np.minimum(tmp, hi, out=hi)
+        src, dst = dst, (spare if src is res else src)
+    np.subtract(src, tbl.p_col, out=dst)
+    np.minimum(src, dst, out=dst)
+    return dst
 
 
 def _intt(res: np.ndarray, tbl: _NttTables) -> np.ndarray:
     """Inverse transform, bit-reversed input, normal-order output.
 
-    The odd-lane product fuses into one reduction: u + p - v < 2^32 and
-    w < 2^31, so the product stays inside uint64.
+    Gentleman-Sande butterflies (u + v, (u - v)*w), the mirror image of
+    _ntt's stages: pairs are read at 2k, 2k + 1 through flat stride-2
+    views and written at k, k + N/2.  Entries stay in [0, 2p): u + v takes
+    one conditional subtract of 2p, and u - v one conditional add of 2p
+    before its Shoup product.  n^-1 is applied with the same Shoup step,
+    then one conditional subtract of p gives [0, p).  Input residues must
+    lie in [0, 2p).
     """
-    a = res.copy()
-    n = tbl.n
-    t, m = n // 2, 1
-    while m < n:
-        view = a.reshape(-1, t, 2 * m)
-        w = tbl.psi_inv[:, t : 2 * t, None]
-        u = view[:, :, :m]
-        v = view[:, :, m:]
-        lo = (u + v) % tbl.ps
-        hi = (u + tbl.ps - v) * w % tbl.ps
-        view[:, :, :m] = lo
-        view[:, :, m:] = hi
-        t //= 2
-        m *= 2
-    return a * tbl.n_inv % tbl.ps_flat
+    L, n = res.shape
+    h = n // 2
+    src, dst, spare = res, np.empty((L, n), dtype=np.uint64), np.empty((L, n), dtype=np.uint64)
+    diff, prod, tmp = np.empty((3, L * h), dtype=np.uint64)
+    for w, wq in tbl.inv:
+        flat = src.reshape(-1)
+        u, v = flat[0::2], flat[1::2]
+        np.add(u, v, out=tmp)
+        np.subtract(tmp, tbl.two_p, out=prod)
+        np.minimum(tmp.reshape(L, h), prod.reshape(L, h), out=dst[:, :h])
+        np.subtract(u, v, out=diff)
+        np.add(diff, tbl.two_p, out=tmp)
+        np.minimum(diff, tmp, out=diff)
+        _shoup_mul(diff, w, wq, tbl.p, dst[:, h:], prod, tmp)
+        src, dst = dst, (spare if src is res else src)
+    tmp = np.empty((L, n), dtype=np.uint64)
+    np.multiply(src, tbl.n_inv_q, out=tmp)
+    np.right_shift(tmp, 32, out=tmp)
+    np.multiply(tmp, tbl.p_col, out=tmp)
+    np.multiply(src, tbl.n_inv, out=dst)
+    np.subtract(dst, tmp, out=dst)
+    np.subtract(dst, tbl.p_col, out=tmp)
+    np.minimum(dst, tmp, out=dst)
+    return dst
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +585,7 @@ def mul_ntt(a: RingElement, b: RingElement) -> RingElement:
     _check_same_params(a, b)
     pr = a.params
     tbl = _tables(pr.limbs, pr.N)
-    prod = a._ntt() * b._ntt() % tbl.ps_flat
+    prod = a._ntt() * b._ntt() % pr._ps
     return RingElement(_intt(prod, tbl), pr)
 
 
@@ -538,7 +626,7 @@ def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElemen
     if pr.N < NTT_MIN_DEGREE:
         return lincomb(((w, mul_schoolbook(a, b)) for w, a, b in terms), pr)
     tbl = _tables(pr.limbs, pr.N)
-    ps = tbl.ps_flat
+    ps = pr._ps
     # As in lincomb: each term is below p < 2^31.
     acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
     for w, a, b in terms:

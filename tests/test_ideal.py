@@ -3,6 +3,9 @@ import pytest
 
 from stateful_agg import dp, ideal
 from stateful_agg import program as prog
+from stateful_agg.dp import per_client_std
+from stateful_agg.prng import ctx_rng
+from stateful_agg.ring import gaussian_ints
 
 from helpers import random_program, run_rng
 
@@ -114,3 +117,64 @@ def test_run_ideal_rule_noise_enters_sum():
     centered = val - T if val > T // 2 else val
     assert centered != 0
     assert abs(centered) < 12 * 4.0 * 50
+
+
+def _materialize_reference(p, data_inputs, n, noise_seed=0, gamma=0.0):
+    """The Python-int materialization the int64 path must reproduce."""
+    out = np.zeros((p.r, n, p.ell), dtype=object)
+    data = None if data_inputs is None else np.asarray(data_inputs, dtype=object)
+    for i, instr in enumerate(p.rounds, start=1):
+        kind = instr.rule.kind
+        if kind == prog.ZERO:
+            continue
+        for j in range(n):
+            vec = np.zeros(p.ell, dtype=object)
+            if kind == prog.DATA and data is not None:
+                vec = vec + data[i - 1, j]
+            if instr.rule.variance > 0:
+                std = per_client_std(instr.rule.variance, n, gamma)
+                draw = gaussian_ints(ctx_rng(noise_seed, "input-noise", i, j), std, p.ell)
+                vec = vec + draw.astype(object)
+            out[i - 1, j] = vec
+    return out
+
+
+def _mixed_rules_program(ell):
+    """Data with and without local noise, pure noise and zero rounds."""
+    rules = [prog.InputRule.data(), prog.InputRule.data(9.0), prog.InputRule.gauss(4.0),
+             prog.InputRule.zero(), prog.InputRule.data()]
+    rounds = [prog.Instruction.make(prog.STORE, rule) for rule in rules[:-1]]
+    rounds.append(prog.Instruction.make(prog.REVEAL, rules[-1], {1: 3, 2: -1, 3: 1, 4: 2}))
+    return prog.Program(ell=ell, rounds=rounds)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("dtype", [object, np.int64, None])
+def test_materialize_int64_matches_python_ints(noisy, dtype):
+    n, ell = 3, 5
+    p = _mixed_rules_program(ell) if noisy else _sum_program(4, ell)
+    rng = run_rng("materialize", noisy)
+    data = None if dtype is None else rng.integers(-(2**40), 2**40, (p.r, n, ell)).astype(dtype)
+    got = ideal.materialize_inputs(p, data, n, noise_seed=5, gamma=0.25)
+    want = _materialize_reference(p, data, n, noise_seed=5, gamma=0.25)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert [(i, v.tolist()) for i, v in ideal.evaluate_program(p, got, T).reveals] == [
+        (i, v.tolist()) for i, v in ideal.evaluate_program(p, want, T).reveals
+    ]
+
+
+@pytest.mark.parametrize("big,noisy,dtype", [
+    (2**63 + 5, False, object),  # no int64
+    (-(2**63) - 1, False, object),
+    (2**62 - 1, False, np.int64),
+    (2**62 - 1, True, object),  # int64, but not with 12 sigma of noise on top
+])
+def test_materialize_falls_back_to_python_ints_beyond_2_62(big, noisy, dtype):
+    n, ell = 2, 3
+    p = _mixed_rules_program(ell) if noisy else _sum_program(2, ell)
+    data = np.ones((p.r, n, ell), dtype=object)
+    data[0, 1, 2] = big
+    got = ideal.materialize_inputs(p, data, n, noise_seed=1)
+    assert got.dtype == dtype
+    assert got.tolist() == _materialize_reference(p, data, n, noise_seed=1).tolist()

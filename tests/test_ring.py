@@ -484,3 +484,137 @@ def test_centered_mod_t_falls_back_beyond_powers_of_two_up_to_2_64(T):
     pr = ring.RingParams(8, T, limbs=ring.choose_limbs(8, 120))
     a = ring.sample_uniform(run_rng("lift-fallback", T), pr)
     assert list(ring.centered_mod_t(a)) == list(a.centered() % T)
+
+
+# Reference NTT: the in-place kernels and Python-loop tables the
+# constant-geometry, lazy-reduction kernels replaced.  Every butterfly
+# reduces with %, and the twiddles are powers built one multiply at a time.
+
+
+def _reference_bit_reverse(n):
+    width = n.bit_length() - 1
+    return [int(format(i, f"0{width}b")[::-1], 2) if width else 0 for i in range(n)]
+
+
+def _reference_tables(limbs, n):
+    brv = _reference_bit_reverse(n)
+    psi_rows, ipsi_rows = [], []
+    for p in limbs:
+        psi = ring._primitive_2n_root(p, 2 * n)
+        for root, rows in ((psi, psi_rows), (pow(psi, -1, p), ipsi_rows)):
+            pows, acc = [], 1
+            for _ in range(n):
+                pows.append(acc)
+                acc = acc * root % p
+            rows.append([pows[b] for b in brv])
+    n_inv = np.array([pow(n, -1, p) for p in limbs], dtype=np.uint64).reshape(-1, 1)
+    return np.array(psi_rows, dtype=np.uint64), np.array(ipsi_rows, dtype=np.uint64), n_inv
+
+
+def _reference_ntt(res, psi, ps):
+    a = res.copy()
+    n = a.shape[1]
+    t, m = 1, n // 2
+    while m >= 1:
+        view = a.reshape(-1, t, 2 * m)
+        w = psi[:, t : 2 * t, None]
+        u = view[:, :, :m]
+        vw = view[:, :, m:] * w % ps
+        lo = (u + vw) % ps
+        hi = (u + ps - vw) % ps
+        view[:, :, :m] = lo
+        view[:, :, m:] = hi
+        t *= 2
+        m //= 2
+    return a
+
+
+def _reference_intt(res, psi_inv, ps, n_inv):
+    a = res.copy()
+    n = a.shape[1]
+    t, m = n // 2, 1
+    while m < n:
+        view = a.reshape(-1, t, 2 * m)
+        w = psi_inv[:, t : 2 * t, None]
+        u = view[:, :, :m]
+        v = view[:, :, m:]
+        lo = (u + v) % ps
+        hi = (u + ps - v) * w % ps
+        view[:, :, :m] = lo
+        view[:, :, m:] = hi
+        t //= 2
+        m *= 2
+    return a * n_inv % ps.reshape(-1, 1)
+
+
+def _widest_limbs(N, count):
+    """The `count` largest primes 1 mod 2N below 2^31: the tightest case
+    for the [0, 2p) < 2^32 bound of the lazy butterflies."""
+    limbs, k = [], (2**31 - 2) // (2 * N)
+    while len(limbs) < count:
+        if ring._is_prime(k * 2 * N + 1):
+            limbs.append(k * 2 * N + 1)
+        k -= 1
+    return tuple(limbs)
+
+
+NTT_CASES = [
+    (256, ring.choose_limbs(256, 24)),
+    (256, _widest_limbs(256, 2)),
+    (2048, ring.choose_limbs(2048, 44)),
+    (2048, _widest_limbs(2048, 2)),
+    (4096, ring.choose_limbs(4096, 106)),
+    (4096, _widest_limbs(4096, 3)),
+    (16384, ring.choose_limbs(16384, 60)),
+    (16384, _widest_limbs(16384, 7)),
+]
+NTT_IDS = [f"{N}-{len(limbs)}x{max(limbs).bit_length()}bit" for N, limbs in NTT_CASES]
+
+
+@pytest.mark.parametrize("N,limbs", NTT_CASES, ids=NTT_IDS)
+def test_ntt_kernels_match_reference_kernels(N, limbs):
+    tbl = ring._tables(limbs, N)
+    psi, psi_inv, n_inv = _reference_tables(limbs, N)
+    ps = np.array(limbs, dtype=np.uint64).reshape(-1, 1, 1)
+    top = ps.reshape(-1, 1) - np.uint64(1)
+    spikes = []
+    for idx in (0, N - 1):
+        s = np.zeros((len(limbs), N), dtype=np.uint64)
+        s[:, idx] = top[:, 0]
+        spikes.append(s)
+    rng = run_rng("ntt-kernels", N, limbs)
+    inputs = [
+        rng.integers(0, 2**63, (len(limbs), N), dtype=np.uint64) % ps.reshape(-1, 1),
+        np.repeat(top, N, axis=1),
+        np.zeros((len(limbs), N), dtype=np.uint64),
+        *spikes,
+    ]
+    for x in inputs:
+        fwd = ring._ntt(x, tbl)
+        assert np.array_equal(fwd, _reference_ntt(x, psi, ps))
+        assert np.array_equal(ring._intt(x, tbl), _reference_intt(x, psi_inv, ps, n_inv))
+        assert np.array_equal(ring._intt(fwd, tbl), x)
+
+
+@pytest.mark.parametrize("N,limbs", NTT_CASES[:4], ids=NTT_IDS[:4])
+def test_ntt_tables_match_python_int_powers(N, limbs):
+    tbl = ring._tables(limbs, N)
+    psi, psi_inv, n_inv = _reference_tables(limbs, N)
+    runs = [2**s for s in range(N.bit_length() - 1)]
+    for stages, table in ((tbl.fwd, psi), (tbl.inv[::-1], psi_inv)):
+        for (w, wq), t in zip(stages, runs):
+            assert np.array_equal(w[:, 0], np.tile(table[:, t : 2 * t], w.shape[2] // t))
+            shoup = [[(int(x) << 32) // p for x in row] for row, p in zip(w[:, 0], limbs)]
+            assert wq[:, 0].tolist() == shoup
+    assert np.array_equal(tbl.n_inv, n_inv)
+    assert ring._bit_reverse(N).tolist() == _reference_bit_reverse(N)
+
+
+def test_ntt_matches_schoolbook_on_widest_limbs():
+    pr = ring.RingParams(256, 2**16, limbs=_widest_limbs(256, 2))
+    rng = run_rng("ntt-wide")
+    top = pr.from_coeffs(np.full(256, pr.q - 1, dtype=object))
+    for a, b in [(top, top)] + [
+        (ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)) for _ in range(5)
+    ]:
+        assert ring.mul_ntt(a, b) == ring.mul_schoolbook(a, b)
