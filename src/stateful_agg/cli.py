@@ -44,11 +44,11 @@ def _load_param_overrides(path: str | None) -> dict:
 
 def _synth_inputs(p: program.Program, n: int, input_bits: int, seed: int) -> np.ndarray:
     """Deterministic per-client data vectors in [0, 2^input_bits)."""
-    data = np.zeros((p.r, n, p.ell), dtype=object)
+    data = np.empty((p.r, n, p.ell), dtype=np.int64)
     for i in range(1, p.r + 1):
         for j in range(n):
             rng = ctx_rng(seed, "synth-input", i, j)
-            data[i - 1, j] = rng.integers(0, 2**input_bits, size=p.ell).astype(object)
+            data[i - 1, j] = rng.integers(0, 2**input_bits, size=p.ell)
     return data
 
 

@@ -1,21 +1,21 @@
 """Symmetric RLWE encryption with key and message homomorphism.
 
-A plaintext vector encoded as m ring elements is encrypted under key s as
-    w[k] = a[k]*s + T*e[k] + x[k]
-with small Gaussian e.  Because the scheme is linear in both the key and
-the message, clients holding additive shares of s can each encrypt with
-their share and the server's sum is a valid ciphertext under s.
-
-Reveal messages are decryption shares with flooding noise: the client sends
-    (-sum_k w_k * d_k) * s_share + T * g,
-where d_k is the public mask of stored round k and g sums one fresh
-Gaussian per weighted round.  Adding the weighted stored ciphertexts then
-cancels every key term and leaves the plaintext plus a T-multiple.
+Every client upload has one form, linear in the client's key share s:
+    w[e] = b[e]*s + x[e] + T * sum_k c_k * g_k
+with one fresh small Gaussian g_k per nonzero noise weight c_k (plus a
+self-mask under dropout recovery).  A store encrypts the encoded input
+under the round's public elements (b = a, noise weights (1,)).  A reveal
+is a decryption share under the composed public basis b = -sum_k w_k * d_k
+of the stored rounds it releases, flooded with one Gaussian per weighted
+round (noise weights w_k).  Because the scheme is linear in both the key
+and the message, clients holding additive shares of s can each encrypt
+with their share and the server's sum is a valid ciphertext under s;
+adding the weighted stored ciphertexts to a reveal's sum cancels every key
+term and leaves the plaintext plus a T-multiple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -25,64 +25,50 @@ from . import ring
 from .prng import ctx_rng
 
 __all__ = [
-    "PublicRound",
-    "StoreMessage",
-    "RevealMessage",
     "derive_public",
-    "store_message",
-    "reveal_message",
+    "encrypt",
     "reveal_mask",
     "open",
 ]
 
 
-@dataclass(frozen=True)
-class PublicRound:
-    """Per-round public elements, derived identically by every party."""
-
-    round_index: int
-    elems: tuple[ring.RingElement, ...]
-
-
-@dataclass(frozen=True)
-class StoreMessage:
-    w: tuple[ring.RingElement, ...]
-
-
-@dataclass(frozen=True)
-class RevealMessage:
-    w: tuple[ring.RingElement, ...]
-
-
-def derive_public(global_seed, round_index: int, m: int, params: ring.RingParams) -> PublicRound:
+def derive_public(
+    global_seed, round_index: int, m: int, params: ring.RingParams
+) -> tuple[ring.RingElement, ...]:
     """m uniform elements as a pure function of (global seed, round)."""
     rng = ctx_rng(global_seed, "public-round", round_index)
-    return PublicRound(round_index, tuple(ring.sample_uniform(rng, params) for _ in range(m)))
+    return tuple(ring.sample_uniform(rng, params) for _ in range(m))
 
 
-def store_message(
-    a_elems: Sequence[ring.RingElement],
+def encrypt(
+    basis: Sequence[ring.RingElement],
     key_share: ring.RingElement,
     x_elems: Sequence[ring.RingElement],
-    sigma_n: float,
+    sigma: float,
     rng: np.random.Generator,
+    noise_weights: Sequence[int],
     mask: Sequence[ring.RingElement] | None = None,
-) -> StoreMessage:
-    """Encrypt the encoded input under a key share: a*s + T*e + x (+ mask)."""
-    if len(x_elems) != len(a_elems):
-        raise ValueError(f"{len(a_elems)} public elements but {len(x_elems)} plaintext elements")
-    if mask is not None and len(mask) != len(a_elems):
+) -> tuple[ring.RingElement, ...]:
+    """One upload: basis[e]*s + x[e] (+ mask[e]) + T * sum_k c_k * g_k.
+
+    Draws one Gaussian per nonzero noise weight c_k, per element and in
+    order, as lincomb reaches it so that only one is held at a time; none
+    when sigma is 0.
+    """
+    if len(x_elems) != len(basis):
+        raise ValueError(f"{len(basis)} basis elements but {len(x_elems)} plaintext elements")
+    if mask is not None and len(mask) != len(basis):
         raise ValueError("mask shape does not match message shape")
     params = key_share.params
+    flood = [c * params.T for c in noise_weights if c] if sigma > 0 else []
     out = []
-    for k, (a, x) in enumerate(zip(a_elems, x_elems)):
-        terms = [(1, ring.mul(a, key_share)), (1, x)]
-        if sigma_n > 0:
-            terms.append((params.T, ring.sample_gaussian(rng, sigma_n, params)))
+    for e, b in enumerate(basis):
+        terms = [(1, ring.mul(b, key_share)), (1, x_elems[e])]
         if mask is not None:
-            terms.append((1, mask[k]))
-        out.append(ring.lincomb(terms, params))
-    return StoreMessage(tuple(out))
+            terms.append((1, mask[e]))
+        noise = ((c, ring.sample_gaussian(rng, sigma, params)) for c in flood)
+        out.append(ring.lincomb(chain(terms, noise), params))
+    return tuple(out)
 
 
 def reveal_mask(
@@ -90,8 +76,6 @@ def reveal_mask(
     weights: Mapping[int, int],
 ) -> list[ring.RingElement]:
     """The public mask -sum_k w_k * d_k applied to key shares in reveals."""
-    if not round_elems and not weights:
-        raise ValueError("no rounds available")
     some = next(iter(round_elems.values()), None)
     if some is None:
         raise ValueError("no rounds available")
@@ -105,38 +89,6 @@ def reveal_mask(
     ]
 
 
-def reveal_message(
-    round_elems: Mapping[int, Sequence[ring.RingElement]],
-    weights: Mapping[int, int],
-    key_share: ring.RingElement,
-    sigma_flood: float,
-    rng: np.random.Generator,
-    x_elems: Sequence[ring.RingElement] | None = None,
-    mask: Sequence[ring.RingElement] | None = None,
-    mask_elems: Sequence[ring.RingElement] | None = None,
-) -> RevealMessage:
-    """Decryption share with flooding noise, optionally carrying own input.
-
-    mask_elems short-circuits recomputation of the public reveal mask when
-    the caller already derived it for the whole cohort.
-    """
-    params = key_share.params
-    base = list(mask_elems) if mask_elems is not None else reveal_mask(round_elems, weights)
-    # One Gaussian per weighted round, scaled by w_k * T, drawn as lincomb
-    # reaches it so that only one is held at a time.
-    flood = [w * params.T for w in weights.values() if w] if sigma_flood > 0 else []
-    out = []
-    for e in range(len(base)):
-        terms = [(1, ring.mul(base[e], key_share))]
-        if x_elems is not None:
-            terms.append((1, x_elems[e]))
-        if mask is not None:
-            terms.append((1, mask[e]))
-        noise = ((wt, ring.sample_gaussian(rng, sigma_flood, params)) for wt in flood)
-        out.append(ring.lincomb(chain(terms, noise), params))
-    return RevealMessage(tuple(out))
-
-
 def open(
     stored: Mapping[int, Sequence[ring.RingElement]],
     reveal_agg: Sequence[ring.RingElement],
@@ -145,13 +97,12 @@ def open(
     pf: int,
     slot_width: int,
     corrections: Sequence[ring.RingElement] | None = None,
-    masks_sum: Sequence[ring.RingElement] | None = None,
 ) -> np.ndarray:
     """Combine stored ciphertexts with the aggregated reveal and decode.
 
-    Computes reveal_agg + sum_k w_k * stored[k] - corrections - masks_sum,
-    lifts each coefficient to its signed representative (noise is signed,
-    so reduction mod T must happen on centered values), reduces mod T and
+    Computes reveal_agg + sum_k w_k * stored[k] - corrections, lifts each
+    coefficient to its signed representative (noise is signed, so
+    reduction mod T must happen on centered values), reduces mod T and
     unpacks the plaintext slots.  Valid in the noise regime where the total
     signed magnitude stays below q/2.  When T is a power of two no larger
     than 2^64 (every T that params.make_paramset builds) the lift runs on
@@ -162,6 +113,7 @@ def open(
     coeff_arrays = []
     for e, agg in enumerate(reveal_agg):
         terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items() if w]
-        terms += [(-1, sub[e]) for sub in (corrections, masks_sum) if sub is not None]
+        if corrections is not None:
+            terms.append((-1, corrections[e]))
         coeff_arrays.append(ring.centered_mod_t(ring.lincomb(terms, params)))
     return ring.decode(coeff_arrays, ell, pf, slot_width)

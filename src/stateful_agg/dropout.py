@@ -134,14 +134,6 @@ def prg_mask(secret: int, m: int, params: ring.RingParams) -> list[ring.RingElem
     return [ring.sample_uniform(rng, params) for _ in range(m)]
 
 
-def _uniform_zq(rng: np.random.Generator, params: ring.RingParams) -> int:
-    residues = [int(rng.integers(0, p)) for p in params.limbs]
-    val = 0
-    for res, w in zip(residues, params._crt_weights):
-        val += res * w
-    return val % params.q
-
-
 @dataclass
 class Diagnostics:
     # Release log of survivors' mask secrets, by (round, client).
@@ -230,7 +222,7 @@ def recover_round(
             f"available for dropped client {j}",
         )
         summed = [
-            (bundles[0][chap][0], sharing.reconstruct_additive([b[chap][1] for b in bundles]))
+            (bundles[0][chap][0], sharing.piece_sum([b[chap][1] for b in bundles], rp))
             for chap in chaps
         ]
         recovered.append(sharing.trec(summed, pset.t))
@@ -283,7 +275,9 @@ class Recovery:
     def mask(self, ctx: RoundContext, j: int) -> list[ring.RingElement]:
         """Survivor j's self-mask for round ctx.index, from a fresh secret."""
         rp = ctx.pset.ring()
-        secret = _uniform_zq(ctx_rng(ctx.run_seed, "mask-secret", ctx.index, j), rp)
+        rng = ctx_rng(ctx.run_seed, "mask-secret", ctx.index, j)
+        # Uniform in Z_q: one uniform residue per limb, CRT-lifted.
+        secret = sharing._from_residues([[rng.integers(0, p)] for p in rp.limbs], rp, True)
         self.diagnostics.mask_secrets[(ctx.index, j)] = secret
         return prg_mask(secret, ctx.pset.m, rp)
 
@@ -291,7 +285,7 @@ class Recovery:
         """Share a survivor's resharing pieces to their receivers' key
         committees and its mask secret to its own mask committee; returns
         the extra client-to-client bits and messages."""
-        pset, i, j = ctx.pset, ctx.index, res.state.index
+        pset, i, j = ctx.pset, ctx.index, res.index
         backup_shares(self, ctx, j, res.reshares)
         secret = self.diagnostics.mask_secrets[(i, j)]
         committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")

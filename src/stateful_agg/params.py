@@ -258,11 +258,6 @@ class ParamSet:
         return sigma_schedule(self.r, self.sigma)[1]
 
     @property
-    def sigma_flood(self) -> float:
-        # Reveal flooding reuses the fresh-encryption schedule.
-        return self.sigma_n
-
-    @property
     def packed_coeffs(self) -> int:
         return -(-self.ell // self.pf)
 

@@ -10,11 +10,14 @@ shifting the effective key; the server repairs reveals with the
 appropriately weighted products of public elements and accumulated
 corrections.
 
-The server is lazy: it never folds weights at store time.  It keeps the raw
-aggregate of each round's messages plus that round's public mask basis (the
-public elements for a store, the composed negative combination for a
-reveal) and applies the flattened weight vector once, at reveal time.  The
-server originates no messages of its own; it only aggregates and forwards.
+Every upload, store or reveal, is one `crypto.encrypt` under the round's
+public mask basis: the fresh public elements for a store, with one Gaussian
+of noise, and the composed negative combination of the stored rounds'
+bases for a reveal, with one flooding Gaussian per weighted round.  The
+server is lazy: it never folds weights at store time.  It keeps the raw
+aggregate of each round's messages plus that round's basis and applies the
+flattened weight vector once, at reveal time.  The server originates no
+messages of its own; it only aggregates and forwards.
 
 `run_protocol` is the one round loop.  Without a recovery layer no client
 drops; `dropout.run_dropout_protocol` hands it one, which the loop asks
@@ -41,7 +44,6 @@ from .params import ParamSet
 from .prng import ctx_rng, hash_key
 
 __all__ = [
-    "ClientState",
     "RoundContext",
     "ClientStepResult",
     "ServerState",
@@ -79,9 +81,6 @@ class Transcript:
     rows: list[RoundRecord] = field(default_factory=list)
     reveals: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
-    def row(self, i: int) -> RoundRecord:
-        return self.rows[i - 1]
-
 
 @dataclass
 class RunResult:
@@ -91,39 +90,30 @@ class RunResult:
 
 
 @dataclass
-class ClientState:
-    cohort: int
-    index: int
-    key_share: ring.RingElement | None = None
-
-
-@dataclass
 class RoundContext:
     """Public per-round data every client derives or receives identically."""
 
     index: int
     instr: prog.Instruction
-    public: tuple[ring.RingElement, ...]  # fresh elements for this round
-    basis: tuple[ring.RingElement, ...]  # key mask actually applied (store: public)
-    weights: dict[int, int]  # flattened weights mod q over rounds < index
+    basis: tuple[ring.RingElement, ...]  # key mask: public elements, or reveal mask
+    noise_weights: tuple[int, ...]  # store (1,); reveal: flattened weights mod q
     pset: ParamSet
     run_seed: int
 
 
 @dataclass
 class ClientStepResult:
-    state: ClientState
-    message: crypto.StoreMessage | crypto.RevealMessage
+    index: int
+    key_share: ring.RingElement
+    message: tuple[ring.RingElement, ...]
     reshares: list[tuple[int, object]]
     correction: ring.RingElement | None
     c2s_bits: int = 0
     c2c_bits: int = 0
 
 
-def client_step(
-    state: ClientState, ctx: RoundContext, incoming, x_vec, mask=None
-) -> ClientStepResult:
-    """One client's round: derive key share, encrypt, reshare onward.
+def client_step(ctx: RoundContext, j: int, incoming, x_vec, mask=None) -> ClientStepResult:
+    """Client j's round: derive key share, encrypt, reshare onward.
 
     incoming holds the previous cohort's share pieces routed to this client
     (ring elements, or raw seeds under seed resharing); mask, if given, is
@@ -132,22 +122,16 @@ def client_step(
     """
     pset = ctx.pset
     rp = pset.ring()
-    i, j = ctx.index, state.index
+    i = ctx.index
     if i == 1:
         key_share = ring.sample_uniform(ctx_rng(ctx.run_seed, "initial-key", j), rp)
     else:
         key_share = sharing.piece_sum(incoming or (), rp)
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
-    x_elems = ring.encode(x_vec, pset.pf, pset.slot_width, rp)
-    if ctx.instr.mode == prog.STORE:
-        msg = crypto.store_message(
-            ctx.public, key_share, x_elems, pset.sigma_n, noise_rng, mask=mask
-        )
-    else:
-        msg = crypto.reveal_message(
-            {}, ctx.weights, key_share, pset.sigma_flood, noise_rng,
-            x_elems=x_elems, mask_elems=ctx.basis, mask=mask,
-        )
+    msg = crypto.encrypt(
+        ctx.basis, key_share, ring.encode(x_vec, pset.pf, pset.slot_width, rp),
+        pset.sigma_n, noise_rng, ctx.noise_weights, mask,
+    )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = [int(v) for v in share_rng.integers(0, pset.n, size=pset.d)]
     correction = None
@@ -159,11 +143,12 @@ def client_step(
         c2s_bits = pset.packed_coeffs * pset.logq + pset.N * pset.logq
     else:
         parts = sharing.ashare(key_share, pset.d, share_rng)
-        reshares = list(zip(receivers, parts.shares))
+        reshares = list(zip(receivers, parts))
         c2c_bits = pset.d * pset.N * pset.logq
         c2s_bits = pset.packed_coeffs * pset.logq
     return ClientStepResult(
-        state=ClientState(i, j, key_share),
+        index=j,
+        key_share=key_share,
         message=msg,
         reshares=reshares,
         correction=correction,
@@ -257,7 +242,7 @@ def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozen
         )
     i = ctx.index
     server.stored[i] = tuple(
-        ring.lincomb(((1, res.message.w[e]) for res in messages), rp)
+        ring.lincomb(((1, res.message[e]) for res in messages), rp)
         for e in range(server.pset.m)
     )
     server.basis[i] = tuple(ctx.basis)
@@ -270,15 +255,16 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     pset = server.pset
     rp = server.ring_params
     instr = server.program.instruction(i)
-    public = crypto.derive_public(global_seed, i, pset.m, rp).elems
-    weights = server.weights_for(i)
     if instr.mode == prog.STORE:
-        basis = public
+        basis = crypto.derive_public(global_seed, i, pset.m, rp)
+        noise_weights = (1,)
     else:
+        weights = server.weights_for(i)
         basis = tuple(crypto.reveal_mask(server.basis, weights)) if weights else tuple(
             rp.zero() for _ in range(pset.m)
         )
-    return RoundContext(i, instr, public, basis, weights, pset, run_seed)
+        noise_weights = tuple(weights.values())
+    return RoundContext(i, instr, basis, noise_weights, pset, run_seed)
 
 
 def run_protocol(
@@ -334,7 +320,7 @@ def run_protocol(
             if j in dropped:
                 continue
             mask = recovery.mask(ctx, j) if recovery else None
-            res = client_step(ClientState(i, j), ctx, mail[j], inputs[i - 1][j], mask)
+            res = client_step(ctx, j, mail[j], inputs[i - 1][j], mask)
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
             for recv, payload in res.reshares:
                 next_mail[recv].append(payload)
@@ -342,7 +328,7 @@ def run_protocol(
             rec.c2c_bytes += (res.c2c_bits + backup_bits) / 8.0
             rec.c2c_messages += len(res.reshares) + backup_messages
             results.append(res)
-            keys[j] = res.state.key_share
+            keys[j] = res.key_share
         if track_keys:
             key_history.append(keys)
         server_step(server, ctx, results, dropped)

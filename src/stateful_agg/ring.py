@@ -28,11 +28,9 @@ import numpy as np
 __all__ = [
     "RingParams",
     "RingElement",
-    "add",
     "mul",
     "mul_sum",
     "lincomb",
-    "scalar_mul",
     "sample_uniform",
     "sample_gaussian",
     "gaussian_ints",
@@ -43,9 +41,12 @@ __all__ = [
     "choose_limbs",
 ]
 
-# NTT pays off above this degree; below it the quadratic path is cheaper
-# and doubles as the independent reference in tests.
-NTT_MIN_DEGREE = 256
+# Smallest degree at which mul and mul_sum use the NTT.  Per mul, forward
+# transforms included (2-core VM, 1-3 limbs): at N=128 the NTT takes
+# 250-460 us against 1000-2300 us for schoolbook; at N=64 they tie on one
+# limb; at N=16 schoolbook takes 20-60 us against 140-170 us.  The
+# quadratic path doubles as the independent reference in tests.
+NTT_MIN_DEGREE = 128
 
 # Limbs are capped below 2^31: a*b < 2^62 fits uint64, and the NTT's lazy
 # entries in [0, 2p) stay below 2^32 (see _NttTables).
@@ -560,17 +561,6 @@ class RingElement:
             pr = self.params
             self._ntt_forms = _ntt(self.res, _tables(pr.limbs, pr.N))
         return self._ntt_forms
-
-
-# Functional aliases matching the operation names used elsewhere.
-
-
-def add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def scalar_mul(k: int, a: RingElement) -> RingElement:
-    return a.scalar(k)
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:

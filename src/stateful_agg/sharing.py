@@ -20,18 +20,15 @@ from . import ring
 from .prng import hash_key, rekeyed_rng
 
 __all__ = [
-    "AdditiveShares",
     "ThresholdShares",
     "SeedReshare",
     "ashare",
-    "reconstruct_additive",
     "tshare",
     "tshare_many",
     "trec",
     "seed_reshare",
     "expand_seed",
     "piece_sum",
-    "shamir_points",
     "SEED_BITS",
 ]
 
@@ -43,27 +40,16 @@ SEED_BITS = 128
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveShares:
-    shares: tuple[ring.RingElement, ...]
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-
-def ashare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> AdditiveShares:
+def ashare(
+    secret: ring.RingElement, d: int, rng: np.random.Generator
+) -> tuple[ring.RingElement, ...]:
     """Split into d uniform elements summing to the secret."""
     if d < 1:
         raise ValueError("share count must be >= 1")
     pr = secret.params
     parts = [ring.sample_uniform(rng, pr) for _ in range(d - 1)]
     parts.append(secret - piece_sum(parts, pr))
-    return AdditiveShares(tuple(parts))
-
-
-def reconstruct_additive(shares: AdditiveShares | Sequence[ring.RingElement]) -> ring.RingElement:
-    elems = shares.shares if isinstance(shares, AdditiveShares) else tuple(shares)
-    return piece_sum(elems, elems[0].params)
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +64,6 @@ class ThresholdShares:
     shares: tuple[tuple[int, object], ...]
     threshold: int
     params: "ring.RingParams | None" = None  # modulus context for scalar shares
-
-
-def shamir_points(secret: int, poly: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
-    """Evaluate secret + poly[0]*x + poly[1]*x^2 + ... at each x, mod p."""
-    out = []
-    for x in xs:
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc + c) * x % p
-        out.append((acc + secret) % p)
-    return out
 
 
 def _as_residues(secret, params: ring.RingParams) -> np.ndarray:

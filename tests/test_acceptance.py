@@ -209,7 +209,7 @@ def test_criterion_8_noise_budget_end_to_end():
     sigma_n = params.sigma_schedule(r)[1]
     t_mod = 2**slot
     publics = {
-        k: crypto.derive_public("budget-acceptance", k, 1, rp).elems for k in range(1, r)
+        k: crypto.derive_public("budget-acceptance", k, 1, rp) for k in range(1, r)
     }
     weights = {k: 1 for k in range(1, r)}
     basis = crypto.reveal_mask(publics, weights)
@@ -227,15 +227,15 @@ def test_criterion_8_noise_budget_end_to_end():
             x = data_rng.integers(0, 2**input_bits, size=(n, ell))
             truth += x.sum(axis=0)
             e = ring.gaussian_ints(noise_rng, sigma_n, (n, N))
-            agg = crypto.store_message(
-                publics[k], s, ring.encode(x.sum(axis=0), 1, slot, rp), 0.0, trial_rng
-            ).w[0] + rp.from_coeffs(e.sum(axis=0)).scalar(t_mod)
+            agg = crypto.encrypt(
+                publics[k], s, ring.encode(x.sum(axis=0), 1, slot, rp), 0.0, trial_rng, (1,)
+            )[0] + rp.from_coeffs(e.sum(axis=0)).scalar(t_mod)
             if k in spot_rounds:
                 by_client = None
-                for j, share in enumerate(shares.shares):
-                    mj = crypto.store_message(
-                        publics[k], share, ring.encode(x[j], 1, slot, rp), 0.0, trial_rng
-                    ).w[0] + rp.from_coeffs(e[j]).scalar(t_mod)
+                for j, share in enumerate(shares):
+                    mj = crypto.encrypt(
+                        publics[k], share, ring.encode(x[j], 1, slot, rp), 0.0, trial_rng, (1,)
+                    )[0] + rp.from_coeffs(e[j]).scalar(t_mod)
                     by_client = mj if by_client is None else by_client + mj
                 assert by_client == agg, f"trial {trial}: client sum != aggregate"
             stored[k] = (agg,)
@@ -243,10 +243,10 @@ def test_criterion_8_noise_budget_end_to_end():
         truth += x_r.sum(axis=0)
         # flooding: one fresh Gaussian per referenced round per client
         g = ring.gaussian_ints(noise_rng, sigma_n, ((r - 1) * n, N)).sum(axis=0)
-        reveal_agg = crypto.reveal_message(
-            publics, weights, s, 0.0, trial_rng,
-            x_elems=ring.encode(x_r.sum(axis=0), 1, slot, rp), mask_elems=basis,
-        ).w[0] + rp.from_coeffs(g).scalar(t_mod)
+        reveal_agg = crypto.encrypt(
+            basis, s, ring.encode(x_r.sum(axis=0), 1, slot, rp), 0.0, trial_rng,
+            tuple(weights.values()),
+        )[0] + rp.from_coeffs(g).scalar(t_mod)
         opened = crypto.open(stored, [reveal_agg], weights, ell, 1, slot)
         if any(int(a) != int(b) % t_mod for a, b in zip(opened, truth)):
             wraps += 1

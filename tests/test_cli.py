@@ -1,13 +1,15 @@
 import csv
+import hashlib
 import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from stateful_agg import program as prog
-from stateful_agg.cli import main
+from stateful_agg.cli import _synth_inputs, main
 
 
 @pytest.fixture
@@ -233,3 +235,43 @@ def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     assert res.exit_code == 2
     assert "packing (pf=2) needs nonnegative inputs" in res.output
     assert "Gaussian rule of round 1" in res.output
+
+
+# SHA-256 of reveals.csv from `run --check-ideal --seed 1234`, recorded when
+# the synthetic inputs were still built as object arrays of Python ints.
+SYNTH_REVEALS = {
+    "sum": "740f3ee28bb0612b54cd5f8ff1d7c9c863cb0a9fd626be8a79d7cb1cb13120da",
+    "tree": "84cf248447f93b573719efb3c5290bd41b2699d43e59ffd23d061f4129fdd14a",
+    "dropout": "2633a91ad834e57c67235ccc58c67870220678389d21ecb065f03bba8c5fa6aa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_REVEALS))
+def test_run_check_ideal_reveals_on_synthetic_inputs_are_pinned(runner, tmp_path, case):
+    ppath = tmp_path / "prog.json"
+    if case == "tree":
+        res = runner.invoke(main, [
+            "gen", "tree", "--out", str(ppath), "--sigma", "2.0", "--l", "6", "--height", "2",
+        ])
+        assert res.exit_code == 0, res.output
+        extra = ["--n", "4"]
+    elif case == "sum":
+        _write_sum_program(ppath, r=4, ell=5)
+        extra = ["--n", "5", "--input-bits", "12"]
+    else:
+        _write_sum_program(ppath, r=4, ell=5)
+        extra = ["--n", "6", "--beta", "0.2"]
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--seed", "1234", "--check-ideal", "--out", str(tmp_path),
+    ] + extra)
+    assert res.exit_code == 0, res.output
+    assert "reference check: ok" in res.output
+    digest = hashlib.sha256((tmp_path / "reveals.csv").read_bytes()).hexdigest()
+    assert digest == SYNTH_REVEALS[case]
+
+
+def test_synth_inputs_are_int64():
+    p = prog.Program(ell=3, rounds=[prog.Instruction.make(prog.STORE, prog.InputRule.data())])
+    data = _synth_inputs(p, 4, 20, seed=5)
+    assert data.dtype == np.int64 and data.shape == (1, 4, 3)
+    assert 0 <= data.min() and data.max() < 2**20

@@ -16,42 +16,42 @@ def _encode(vals, pr=PR):
 def test_derive_public_deterministic():
     a = crypto.derive_public("seed", 3, 2, PR)
     b = crypto.derive_public("seed", 3, 2, PR)
-    assert a.elems == b.elems and a.round_index == 3
+    assert a == b and len(a) == 2 and a != crypto.derive_public("seed", 4, 2, PR)
 
 
 def test_derive_public_empty():
-    assert crypto.derive_public("seed", 1, 0, PR).elems == ()
+    assert crypto.derive_public("seed", 1, 0, PR) == ()
 
 
 def test_derive_public_no_collisions():
     seen = set()
     for i in range(10000):
-        (e,) = crypto.derive_public("scan", i, 1, PR).elems
+        (e,) = crypto.derive_public("scan", i, 1, PR)
         seen.add(e.res.tobytes())
     assert len(seen) == 10000
 
 
 def test_store_degenerate_is_plaintext():
-    a = crypto.derive_public("s", 1, 1, PR).elems
+    a = crypto.derive_public("s", 1, 1, PR)
     x = _encode([1, 2, 3, 4, 5, 6, 7, 0])
-    msg = crypto.store_message(a, PR.zero(), x, 0.0, run_rng("sm"))
-    assert msg.w[0] == x[0]
+    msg = crypto.encrypt(a, PR.zero(), x, 0.0, run_rng("sm"), (1,))
+    assert msg[0] == x[0]
 
 
 def test_store_message_shape_error():
-    a = crypto.derive_public("s", 1, 2, PR).elems
+    a = crypto.derive_public("s", 1, 2, PR)
     with pytest.raises(ValueError, match="plaintext"):
-        crypto.store_message(a, PR.zero(), _encode([1] * 8), 0.0, run_rng("se"))
+        crypto.encrypt(a, PR.zero(), _encode([1] * 8), 0.0, run_rng("se"), (1,))
 
 
 def test_store_mask_roundtrip():
-    a = crypto.derive_public("s", 1, 1, PR).elems
+    a = crypto.derive_public("s", 1, 1, PR)
     x = _encode([9, 0, 0, 0, 0, 0, 0, 0])
     rng = run_rng("mask")
     mask = [ring.sample_uniform(rng, PR)]
-    plain = crypto.store_message(a, PR.zero(), x, 0.0, ctx_rng("n", 1))
-    masked = crypto.store_message(a, PR.zero(), x, 0.0, ctx_rng("n", 1), mask=mask)
-    assert masked.w[0] - mask[0] == plain.w[0]
+    plain = crypto.encrypt(a, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,))
+    masked = crypto.encrypt(a, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,), mask=mask)
+    assert masked[0] - mask[0] == plain[0]
 
 
 def test_distributed_encryption_sums_to_joint_ciphertext():
@@ -60,35 +60,34 @@ def test_distributed_encryption_sums_to_joint_ciphertext():
     rng = run_rng("dist")
     s = ring.sample_uniform(rng, PR)
     shares = sharing.ashare(s, 3, rng)
-    a = crypto.derive_public("dist", 1, 1, PR).elems
+    a = crypto.derive_public("dist", 1, 1, PR)
     x = [5, 100, 7, 0, 0, 0, 0, 3]
     msgs = [
-        crypto.store_message(a, sh, _encode(x if j == 0 else [0] * 8), 2.0, ctx_rng("dn", j))
-        for j, sh in enumerate(shares.shares)
+        crypto.encrypt(a, sh, _encode(x if j == 0 else [0] * 8), 2.0, ctx_rng("dn", j), (1,))
+        for j, sh in enumerate(shares)
     ]
-    agg = msgs[0].w[0] + msgs[1].w[0] + msgs[2].w[0]
+    agg = msgs[0][0] + msgs[1][0] + msgs[2][0]
     plain = (agg - ring.mul(a[0], s)).centered() % PR.T
     assert [int(v) for v in ring.decode([plain], 8, 1, 12)] == x
 
 
 def test_reveal_zero_weights():
-    msg = crypto.reveal_message(
-        {}, {}, PR.zero(), 0.0, run_rng("rz"), mask_elems=[PR.zero()]
-    )
-    assert msg.w[0] == PR.zero()
+    msg = crypto.encrypt([PR.zero()], PR.zero(), [PR.zero()], 0.0, run_rng("rz"), ())
+    assert msg[0] == PR.zero()
 
 
 def test_reveal_single_weight_is_negated_key_product():
     rng = run_rng("r1")
     s = ring.sample_uniform(rng, PR)
-    a = crypto.derive_public("r1", 1, 1, PR).elems
-    msg = crypto.reveal_message({1: a}, {1: 1}, s, 0.0, ctx_rng("rn"))
-    assert msg.w[0] == -ring.mul(a[0], s)
+    a = crypto.derive_public("r1", 1, 1, PR)
+    basis = crypto.reveal_mask({1: a}, {1: 1})
+    msg = crypto.encrypt(basis, s, [PR.zero()], 0.0, ctx_rng("rn"), (1,))
+    assert msg[0] == -ring.mul(a[0], s)
 
 
 def test_reveal_unknown_round():
     with pytest.raises(ValueError, match="unknown round"):
-        crypto.reveal_message({1: [PR.zero()]}, {2: 1}, PR.zero(), 0.0, run_rng("ru"))
+        crypto.reveal_mask({1: [PR.zero()]}, {2: 1})
 
 
 def test_store_then_reveal_open_single_round():
@@ -97,14 +96,15 @@ def test_store_then_reveal_open_single_round():
     rng = run_rng("open1")
     s = ring.sample_uniform(rng, PR)
     shares = sharing.ashare(s, 2, rng)
-    a = crypto.derive_public("open1", 1, 1, PR).elems
+    a = crypto.derive_public("open1", 1, 1, PR)
     x = [3, 1, 4, 1, 5, 9, 2, 6]
-    stored = crypto.store_message(a, shares.shares[0], _encode(x), 2.0, ctx_rng("o", 1)).w[0] + \
-        crypto.store_message(a, shares.shares[1], _encode([0] * 8), 2.0, ctx_rng("o", 2)).w[0]
+    stored = crypto.encrypt(a, shares[0], _encode(x), 2.0, ctx_rng("o", 1), (1,))[0] + \
+        crypto.encrypt(a, shares[1], _encode([0] * 8), 2.0, ctx_rng("o", 2), (1,))[0]
     reveal_agg = [PR.zero()]
-    for j, sh in enumerate(shares.shares):
-        msg = crypto.reveal_message({1: a}, {1: 1}, sh, 2.0, ctx_rng("o", 10 + j))
-        reveal_agg[0] = reveal_agg[0] + msg.w[0]
+    basis = crypto.reveal_mask({1: a}, {1: 1})
+    for j, sh in enumerate(shares):
+        msg = crypto.encrypt(basis, sh, [PR.zero()], 2.0, ctx_rng("o", 10 + j), (1,))
+        reveal_agg[0] = reveal_agg[0] + msg[0]
     out = crypto.open({1: (stored,)}, reveal_agg, {1: 1}, 8, 1, 12)
     assert [int(v) for v in out] == x
 
@@ -118,9 +118,7 @@ def test_open_applies_corrections_and_masks():
     x = _encode([7, 0, 0, 0, 0, 0, 0, 0])
     corr = _encode([5, 0, 0, 0, 0, 0, 0, 0])
     mask = _encode([1, 0, 0, 0, 0, 0, 0, 0])
-    out = crypto.open(
-        {}, [x[0]], {}, 8, 1, 12, corrections=[corr[0]], masks_sum=[mask[0]]
-    )
+    out = crypto.open({}, [x[0]], {}, 8, 1, 12, corrections=[corr[0] + mask[0]])
     assert int(out[0]) == 1
 
 
@@ -137,10 +135,10 @@ def test_message_homomorphism():
     # Dec(a*c1 + b*c2) = a*x1 + b*x2 mod T for bounded combiners.
     rng = run_rng("hom")
     s = ring.sample_uniform(rng, PR)
-    pub = crypto.derive_public("hom", 1, 1, PR).elems
+    pub = crypto.derive_public("hom", 1, 1, PR)
     x1, x2 = [10, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 20, 0, 0, 0, 0]
-    c1 = crypto.store_message(pub, s, _encode(x1), 2.0, ctx_rng("h", 1)).w[0]
-    c2 = crypto.store_message(pub, s, _encode(x2), 2.0, ctx_rng("h", 2)).w[0]
+    c1 = crypto.encrypt(pub, s, _encode(x1), 2.0, ctx_rng("h", 1), (1,))[0]
+    c2 = crypto.encrypt(pub, s, _encode(x2), 2.0, ctx_rng("h", 2), (1,))[0]
     a, b = 3, 5
     combined = c1.scalar(a) + c2.scalar(b)
     key_term = ring.mul(pub[0], s).scalar(a + b)
@@ -153,11 +151,11 @@ def test_message_homomorphism():
 def test_noise_budget_no_wraparound_smalls():
     # 200 fresh encrypt/decrypt cycles at desk scale stay exact.
     rng = run_rng("budget")
-    pub = crypto.derive_public("budget", 1, 1, PR).elems
+    pub = crypto.derive_public("budget", 1, 1, PR)
     for trial in range(200):
         s = ring.sample_uniform(rng, PR)
         x = [int(v) for v in rng.integers(0, 2**8, 8)]
-        c = crypto.store_message(pub, s, _encode(x), 3.2, ctx_rng("b", trial)).w[0]
+        c = crypto.encrypt(pub, s, _encode(x), 3.2, ctx_rng("b", trial), (1,))[0]
         plain = (c - ring.mul(pub[0], s)).centered() % PR.T
         assert [int(v) for v in ring.decode([plain], 8, 1, 12)] == x
 
@@ -190,9 +188,10 @@ def test_reveal_message_matches_per_round_flooding(case):
     }[case]
     s = ring.sample_uniform(rng, pr)
     x = [ring.sample_uniform(rng, pr) for _ in range(2)]
-    got = crypto.reveal_message(elems, weights, s, 44.8, ctx_rng("rv", case), x_elems=x)
+    basis = crypto.reveal_mask(elems, weights)
+    got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("rv", case), tuple(weights.values()))
     want = _reveal_reference(elems, weights, s, 44.8, ctx_rng("rv", case), x)
-    assert list(got.w) == want
+    assert list(got) == want
 
 
 def _reveal_mask_per_round(round_elems, weights):
@@ -243,10 +242,12 @@ def test_reveal_mask_and_open_match_per_round_scalars(m):
     reveal_agg = [ring.sample_uniform(rng, PR) for _ in range(m)]
     corr = [ring.sample_uniform(rng, PR) for _ in range(m)]
     masks = [ring.sample_uniform(rng, PR) for _ in range(m)]
+    both = [c + s for c, s in zip(corr, masks)]
     for weights in _weight_sets(PR.q):
         assert crypto.reveal_mask(stored, weights) == _reveal_mask_per_round(stored, weights)
-        for c, s in ((None, None), (corr, None), (None, masks), (corr, masks)):
-            got = crypto.open(stored, reveal_agg, weights, 8 * m, 1, 12, corrections=c, masks_sum=s)
+        cases = ((None, None, None), (corr, None, corr), (None, masks, masks), (corr, masks, both))
+        for c, s, sub in cases:
+            got = crypto.open(stored, reveal_agg, weights, 8 * m, 1, 12, corrections=sub)
             want = _open_per_round(stored, reveal_agg, weights, 8 * m, c, s)
             assert [int(v) for v in got] == [int(v) for v in want]
     with pytest.raises(ValueError, match="unknown round 48"):
@@ -255,14 +256,14 @@ def test_reveal_mask_and_open_match_per_round_scalars(m):
 
 def test_store_message_with_noise_and_mask_matches_termwise_sum():
     rng = run_rng("store-terms")
-    a = crypto.derive_public("store-terms", 1, 2, PR).elems
+    a = crypto.derive_public("store-terms", 1, 2, PR)
     s = ring.sample_uniform(rng, PR)
     x = _encode(list(range(16)))
     mask = [ring.sample_uniform(rng, PR) for _ in range(2)]
-    got = crypto.store_message(a, s, x, 3.2, ctx_rng("st", 1), mask=mask)
+    got = crypto.encrypt(a, s, x, 3.2, ctx_rng("st", 1), (1,), mask=mask)
     g = ctx_rng("st", 1)
     want = [
         ring.mul(a[k], s) + x[k] + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T) + mask[k]
         for k in range(2)
     ]
-    assert list(got.w) == want
+    assert list(got) == want

@@ -6,6 +6,7 @@ import pytest
 
 from stateful_agg import dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
+from stateful_agg.prng import ctx_rng
 
 from helpers import (
     desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
@@ -170,6 +171,36 @@ def test_mask_reconstruction_matches_prg():
     a = dropout.prg_mask(secret, 2, pr)
     b = dropout.prg_mask(rec, 2, pr)
     assert a == b
+
+
+def _uniform_zq_reference(rng, params):
+    """Reference mask-secret draw: one uniform residue per limb, CRT-lifted
+    through Python ints."""
+    residues = [int(rng.integers(0, p)) for p in params.limbs]
+    val = 0
+    for res, w in zip(residues, params._crt_weights):
+        val += res * w
+    return val % params.q
+
+
+@pytest.mark.parametrize("logq, limbs", [(None, 1), (60, 2), (90, 3)])
+def test_mask_secrets_match_uniform_zq_reference(logq, limbs):
+    # No digest covers the mask secrets: masks are stripped before anything
+    # is digested.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 6, logq=logq)
+    rp = pset.ring()
+    assert len(rp.limbs) == limbs
+    data = random_data(run_rng("mask-secrets", limbs), p, 6)
+    schedule = {2: frozenset({3}), 4: frozenset({0, 5})}
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=41)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 41, schedule).reveals)
+    survivors = {
+        (i, j) for i in range(1, p.r + 1) for j in range(6) if j not in schedule.get(i, ())
+    }
+    assert set(diag.mask_secrets) == survivors
+    for (i, j), secret in diag.mask_secrets.items():
+        assert secret == _uniform_zq_reference(ctx_rng(41, "mask-secret", i, j), rp)
 
 
 def test_zero_mask_hook():

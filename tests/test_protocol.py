@@ -263,7 +263,7 @@ def test_server_step_expects_one_upload_per_survivor():
     server = protocol.ServerState(p, pset)
     ctx = protocol.build_context(server, "gs", 1, 0)
     uploads = [
-        protocol.client_step(protocol.ClientState(1, j), ctx, [], np.zeros(p.ell, dtype=object))
+        protocol.client_step(ctx, j, [], np.zeros(p.ell, dtype=object))
         for j in range(pset.n)
     ]
     dropped = frozenset({1, 3})
@@ -312,11 +312,11 @@ def test_server_step_stores_the_sum_of_the_uploads():
     ctx = protocol.build_context(server, "gs", 1, 0)
     data = random_data(run_rng("agg"), p, pset.n)
     uploads = [
-        protocol.client_step(protocol.ClientState(1, j), ctx, [], data[0][j])
+        protocol.client_step(ctx, j, [], data[0][j])
         for j in range(pset.n)
     ]
     protocol.server_step(server, ctx, uploads)
-    want = list(uploads[0].message.w)
+    want = list(uploads[0].message)
     for res in uploads[1:]:
-        want = [a + w for a, w in zip(want, res.message.w)]
+        want = [a + w for a, w in zip(want, res.message)]
     assert list(server.stored[1]) == want

@@ -29,7 +29,7 @@ def test_add_matches_bigint_oracle():
     for _ in range(50):
         av = [int(rng.integers(0, 2**40)) % pr.q for _ in range(8)]
         bv = [int(rng.integers(0, 2**40)) % pr.q for _ in range(8)]
-        got = ring.add(pr.from_coeffs(av), pr.from_coeffs(bv))
+        got = pr.from_coeffs(av) + pr.from_coeffs(bv)
         want = [(x + y) % pr.q for x, y in zip(av, bv)]
         assert list(got.coeffs) == want
 
@@ -37,7 +37,7 @@ def test_add_matches_bigint_oracle():
 def test_add_params_mismatch():
     other = ring.RingParams(4, 2, q=97)
     with pytest.raises(ValueError, match="mismatch"):
-        ring.add(TINY.zero(), other.zero())
+        TINY.zero() + other.zero()
 
 
 def test_mul_identity():
@@ -76,6 +76,21 @@ def test_mul_dispatch_threshold():
     assert ring.mul(a, b) == ring.mul_schoolbook(a, b) == ring.mul_ntt(a, b)
 
 
+@pytest.mark.parametrize("logq", [30, 60, 90])
+def test_mul_paths_agree_at_the_ntt_threshold(logq):
+    # N=128 is the smallest degree on the NTT path; N=64 stays quadratic.
+    assert ring.NTT_MIN_DEGREE == 128
+    for n in (64, 128):
+        pr = ring.RingParams.from_bits(n, logq, 2)
+        rng = run_rng("threshold", n, logq)
+        for _ in range(3):
+            a, b = ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)
+            assert ring.mul(a, b) == ring.mul_schoolbook(a, b) == ring.mul_ntt(a, b)
+            assert ring.mul_sum([(3, a, b), (-1, b, b)]) == ring.lincomb(
+                [(3, ring.mul_schoolbook(a, b)), (-1, ring.mul_schoolbook(b, b))], pr
+            )
+
+
 def test_distributivity():
     pr = ring.RingParams.from_bits(8, 30, 2)
     rng = run_rng("distrib")
@@ -86,11 +101,11 @@ def test_distributivity():
 
 def test_scalar_mul():
     a = TINY.from_coeffs([1, 2, 3, 4])
-    assert ring.scalar_mul(0, a) == TINY.zero()
-    assert ring.scalar_mul(1, a) == a
-    assert ring.scalar_mul(3, a) == a + a + a
+    assert a.scalar(0) == TINY.zero()
+    assert a.scalar(1) == a
+    assert a.scalar(3) == a + a + a
     # negative scalars reduce mod q
-    assert ring.scalar_mul(-1, a) == -a
+    assert a.scalar(-1) == -a
 
 
 def test_rns_matches_single_modulus_semantics():

@@ -11,17 +11,28 @@ F17 = ring.RingParams(1, 2, q=17)  # degree-1 ring: plain mod-17 scalars
 SMALL = ring.RingParams(8, 2, q=97)
 
 
+def shamir_points(secret, poly, xs, p):
+    """Reference: evaluate secret + poly[0]*x + poly[1]*x^2 + ... at each x, mod p."""
+    out = []
+    for x in xs:
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc + c) * x % p
+        out.append((acc + secret) % p)
+    return out
+
+
 def test_ashare_single():
     rng = run_rng("a1")
     secret = ring.sample_uniform(rng, SMALL)
     shares = sharing.ashare(secret, 1, rng)
-    assert len(shares) == 1 and shares.shares[0] == secret
+    assert len(shares) == 1 and shares[0] == secret
 
 
 def test_ashare_zero_secret():
     rng = run_rng("a0")
     shares = sharing.ashare(SMALL.zero(), 3, rng)
-    assert sharing.reconstruct_additive(shares) == SMALL.zero()
+    assert sharing.piece_sum(shares, SMALL) == SMALL.zero()
 
 
 def test_ashare_sum_oracle():
@@ -29,7 +40,7 @@ def test_ashare_sum_oracle():
     secret = ring.sample_uniform(rng, SMALL)
     shares = sharing.ashare(secret, 5, rng)
     acc = np.zeros(8, dtype=object)
-    for s in shares.shares:
+    for s in shares:
         acc = acc + s.coeffs
     assert list(acc % SMALL.q) == list(secret.coeffs)
 
@@ -43,12 +54,12 @@ def test_ashare_counts_property():
     rng = run_rng("adall")
     for d in range(1, 65):
         secret = ring.sample_uniform(rng, SMALL)
-        assert sharing.reconstruct_additive(sharing.ashare(secret, d, rng)) == secret
+        assert sharing.piece_sum(sharing.ashare(secret, d, rng), SMALL) == secret
 
 
 def test_shamir_hand_example():
     # polynomial 5 + 3X over F_17: shares at 1,2,3 are 8, 11, 14
-    assert sharing.shamir_points(5, [3], [1, 2, 3], 17) == [8, 11, 14]
+    assert shamir_points(5, [3], [1, 2, 3], 17) == [8, 11, 14]
     got = sharing.trec([(1, 8), (2, 11)], 2, params=F17)
     assert got == 5
     assert sharing.trec([(2, 11), (3, 14)], 2, params=F17) == 5
@@ -97,7 +108,7 @@ def test_tshare_uniform_share_distribution():
     for secret in (0, 5, 16):
         for x in (1, 2, 3):
             seen = sorted(
-                sharing.shamir_points(secret, [a], [x], 17)[0] for a in range(17)
+                shamir_points(secret, [a], [x], 17)[0] for a in range(17)
             )
             assert seen == list(range(17))
 
@@ -231,10 +242,10 @@ def test_trec_every_t_subset_and_summed_bundles():
     shared = sharing.tshare_many(secrets, h, t, rng)
     # Shamir is linear: the point-wise sum of the sharings shares the sum.
     summed = [
-        (x, sharing.reconstruct_additive([ts.shares[x - 1][1] for ts in shared]))
+        (x, sharing.piece_sum([ts.shares[x - 1][1] for ts in shared], pr))
         for x in range(1, h + 1)
     ]
-    total = sharing.reconstruct_additive(secrets)
+    total = sharing.piece_sum(secrets, pr)
     for subset in itertools.combinations(range(h), t):
         for ts, secret in zip(shared, secrets):
             assert sharing.trec([ts.shares[i] for i in subset], t) == secret
@@ -308,9 +319,9 @@ def test_ashare_and_reconstruct_match_elementwise_reference(pr, d):
         last = last - p
     want = parts + [last]
     got = sharing.ashare(secret, d, run_rng("ashare-ref", len(pr.limbs), d))
-    assert list(got.shares) == want
+    assert list(got) == want
     acc = want[0]
     for e in want[1:]:
         acc = acc + e
-    assert sharing.reconstruct_additive(got) == acc == secret
-    assert sharing.reconstruct_additive(list(reversed(want))) == secret
+    assert sharing.piece_sum(got, pr) == acc == secret
+    assert sharing.piece_sum(list(reversed(want)), pr) == secret
