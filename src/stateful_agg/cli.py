@@ -53,17 +53,22 @@ def _synth_inputs(p: program.Program, n: int, input_bits: int, seed: int) -> np.
 
 
 def _load_inputs_csv(path: str, p: program.Program, n: int) -> np.ndarray:
-    data = np.zeros((p.r, n, p.ell), dtype=object)
+    """(r, n, ell) inputs from rows round,client,v0,...: int64 where every
+    value fits, Python ints otherwise."""
     with open(path, newline="") as fh:
         rdr = csv.reader(fh)
         header = next(rdr)
         if header[:2] != ["round", "client"]:
             raise ValueError("inputs csv must start with columns round,client")
-        for row in rdr:
-            i, j = int(row[0]), int(row[1])
-            vals = [int(v) for v in row[2 : 2 + p.ell]]
-            data[i - 1, j] = np.array(vals, dtype=object)
-    return data
+        rows = [(int(row[0]), int(row[1]), [int(v) for v in row[2 : 2 + p.ell]]) for row in rdr]
+    for dtype in (np.int64, object):
+        data = np.zeros((p.r, n, p.ell), dtype=dtype)
+        try:
+            for i, j, vals in rows:
+                data[i - 1, j] = vals
+        except OverflowError:
+            continue
+        return data
 
 
 @main.command("run")

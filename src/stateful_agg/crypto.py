@@ -53,7 +53,8 @@ def encrypt(
 
     Draws one Gaussian per nonzero noise weight c_k, per element and in
     order, as lincomb reaches it so that only one is held at a time; none
-    when sigma is 0.
+    when sigma is 0.  A basis element that is all zero (a reveal with no
+    earlier weights) contributes no key term and costs no product.
     """
     if len(x_elems) != len(basis):
         raise ValueError(f"{len(basis)} basis elements but {len(x_elems)} plaintext elements")
@@ -63,7 +64,9 @@ def encrypt(
     flood = [c * params.T for c in noise_weights if c] if sigma > 0 else []
     out = []
     for e, b in enumerate(basis):
-        terms = [(1, ring.mul(b, key_share)), (1, x_elems[e])]
+        terms = [(1, x_elems[e])]
+        if b.res.any():
+            terms.append((1, ring.mul(b, key_share)))
         if mask is not None:
             terms.append((1, mask[e]))
         noise = ((c, ring.sample_gaussian(rng, sigma, params)) for c in flood)

@@ -8,7 +8,10 @@ sum what they receive.  With seed resharing the pieces are 128-bit PRG
 seeds and a per-client correction element goes to the server instead,
 shifting the effective key; the server repairs reveals with the
 appropriately weighted products of public elements and accumulated
-corrections.
+corrections.  The simulation delivers pieces through one residue inbox per
+round, (n, L, N) uint64: a sender adds each piece (an additive part, or a
+seed's expansion, made once for both its correction and its receiver) into
+its receiver's row, and the receiver's key share is that row reduced once.
 
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
@@ -25,10 +28,12 @@ which clients drop, for each survivor's self-mask and backups, and for the
 repairs of each round before its reveal.  A repair settles the round's key
 deficit and strips the survivors' self-masks from its stored aggregate, so
 every reveal reads mask-free aggregates.  Within a round, client steps are
-pure functions of (seed, round, index) and could run in any order, or in
-parallel processes (not threads: seed expansion re-keys one generator per
-process); the loop is sequential for reproducibility of the transcript row
-order.
+pure functions of (seed, round, index) apart from the pieces they add into
+the round's shared inbox.  That sum is exact and order-free, so the steps
+could run in any order, or in parallel processes (not threads: seed
+expansion re-keys one generator per process) with one inbox each, summed at
+the round barrier; the loop is sequential for reproducibility of the
+transcript row order.
 """
 
 from __future__ import annotations
@@ -112,13 +117,18 @@ class ClientStepResult:
     c2c_bits: int = 0
 
 
-def client_step(ctx: RoundContext, j: int, incoming, x_vec, mask=None) -> ClientStepResult:
+def client_step(
+    ctx: RoundContext, j: int, incoming, x_vec, mask=None, inbox=None
+) -> ClientStepResult:
     """Client j's round: derive key share, encrypt, reshare onward.
 
-    incoming holds the previous cohort's share pieces routed to this client
-    (ring elements, or raw seeds under seed resharing); mask, if given, is
-    added to the upload.  Returns the upload, the routed reshare pieces, and
-    the server-bound correction if any.
+    incoming is this client's row of the previous round's inbox: the
+    unreduced residue sum of the pieces the previous cohort routed to it
+    (unused in round 1).  mask, if given, is added to the upload.  Each
+    reshare piece, a seed's expansion or an additive part, is added into
+    its receiver's row of `inbox`, this round's (n, L, N) uint64 array, if
+    one is given.  Returns the upload, the routed reshare pieces (seeds or
+    elements), and the server-bound correction if any.
     """
     pset = ctx.pset
     rp = pset.ring()
@@ -126,7 +136,7 @@ def client_step(ctx: RoundContext, j: int, incoming, x_vec, mask=None) -> Client
     if i == 1:
         key_share = ring.sample_uniform(ctx_rng(ctx.run_seed, "initial-key", j), rp)
     else:
-        key_share = sharing.piece_sum(incoming or (), rp)
+        key_share = ring.RingElement(incoming % rp._ps, rp)
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
     msg = crypto.encrypt(
         ctx.basis, key_share, ring.encode(x_vec, pset.pf, pset.slot_width, rp),
@@ -134,15 +144,18 @@ def client_step(ctx: RoundContext, j: int, incoming, x_vec, mask=None) -> Client
     )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = [int(v) for v in share_rng.integers(0, pset.n, size=pset.d)]
+    rows = [inbox[r] for r in receivers] if inbox is not None else None
     correction = None
     if pset.seed_resharing:
-        sr = sharing.seed_reshare(key_share, pset.d, share_rng)
+        sr = sharing.seed_reshare(key_share, pset.d, share_rng, rows)
         reshares = list(zip(receivers, sr.seeds))
         correction = sr.correction
         c2c_bits = pset.d * pset.kappa
         c2s_bits = pset.packed_coeffs * pset.logq + pset.N * pset.logq
     else:
         parts = sharing.ashare(key_share, pset.d, share_rng)
+        for row, part in zip(rows or (), parts):
+            row += part.res
         reshares = list(zip(receivers, parts))
         c2c_bits = pset.d * pset.N * pset.logq
         c2s_bits = pset.packed_coeffs * pset.logq
@@ -308,22 +321,23 @@ def run_protocol(
         if k >= 1 and p.instruction(k).mode == prog.REVEAL:
             transcript.reveals.append((k, server.open_round(k)))
 
-    mail: list[list] = [[] for _ in range(n)]
+    # Round i's pieces, summed per receiver in residue form; a dropped
+    # receiver's row is never read (recovery rebuilds it from backups).
+    shape = (n, len(server.ring_params.limbs), pset.N)
+    inbox = np.zeros(shape, dtype=np.uint64)
     for i in range(1, p.r + 1):
         ctx = build_context(server, global_seed, i, seed)
         dropped = recovery.dropped(i) if recovery else frozenset()
         rec = RoundRecord(round=i, mode=ctx.instr.mode, dropped=len(dropped))
-        next_mail: list[list] = [[] for _ in range(n)]
+        next_inbox = np.zeros(shape, dtype=np.uint64)
         results = []
         keys: list[ring.RingElement | None] = [None] * n
         for j in range(n):
             if j in dropped:
                 continue
             mask = recovery.mask(ctx, j) if recovery else None
-            res = client_step(ctx, j, mail[j], inputs[i - 1][j], mask)
+            res = client_step(ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox)
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
-            for recv, payload in res.reshares:
-                next_mail[recv].append(payload)
             rec.c2s_bytes += res.c2s_bits / 8.0
             rec.c2c_bytes += (res.c2c_bits + backup_bits) / 8.0
             rec.c2c_messages += len(res.reshares) + backup_messages
@@ -336,7 +350,7 @@ def run_protocol(
             rec.c2s_bytes += recovery.repair(server, i - 1, dropped)
         deliver(i - 1)
         transcript.rows.append(rec)
-        mail = next_mail
+        inbox = next_inbox
     # Flush round r+1: round r's repairs (no transcript row counts them),
     # then its reveal.
     if recovery:

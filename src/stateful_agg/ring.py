@@ -100,6 +100,7 @@ def find_ntt_prime(two_n: int, bits: int, *, below: bool = True) -> int:
     raise ValueError(f"no prime of form k*{two_n}+1 below 2^{bits}")
 
 
+@lru_cache(maxsize=None)
 def choose_limbs(N: int, logq: int) -> tuple[int, ...]:
     """Pick distinct NTT-friendly primes whose product has exactly logq bits.
 

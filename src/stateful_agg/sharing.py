@@ -248,13 +248,26 @@ def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
 
 
 def seed_reshare(
-    secret: ring.RingElement, d: int, rng: np.random.Generator
+    secret: ring.RingElement, d: int, rng: np.random.Generator, rows=None
 ) -> SeedReshare:
-    """Reshare via d fresh 128-bit seeds; peers get seeds, server gets y*."""
+    """Reshare via d fresh 128-bit seeds; peers get seeds, server gets y*.
+
+    Each seed is expanded once.  With `rows` (d uint64 residue arrays, one
+    per seed in order, such as the receivers' rows of a round inbox) each
+    expansion is also added into its row unreduced, so the receiver never
+    expands the seed again.
+    """
     if d < 1:
         raise ValueError("share count must be >= 1")
     # One draw of d*16 bytes equals d draws of 16: both are whole uint32 words.
     width = SEED_BITS // 8
     raw = rng.bytes(width * d)
     seeds = tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, width * d, width))
-    return SeedReshare(seeds, secret - piece_sum(seeds, secret.params))
+    pr = secret.params
+    acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
+    for k, seed in enumerate(seeds):
+        piece = expand_seed(seed, pr).res
+        acc += piece
+        if rows is not None:
+            rows[k] += piece
+    return SeedReshare(seeds, secret - ring.RingElement(acc % pr._ps, pr))

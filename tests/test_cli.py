@@ -9,7 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from stateful_agg import program as prog
-from stateful_agg.cli import _synth_inputs, main
+from stateful_agg import cli
+from stateful_agg.cli import _load_inputs_csv, _synth_inputs, main
 
 
 @pytest.fixture
@@ -218,6 +219,58 @@ def test_run_with_inputs_csv(runner, tmp_path):
     out = _read_csv(tmp_path / "reveals.csv")
     # total sum: rounds 1-2, clients 0-1: v0 = 10+11+20+21, v1 = 0+1+0+1
     assert out[1] == ["2", "62", "2"]
+
+
+def _write_inputs_csv(path: Path, r, n, ell, value=lambda i, j, k: 7 * i + 3 * j + k):
+    rows = ["round,client," + ",".join(f"v{k}" for k in range(ell))]
+    for i in range(1, r + 1):
+        for j in range(n):
+            rows.append(f"{i},{j}," + ",".join(str(value(i, j, k)) for k in range(ell)))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _run_inputs(runner, ppath, inputs, n, out):
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", str(n), "--seed", "9",
+        "--inputs", str(inputs), "--check-ideal", "--out", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    assert "reference check: ok" in res.output
+    return (out / "reveals.csv").read_bytes()
+
+
+def test_inputs_csv_loads_int64_with_the_object_reveals(runner, tmp_path, monkeypatch):
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath, r=3, ell=4)
+    inputs = tmp_path / "inputs.csv"
+    _write_inputs_csv(inputs, 3, 3, 4)
+    p = prog.load_program(str(ppath))
+    data = _load_inputs_csv(str(inputs), p, 3)
+    assert data.dtype == np.int64 and data.shape == (3, 3, 4)
+    assert data[2, 1, 3] == 7 * 3 + 3 * 1 + 3
+    (tmp_path / "int64").mkdir()
+    got = _run_inputs(runner, ppath, inputs, 3, tmp_path / "int64")
+    monkeypatch.setattr(
+        cli, "_load_inputs_csv", lambda *a: _load_inputs_csv(*a).astype(object)
+    )
+    (tmp_path / "object").mkdir()
+    assert got == _run_inputs(runner, ppath, inputs, 3, tmp_path / "object")
+
+
+def test_inputs_csv_beyond_int64_falls_back_to_python_ints(runner, tmp_path):
+    # T is a power of two no larger than 2^64, so 2^64 + v reveals as v does.
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath, r=2, ell=3)
+    small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+    _write_inputs_csv(small, 2, 2, 3)
+    _write_inputs_csv(big, 2, 2, 3, lambda i, j, k: 7 * i + 3 * j + k + (2**64 if j == 1 else 0))
+    p = prog.load_program(str(ppath))
+    data = _load_inputs_csv(str(big), p, 2)
+    assert data.dtype == object and data[0, 1, 0] == 2**64 + 10
+    (tmp_path / "small").mkdir()
+    (tmp_path / "big").mkdir()
+    want = _run_inputs(runner, ppath, small, 2, tmp_path / "small")
+    assert _run_inputs(runner, ppath, big, 2, tmp_path / "big") == want
 
 
 def test_run_packed_gaussian_program_exits_2(runner, tmp_path):

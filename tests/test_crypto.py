@@ -267,3 +267,27 @@ def test_store_message_with_noise_and_mask_matches_termwise_sum():
         for k in range(2)
     ]
     assert list(got) == want
+
+
+def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
+    # A reveal with no earlier weights gets an all-zero basis: its upload is
+    # x + mask + T * (1*g_1 + 3*g_2), the same as with the zero product added.
+    rng = run_rng("zero-basis")
+    s = ring.sample_uniform(rng, PR)
+    x = _encode(list(range(16)))
+    mask = [ring.sample_uniform(rng, PR) for _ in range(2)]
+    basis = (PR.zero(), PR.zero())
+    g = ctx_rng("zb", 1)
+    want = tuple(
+        ring.mul(basis[k], s) + x[k] + mask[k]
+        + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T)
+        + ring.sample_gaussian(g, 3.2, PR).scalar(3 * PR.T)
+        for k in range(2)
+    )
+
+    def no_mul(a, b):
+        raise AssertionError("ring.mul called for a zero basis element")
+
+    monkeypatch.setattr(ring, "mul", no_mul)
+    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), (1, 3), mask=mask)
+    assert got == want

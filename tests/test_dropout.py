@@ -60,6 +60,23 @@ def test_single_dropout_mid_run():
     assert (2, 3) not in diag.masks_reconstructed
 
 
+def test_dropped_receiver_of_routed_pieces_matches_reference():
+    # Client 4 drops in rounds 2 and 3 after the previous cohorts routed
+    # pieces to it; its inbox rows are never read, and recovery rebuilds the
+    # pieces from its chaperones' backups.  The reveal reads four store
+    # rounds encrypted under the key, so a wrong recovery would show.
+    p = _sum_program(5, 3)
+    pset = _pset(p, 6, d=6)
+    data = random_data(run_rng("dropped-receiver"), p, 6)
+    schedule = {2: frozenset({4}), 3: frozenset({4})}
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=23, track_keys=True
+    )
+    assert diag.recovered_pieces[2] > 0 and diag.recovered_pieces[3] > 0
+    assert res.key_history[1][4] is None and res.key_history[2][4] is None
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 23, schedule).reveals)
+
+
 def test_consecutive_round_dropouts():
     # Drops in adjacent rounds exercise backups flowing from cohort i to the
     # committees two cohorts later.  h - drops >= t keeps every quorum alive.

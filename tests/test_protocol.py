@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stateful_agg import dropout, ideal, params, protocol, ring
+from stateful_agg import dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
 from stateful_agg.dp import tree_program
 
@@ -320,3 +320,41 @@ def test_server_step_stores_the_sum_of_the_uploads():
     for res in uploads[1:]:
         want = [a + w for a, w in zip(want, res.message)]
     assert list(server.stored[1]) == want
+
+
+def test_seed_resharing_expands_each_seed_once(monkeypatch):
+    # The sender's expansion feeds both its correction and the receiver's
+    # inbox row, so an r-round run makes n*d expansions per round.  Store
+    # rounds encrypt under the key, so a lost piece would show in the reveal.
+    p = _sum_program(5, 4)
+    pset = desk_paramset(p, n=4, d=3)
+    assert pset.seed_resharing
+    seeds = []
+    expand = sharing.expand_seed
+
+    def counted(seed, params):
+        seeds.append(seed)
+        return expand(seed, params)
+
+    monkeypatch.setattr(sharing, "expand_seed", counted)
+    data = random_data(run_rng("expand-once"), p, 4)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=19)
+    assert len(seeds) == pset.n * pset.d * p.r
+    assert len(set(seeds)) == len(seeds)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 19).reveals)
+
+
+def test_plain_resharing_with_empty_inboxes_is_pinned():
+    # With d=2 pieces per sender among n=4 receivers, some receivers get no
+    # piece in a round and hold a zero key share; the digest was recorded
+    # when each receiver still summed a list of routed pieces.
+    p = _sum_program(6, 5)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=8, N=64, d=2, seed_resharing=False,
+        stats=prog.reveal_stats(p),
+    )
+    data = random_data(run_rng("pin-inbox"), p, 4, input_bits=8)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=84, track_keys=True)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 84).reveals)
+    assert sum(not k.res.any() for keys in res.key_history[1:] for k in keys) == 6
+    assert run_digest(res) == "0a41e18e590ddca6e91a9382bbae7c3520e1f5219442777f1ed482f82b397db1"
