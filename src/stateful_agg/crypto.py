@@ -16,7 +16,6 @@ term and leaves the plaintext plus a T-multiple.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,9 +51,10 @@ def encrypt(
     """One upload: basis[e]*s + x[e] (+ mask[e]) + T * sum_k c_k * g_k.
 
     Draws one Gaussian per nonzero noise weight c_k, per element and in
-    order, as lincomb reaches it so that only one is held at a time; none
-    when sigma is 0.  A basis element that is all zero (a reveal with no
-    earlier weights) contributes no key term and costs no product.
+    order; none when sigma is 0.  An element's draws are one block, which
+    ring.sample_gaussian sums with the weights c_k * T.  A basis element
+    that is all zero (a reveal with no earlier weights) contributes no key
+    term and costs no product.
     """
     if len(x_elems) != len(basis):
         raise ValueError(f"{len(basis)} basis elements but {len(x_elems)} plaintext elements")
@@ -69,8 +69,9 @@ def encrypt(
             terms.append((1, ring.mul(b, key_share)))
         if mask is not None:
             terms.append((1, mask[e]))
-        noise = ((c, ring.sample_gaussian(rng, sigma, params)) for c in flood)
-        out.append(ring.lincomb(chain(terms, noise), params))
+        if flood:
+            terms.append((1, ring.sample_gaussian(rng, sigma, params, flood)))
+        out.append(ring.lincomb(terms, params))
     return tuple(out)
 
 
@@ -78,7 +79,11 @@ def reveal_mask(
     round_elems: Mapping[int, Sequence[ring.RingElement]],
     weights: Mapping[int, int],
 ) -> list[ring.RingElement]:
-    """The public mask -sum_k w_k * d_k applied to key shares in reveals."""
+    """The public mask -sum_k w_k * d_k applied to key shares in reveals.
+
+    An all-zero d_k (the basis of a reveal with no earlier weights) adds
+    nothing and is skipped.
+    """
     some = next(iter(round_elems.values()), None)
     if some is None:
         raise ValueError("no rounds available")
@@ -87,7 +92,10 @@ def reveal_mask(
             raise ValueError(f"weight references unknown round {k}")
     params = some[0].params
     return [
-        ring.lincomb(((-w, round_elems[k][e]) for k, w in weights.items()), params)
+        ring.lincomb(
+            ((-w, round_elems[k][e]) for k, w in weights.items() if round_elems[k][e].res.any()),
+            params,
+        )
         for e in range(len(some))
     ]
 

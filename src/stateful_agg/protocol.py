@@ -205,19 +205,22 @@ class ServerState:
         Each stored round k was produced under the then-current key s minus
         deficit_k; multiplying the public basis by the deficit restores what
         a full-key run would have uploaded.  The products are recomputed at
-        every reveal because dropout recovery rewrites a round's deficit.
+        every reveal because dropout recovery rewrites a round's deficit.  A
+        term whose basis element is all zero is known to be zero and is
+        dropped; None when no element keeps a term.
         """
         terms = [
             (w, k, self.deficit[k])
             for k, w in list(weights.items()) + [(i, 1)]
             if w and self.deficit.get(k) is not None
         ]
-        if not terms:
-            return None
-        return [
-            -ring.mul_sum((w, self.basis[k][e], dk) for w, k, dk in terms)
+        per_elem = [
+            [(w, self.basis[k][e], dk) for w, k, dk in terms if self.basis[k][e].res.any()]
             for e in range(self.pset.m)
         ]
+        if not any(per_elem):
+            return None
+        return [-ring.mul_sum(t) if t else self.ring_params.zero() for t in per_elem]
 
     def shift_drift(self, elems) -> None:
         """Add elements to the key drift (None while zero); with none it stays

@@ -239,12 +239,8 @@ def expand_seed(seed: int, params: ring.RingParams) -> ring.RingElement:
 
 
 def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
-    """Sum of reshare pieces, ring elements or seeds (counted as their
-    expansions), with one reduction."""
-    return ring.lincomb(
-        ((1, p if isinstance(p, ring.RingElement) else expand_seed(p, params)) for p in pieces),
-        params,
-    )
+    """Sum of ring-element pieces with one reduction."""
+    return ring.lincomb(((1, p) for p in pieces), params)
 
 
 def seed_reshare(

@@ -269,6 +269,28 @@ def test_store_message_with_noise_and_mask_matches_termwise_sum():
     assert list(got) == want
 
 
+@pytest.mark.parametrize("N", [8, 2048])
+def test_encrypt_matches_one_sample_gaussian_per_noise_weight(N):
+    # The flood is drawn per element as one block; the reference draws each
+    # weight's Gaussian with its own sample_gaussian call, element by element.
+    pr = ring.RingParams.from_bits(N, 54, 2**12)
+    rng = run_rng("flood-block", N)
+    m = 3
+    basis = tuple(ring.sample_uniform(rng, pr) for _ in range(m))
+    s = ring.sample_uniform(rng, pr)
+    x = [ring.sample_uniform(rng, pr) for _ in range(m)]
+    mask = [ring.sample_uniform(rng, pr) for _ in range(m)]
+    for weights in [(1,), (1,) * 47, (5, 0, pr.q - 1, 5, 2**64 + 12345, 1)]:
+        got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("fb", N, len(weights)), weights, mask)
+        g = ctx_rng("fb", N, len(weights))
+        want = []
+        for e in range(m):
+            terms = [(1, x[e]), (1, ring.mul(basis[e], s)), (1, mask[e])]
+            terms += [(c * pr.T, ring.sample_gaussian(g, 44.8, pr)) for c in weights if c]
+            want.append(ring.lincomb(terms, pr))
+        assert got == tuple(want)
+
+
 def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
     # A reveal with no earlier weights gets an all-zero basis: its upload is
     # x + mask + T * (1*g_1 + 3*g_2), the same as with the zero product added.

@@ -358,3 +358,47 @@ def test_plain_resharing_with_empty_inboxes_is_pinned():
     assert reveals_equal(res.reveals, _reference(p, pset, data, 84).reveals)
     assert sum(not k.res.any() for keys in res.key_history[1:] for k in keys) == 6
     assert run_digest(res) == "0a41e18e590ddca6e91a9382bbae7c3520e1f5219442777f1ed482f82b397db1"
+
+
+def test_corrections_drop_zero_basis_terms(monkeypatch):
+    # Each term sum_k w_k * basis_k[e] * deficit_k whose basis element is all
+    # zero is dropped: an element with no term left gets zero, and a reveal
+    # with none at all gets None and forms no product.
+    p = _sum_program(3, 40)
+    pset = desk_paramset(p, n=3, N=16)
+    assert pset.m == 3
+    server = protocol.ServerState(p, pset)
+    rp = server.ring_params
+    rng = run_rng("zero-corrections")
+    uniform = [ring.sample_uniform(rng, rp) for _ in range(6)]
+    server.basis = {
+        1: (uniform[0], rp.zero(), uniform[1]),
+        2: (rp.zero(), rp.zero(), uniform[2]),
+        3: (uniform[3], rp.zero(), rp.zero()),
+    }
+    server.deficit = {1: uniform[4], 2: None, 3: uniform[5]}
+    weights = {1: 5, 2: 7}
+    got = server._corrections(3, weights)
+    want = [
+        -ring.mul_sum(
+            (w, server.basis[k][e], server.deficit[k]) for k, w in [(1, 5), (3, 1)]
+        )
+        for e in range(pset.m)
+    ]
+    assert got == want
+    assert got[1] == rp.zero()
+
+    def no_mul_sum(terms):
+        raise AssertionError("ring.mul_sum called for zero bases")
+
+    monkeypatch.setattr(ring, "mul_sum", no_mul_sum)
+    server.basis[1] = server.basis[3] = (rp.zero(),) * pset.m
+    assert server._corrections(3, weights) is None
+    # A running sum reveals under all-zero bases only: no server product.
+    q = running_sum_program(6, 8)
+    qset = params.make_paramset(
+        n=4, r=q.r, ell=q.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(q)
+    )
+    data = random_data(run_rng("zero-corrections-run"), q, 4, input_bits=20)
+    res = protocol.run_protocol(q, qset, data_inputs=data, seed=72)
+    assert reveals_equal(res.reveals, _reference(q, qset, data, 72).reveals)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateful_agg import ring
 from stateful_agg.prng import ctx_rng
@@ -312,6 +314,24 @@ def test_gaussian_ints_match_searchsorted_on_crafted_uniforms(sigma):
     assert np.array_equal(got, np.tile(want, reps))
 
 
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
+def test_gaussian_ints_match_searchsorted_at_eighth_bucket_edges(sigma):
+    # The guide table has 8m buckets for m table entries: its edges b/(8m)
+    # and their neighbours on both sides, through the guide path and through
+    # a 2-D block.
+    zs, cdf = _searchsorted_table(sigma)
+    m8 = 8 * len(cdf)
+    edges = np.arange(m8 + 1) / m8
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    u = np.tile(u, -(-ring._GUIDE_MIN_DRAWS // len(u)))
+    want = zs[np.searchsorted(cdf, u, side="left")]
+    assert np.array_equal(ring.gaussian_ints(_FixedUniforms(u), sigma, len(u)), want)
+    rows = u[: len(u) // 2 * 2]
+    got = ring.gaussian_ints(_FixedUniforms(rows), sigma, (2, len(rows) // 2))
+    assert np.array_equal(got, want[: len(rows)].reshape(2, -1))
+
+
 def _mul_sum_case(N, logq, seed):
     pr = ring.RingParams(N, 2**8 + 1, limbs=ring.choose_limbs(N, logq))
     rng = run_rng("mul-sum", N, logq, seed)
@@ -405,6 +425,84 @@ def test_sample_gaussian_matches_signed_mod(pr, sigma):
         want = np.mod(ints, np.array(pr.limbs, dtype=np.int64)[:, None]).astype(np.uint64)
         assert got.res.dtype == np.uint64
         assert np.array_equal(got.res, want)
+
+
+def _weighted_gaussian_reference(rng, sigma, pr, weights):
+    """sum_k w_k * g_k with one gaussian_ints(rng, sigma, N) call per weight,
+    each reduced by a signed np.mod and combined by lincomb."""
+    ps = np.array(pr.limbs, dtype=np.int64)[:, None]
+    terms = []
+    for w in weights:
+        res = np.mod(ring.gaussian_ints(rng, sigma, pr.N), ps).astype(np.uint64)
+        terms.append((w, ring.RingElement(res, pr)))
+    return ring.lincomb(terms, pr)
+
+
+# 193 = 3*64 + 1 is prime: a 32-coefficient ring whose one limb a single
+# draw at sigma 44.8 (bound 538) already overruns, so every group takes the
+# np.mod branch; at sigma 3.2 (bound 39) a single draw stays below it, five
+# summed draws (195) do not.
+_WEIGHTED_PARAMS = {
+    "1-limb-31-bit": ring.RingParams(32, 2**8 + 1, limbs=(ring.find_ntt_prime(64, 31),)),
+    "2-limb": ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 40)),
+    "4-limb": ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 109)),
+    "2048-2-limb": ring.RingParams(2048, 2**16, limbs=ring.choose_limbs(2048, 54)),
+    "tiny-limb": ring.RingParams(32, 2, limbs=(193,)),
+}
+
+
+def _weight_vectors(q):
+    return {
+        "one": (1,),
+        "47-ones": (1,) * 47,
+        "repeated": (3, 1, 3, 7, 1, 3, 3, 7),
+        "distinct": (2, 5, 11, 13),
+        "with-zero": (0, 4, 0, 4),
+        "wide": (q - 1, 2**64 + 12345, q - 1, 1),
+    }
+
+
+@pytest.mark.parametrize("sigma", [3.2, 44.8])
+@pytest.mark.parametrize("which", list(_WEIGHTED_PARAMS))
+def test_weighted_sample_gaussian_matches_per_draw_lincomb(which, sigma):
+    pr = _WEIGHTED_PARAMS[which]
+    assert pr.N < ring._GUIDE_MIN_DRAWS or pr.N == 2048
+    for name, weights in _weight_vectors(pr.q).items():
+        got = ring.sample_gaussian(ctx_rng("wsg", which, name), sigma, pr, weights)
+        want = _weighted_gaussian_reference(ctx_rng("wsg", which, name), sigma, pr, weights)
+        assert got.res.dtype == np.uint64
+        assert got == want, name
+    # The default is one unit-weight draw, and no weights draw nothing.
+    assert ring.sample_gaussian(ctx_rng("wsg-1"), sigma, pr) == ring.sample_gaussian(
+        ctx_rng("wsg-1"), sigma, pr, (1,)
+    )
+    assert ring.sample_gaussian(ctx_rng("wsg-0"), sigma, pr, ()) == pr.zero()
+
+
+def test_weighted_sample_gaussian_reaches_past_the_conditional_add():
+    # Summed draws overrun the limb: a conditional add alone would leave
+    # values outside [0, p).
+    pr = _WEIGHTED_PARAMS["tiny-limb"]
+    ints = ring.gaussian_ints(ctx_rng("wsg-over"), 44.8, (47, pr.N))
+    assert np.abs(ints.sum(axis=0)).max() >= 2 * 193
+    got = ring.sample_gaussian(ctx_rng("wsg-over"), 44.8, pr, (1,) * 47)
+    assert got.res.max() < 193
+    assert np.array_equal(got.res[0], np.mod(ints.sum(axis=0), 193).astype(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)), min_size=1, max_size=12
+    ),
+    which=st.sampled_from(["1-limb-31-bit", "4-limb", "tiny-limb"]),
+    sigma=st.sampled_from([0.3, 3.2, 44.8]),
+    seed=st.integers(0, 2**32),
+)
+def test_weighted_sample_gaussian_property(weights, which, sigma, seed):
+    pr = _WEIGHTED_PARAMS[which]
+    got = ring.sample_gaussian(ctx_rng("wsg-prop", seed), sigma, pr, weights)
+    assert got == _weighted_gaussian_reference(ctx_rng("wsg-prop", seed), sigma, pr, weights)
 
 
 def _encode_reference(values, pf, slot_width, params):

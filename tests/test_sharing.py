@@ -269,16 +269,17 @@ SUM_PARAMS = [
 def test_piece_sum_equals_per_seed_expansion_sum(pr, d):
     rng = run_rng("piece-sum", len(pr.limbs), d)
     seeds = [int.from_bytes(rng.bytes(16), "big") for _ in range(d)]
+    expanded = [sharing.expand_seed(s, pr) for s in seeds]
     want = pr.zero()
     for s in seeds:
         want = want + sharing.expand_seed(s, pr)
-    assert sharing.piece_sum(seeds, pr) == want
+    assert sharing.piece_sum(expanded, pr) == want
     elems = [ring.sample_uniform(rng, pr) for _ in range(d)]
     mixed = pr.zero()
     for e in elems:
         mixed = mixed + e
     assert sharing.piece_sum(elems, pr) == mixed
-    assert sharing.piece_sum(seeds + elems, pr) == want + mixed
+    assert sharing.piece_sum(expanded + elems, pr) == want + mixed
 
 
 def test_piece_sum_rejects_foreign_params():
