@@ -8,7 +8,7 @@ import hashlib
 
 import numpy as np
 
-from stateful_agg import params
+from stateful_agg import params, protocol
 from stateful_agg import program as prog
 from stateful_agg.prng import ctx_rng
 
@@ -112,4 +112,47 @@ def run_digest(res, diag=None) -> str:
         (row.round, row.mode, row.c2s_bytes, row.c2c_bytes, row.c2c_messages, row.dropped)
         for row in res.transcript.rows
     ]).encode())
+    return h.hexdigest()
+
+
+def invariant_digest(res, diag) -> str:
+    """SHA-256 over what a dropout run's recovery must leave unchanged
+    whatever its backups look like: reveals, key history, deficits, mask
+    secrets and recovered piece counts (no traffic)."""
+    h = hashlib.sha256()
+    for rnd, vec in res.reveals:
+        h.update(f"{rnd}:{[int(v) for v in vec]}".encode())
+    for shares in res.key_history:
+        for sh in shares:
+            h.update(b"-" if sh is None else sh.res.tobytes())
+    for _rnd, deficit in sorted(diag.deficits.items()):
+        h.update(b"-" if deficit is None else deficit.res.tobytes())
+    h.update(repr(sorted(diag.mask_secrets.items())).encode())
+    h.update(repr(sorted(diag.recovered_pieces.items())).encode())
+    return h.hexdigest()
+
+
+def capture_servers(monkeypatch) -> list:
+    """Wrap `protocol.server_step` so that the runs that follow record their
+    `ServerState`, once each, in the returned list."""
+    servers = []
+    step = protocol.server_step
+
+    def recording_step(server, *args, **kwargs):
+        if not any(s is server for s in servers):
+            servers.append(server)
+        return step(server, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "server_step", recording_step)
+    return servers
+
+
+def stored_digest(server) -> str:
+    """SHA-256 over a server's stored aggregates, by round and element: every
+    upload's noise, and any self-mask left unstripped, shows here."""
+    h = hashlib.sha256()
+    for rnd in sorted(server.stored):
+        h.update(f"{rnd}:".encode())
+        for elem in server.stored[rnd]:
+            h.update(elem.res.tobytes())
     return h.hexdigest()

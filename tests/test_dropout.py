@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stateful_agg import dropout, ideal, params, protocol, ring, sharing
+from stateful_agg import dp, dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
 from stateful_agg.prng import ctx_rng
 
 from helpers import (
-    desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
-    running_sum_program,
+    capture_servers, desk_paramset, invariant_digest, random_data, random_program,
+    reveals_equal, run_digest, run_rng, running_sum_program, stored_digest,
 )
 
 
@@ -414,3 +414,73 @@ def test_empty_schedule_key_history_matches_plain_resharing_run():
     )
     assert len(res.key_history) == p.r
     assert res.key_history == sync.key_history
+
+
+def _consecutive_case():
+    # The scenario of test_key_history_and_reveals_are_pinned.
+    p = _sum_program(6, 3)
+    pset = _pset(p, 8, h=5, t=3, beta=0.25)
+    data = random_data(run_rng("pinned"), p, 8)
+    schedule = {2: frozenset({0, 5}), 3: frozenset({1}), 5: frozenset({2, 7})}
+    return p, pset, data, schedule, 53
+
+
+def _running_sum_case():
+    # The scenario of test_running_sum_dropout_run_is_pinned.
+    p = running_sum_program(6, 8)
+    pset = params.make_paramset(
+        n=6, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, h=4, t=2, beta=0.34,
+        stats=prog.reveal_stats(p),
+    )
+    data = random_data(run_rng("pin-dropout"), p, 6, input_bits=20)
+    schedule = {2: frozenset({1}), 3: frozenset({4}), 5: frozenset({0, 3})}
+    return p, pset, data, schedule, 73
+
+
+def _perfbench_case():
+    # The shape of the benchmark's dropout workload: a noisy prefix tree,
+    # n=16, N=2048, d=8, h=6, t=4, one dropout per round.
+    p = dp.tree_program(2, sigma=2.0, ell=64)
+    pset = params.make_paramset(
+        n=16, r=p.r, ell=p.ell, input_bits=8, N=2048, stats=prog.reveal_stats(p),
+        dp_sigma=2.0, h=6, t=4, d=8, beta=1 / 16, seed_resharing=False,
+    )
+    data = random_data(run_rng("perfbench-shaped"), p, 16, input_bits=8)
+    return p, pset, data, dropout.random_schedule(pset, p.r, 0), 0
+
+
+# Recorded before dropout backups were grouped by receiver; what recovery
+# delivers does not depend on how the backups are cut.
+INVARIANT_DIGESTS = {
+    "consecutive": (
+        _consecutive_case,
+        "7f67d059619ab76a6ec50408bb72d3b54d7934ec77d694e53e1781ffa8bae9a1",
+        "bdbf45c4c2b3fa4c353cc3dbabd55ec2667f40c2af5a7d6378b2a99719209186",
+    ),
+    "running-sum": (
+        _running_sum_case,
+        "85b1da715093f347f6dc0f0c4db4e72e86934bbdc32cb86004911d8944eec453",
+        "cbc375d0772aecd07c8cb605cb068b587df1e647123174ff5170be2805c80259",
+    ),
+    "perfbench": (
+        _perfbench_case,
+        "471f392de68d35c58af6248cc8bcd42dc603a4ced47a642d3fbba33343f8d6f4",
+        "fd891746b5488eddc869dfab06d100bad8b89b7519bda79af52002bf64223f7f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_DIGESTS))
+def test_dropout_run_invariants_are_pinned(monkeypatch, case):
+    # Reveals, key history, deficits, mask secrets, recovered piece counts
+    # and the server's stored aggregates (the uploads' noise and stripped
+    # masks) are pinned; transcript bytes are not.
+    make, want, want_stored = INVARIANT_DIGESTS[case]
+    p, pset, data, schedule, seed = make()
+    servers = capture_servers(monkeypatch)
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=seed, track_keys=True
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert len(servers) == 1
+    assert (invariant_digest(res, diag), stored_digest(servers[0])) == (want, want_stored)

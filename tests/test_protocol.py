@@ -6,8 +6,8 @@ from stateful_agg import program as prog
 from stateful_agg.dp import tree_program
 
 from helpers import (
-    desk_paramset, random_data, random_program, reveals_equal, run_digest, run_rng,
-    running_sum_program,
+    capture_servers, desk_paramset, random_data, random_program, reveals_equal, run_digest,
+    run_rng, running_sum_program, stored_digest,
 )
 
 
@@ -240,6 +240,23 @@ def test_running_sum_run_is_pinned():
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=71, track_keys=True)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
     assert run_digest(res) == "60a20d232c13ab8e225237fbbe11e29792dd6f7e97b252b9a75074c67673686e"
+
+
+def test_running_sum_stored_aggregates_are_pinned(monkeypatch):
+    # The reveal digests never see an upload; the stored aggregates carry
+    # every client's encryption and flooding noise.
+    p = running_sum_program(10, 8)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(p)
+    )
+    data = random_data(run_rng("pin-running"), p, 4, input_bits=20)
+    servers = capture_servers(monkeypatch)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=71)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
+    assert len(servers) == 1
+    assert stored_digest(servers[0]) == (
+        "c44b2f3a687acf43ab0ebf36572e8b2e6106c692f85f769a5d1fe61733605fdf"
+    )
 
 
 def test_plain_resharing_running_sum_run_is_pinned():
