@@ -5,10 +5,12 @@ uploads.
 A client that drops out of its round sends nothing at all.  Three repairs
 keep the run correct:
 
-* every resharing piece sent to a next-cohort receiver is also threshold
-  shared to the receiver's chaperone committee (h clients one cohort later);
-  if the receiver drops, a quorum of t chaperones releases its incoming
-  pieces and the server accumulates them into the recovery element Z;
+* every sender sums the resharing pieces it routes to each next-cohort
+  receiver and threshold shares the sum to the receiver's chaperone
+  committee (h clients one cohort later); Shamir sharing is linear, so if
+  the receiver drops, each of a quorum of t chaperones releases the sum of
+  its shares for it, and the server interpolates the receiver's incoming
+  pieces' sum into the recovery element Z;
 * every upload is blinded by a self-mask expanded from a short secret whose
   threshold shares go to the sender's own chaperones; the chaperones
   release them only for clients that completed their round, so the server
@@ -21,10 +23,11 @@ keep the run correct:
 `Recovery` plugs these into `protocol.run_protocol`: the engine asks it
 which clients drop, for each survivor's self-mask, to back up each
 survivor's pieces and mask secret, and to repair each round before its
-reveal.  It alone holds the backups and mask shares, by round, until the
-round's repair hands the server the recovered pieces and survivors' masks
-in one call.  The backups need whole ring elements, so the run reshares
-plainly.
+reveal.  It alone holds the backups and mask shares, by round.  Round i's
+repair, run once round i+1 is in, hands the server the recovered pieces and
+survivors' masks in one call, frees round i's state, and frees round i+1's
+backups of every receiver that completed round i+1: recovery never reads
+them.  The backups need whole ring elements, so the run reshares plainly.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -166,24 +169,34 @@ def backup_shares(
     ctx: RoundContext,
     sender: int,
     pieces: list[tuple[int, ring.RingElement]],
-) -> None:
-    """Threshold-share each resharing piece to its receiver's committee.
+) -> int:
+    """Threshold-share, per receiver, the sum of the pieces routed to it.
 
-    The piece sent to receiver R in cohort i+1 is recoverable by any t of
-    R's h chaperones (cohort i+2) if R drops.  The key committees of cohort
-    i+1 are cached by receiver for the whole round i."""
+    Recovery only needs the sum of a dropped receiver's incoming pieces, so
+    the pieces sent to receiver R in cohort i+1 are summed and the sum is
+    shared once, recoverable by any t of R's h chaperones (cohort i+2) if R
+    drops.  The G <= d sums, one per distinct receiver, are shared in one
+    call; each backup keeps the number of pieces it sums.  The key
+    committees of cohort i+1 are cached by receiver for the whole round i.
+    Returns G."""
     pset = ctx.pset
+    groups: dict[int, list[ring.RingElement]] = {}
+    for recv, piece in pieces:
+        groups.setdefault(recv, []).append(piece)
     committees = recovery.key_committees.setdefault(ctx.index, {})
     backups = recovery.backups.setdefault(ctx.index + 1, {})
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, sender)
-    shared = sharing.tshare_many([piece for _, piece in pieces], pset.h, pset.t, rng)
-    for (recv, _), tsh in zip(pieces, shared):
+    rp = pset.ring()
+    sums = [sharing.piece_sum(group, rp) for group in groups.values()]
+    shared = sharing.tshare_many(sums, pset.h, pset.t, rng)
+    for (recv, group), tsh in zip(groups.items(), shared):
         committee = committees.get(recv)
         if committee is None:
             committee = committees[recv] = chaperone_committee(
                 ctx.run_seed, pset, ctx.index + 1, recv, "key"
             )
-        backups.setdefault(recv, []).append(dict(zip(committee, tsh.shares)))
+        backups.setdefault(recv, []).append((len(group), dict(zip(committee, tsh.shares))))
+    return len(groups)
 
 
 def recover_round(
@@ -197,8 +210,10 @@ def recover_round(
     Recovers the incoming pieces of rnd's dropped clients and reconstructs
     the self-masks of its survivors, then hands both to the server's
     repair.  Returns released item counts (key elements, mask scalars) for
-    cost accounting, counted per piece.  Frees the round's backups, mask
-    shares and key committees.
+    cost accounting: t key elements per dropped client that was sent
+    pieces, one summed share from each chaperone of the quorum.  Frees the
+    round's backups, mask shares and key committees, and keeps of round
+    rnd+1's backups only those of the receivers in `next_dropped`.
     """
     pset = server.pset
     rp = server.ring_params
@@ -207,26 +222,40 @@ def recover_round(
     backups = recovery.backups.pop(rnd, {})
     mask_shares = recovery.mask_shares.pop(rnd, {})
     recovery.key_committees.pop(rnd, None)
+    # Round rnd+1 is in, so only its dropped receivers' backups will be read;
+    # copying their shares frees their senders' share stacks.
+    if rnd + 1 in recovery.backups:
+        recovery.backups[rnd + 1] = {
+            recv: [
+                (count, {chap: (x, ring.RingElement(share.res.copy(), rp))
+                         for chap, (x, share) in shares.items()})
+                for count, shares in bundles
+            ]
+            for recv, bundles in recovery.backups[rnd + 1].items()
+            if recv in next_dropped
+        }
     recovered = []
     pieces_recovered = 0
     for j in sorted(dropped):
         bundles = backups.get(j, [])
         if not bundles:
             continue
-        # Every bundle of j went to j's one key committee, and Shamir sharing
-        # is linear: interpolating the point-wise sum of the bundles recovers
-        # the sum of j's incoming pieces.
+        # Every backup of j went to j's one key committee, and Shamir sharing
+        # is linear: each chaperone of the quorum releases the sum of its
+        # shares, and interpolating those sums recovers the sum of j's
+        # incoming pieces.
+        first = bundles[0][1]
         chaps = _quorum(
-            bundles[0], next_dropped, pset.t,
+            first, next_dropped, pset.t,
             f"round {rnd}: only {{alive}} of {pset.t} committee shares "
             f"available for dropped client {j}",
         )
         summed = [
-            (bundles[0][chap][0], sharing.piece_sum([b[chap][1] for b in bundles], rp))
+            (first[chap][0], sharing.piece_sum([b[chap][1] for _, b in bundles], rp))
             for chap in chaps
         ]
         recovered.append(sharing.trec(summed, pset.t))
-        pieces_recovered += len(bundles)
+        pieces_recovered += sum(count for count, _ in bundles)
 
     # Survivor masks: chaperones release only for clients that completed.
     masks = []
@@ -249,21 +278,23 @@ def recover_round(
         masks.append(prg_mask(secret, pset.m, rp))
     diagnostics.recovered_pieces[rnd] = pieces_recovered
     diagnostics.deficits[rnd] = server.repair(rnd, recovered, masks)
-    return pset.t * pieces_recovered, mask_scalars
+    return pset.t * len(recovered), mask_scalars
 
 
 class Recovery:
     """The dropout layer `protocol.run_protocol` calls at four points of a
     run, and the one holder of its recovery state: the schedule, the
     diagnostics, and the backups, mask shares and key committees of rounds
-    not yet repaired, each keyed by round and popped at the round's repair."""
+    not yet repaired, each keyed by round and popped at the round's repair.
+    A round's backups shrink one round earlier, at the previous round's
+    repair, to those of the receivers that dropped."""
 
     def __init__(self, schedule: DropoutSchedule):
         self.schedule = schedule
         self.diagnostics = Diagnostics()
-        # Round -> receiver -> bundles of Shamir shares of its incoming
-        # pieces, each bundle mapping chaperone -> (point, share).
-        self.backups: dict[int, dict[int, list[dict[int, tuple[int, ring.RingElement]]]]] = {}
+        # Round -> receiver -> one backup per sender that routed it pieces:
+        # (piece count, chaperone -> (point, share) of the pieces' sum).
+        self.backups: dict[int, dict[int, list[tuple[int, dict]]]] = {}
         # Round -> sender -> chaperone -> (point, share) of its mask secret.
         self.mask_shares: dict[int, dict[int, dict[int, tuple[int, int]]]] = {}
         # Round i -> key committees of cohort i+1 by receiver.
@@ -282,18 +313,18 @@ class Recovery:
         return prg_mask(secret, ctx.pset.m, rp)
 
     def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
-        """Share a survivor's resharing pieces to their receivers' key
+        """Share a survivor's per-receiver piece sums to their receivers' key
         committees and its mask secret to its own mask committee; returns
         the extra client-to-client bits and messages."""
         pset, i, j = ctx.pset, ctx.index, res.index
-        backup_shares(self, ctx, j, res.reshares)
+        receivers = backup_shares(self, ctx, j, res.reshares)
         secret = self.diagnostics.mask_secrets[(i, j)]
         committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
         rng = ctx_rng(ctx.run_seed, "mask-share", i, j)
         tsh = sharing.tshare(secret, pset.h, pset.t, rng, params=pset.ring())
         self.mask_shares.setdefault(i, {})[j] = dict(zip(committee, tsh.shares))
-        # h shares of each of the d pieces, plus h shares of the secret.
-        return pset.h * (pset.d * pset.N + 1) * pset.logq, pset.h * (pset.d + 1)
+        # h shares of each receiver's sum, plus h shares of the secret.
+        return pset.h * (receivers * pset.N + 1) * pset.logq, pset.h * (receivers + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:
         """Repairs of round rnd before its reveal; returns the bytes the

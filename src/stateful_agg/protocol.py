@@ -354,10 +354,10 @@ def run_protocol(
         deliver(i - 1)
         transcript.rows.append(rec)
         inbox = next_inbox
-    # Flush round r+1: round r's repairs (no transcript row counts them),
-    # then its reveal.
+    # Flush round r+1: round r's repairs, counted in round r's row, then
+    # its reveal.
     if recovery:
-        recovery.repair(server, p.r, frozenset())
+        transcript.rows[-1].c2s_bytes += recovery.repair(server, p.r, frozenset())
     deliver(p.r)
     return RunResult(
         reveals=list(transcript.reveals),

@@ -98,9 +98,8 @@ def running_sum_program(r: int, ell: int) -> prog.Program:
     ])
 
 
-def run_digest(res, diag=None) -> str:
-    """SHA-256 over a run's reveals, key history, deficits and transcript rows."""
-    h = hashlib.sha256()
+def _hash_run(h, res, diag) -> None:
+    """Feed a run's reveals, key history and deficits to the hash h."""
     for rnd, vec in res.reveals:
         h.update(f"{rnd}:{[int(v) for v in vec]}".encode())
     for shares in res.key_history:
@@ -108,6 +107,12 @@ def run_digest(res, diag=None) -> str:
             h.update(b"-" if sh is None else sh.res.tobytes())
     for _rnd, deficit in sorted((diag.deficits if diag else {}).items()):
         h.update(b"-" if deficit is None else deficit.res.tobytes())
+
+
+def run_digest(res, diag=None) -> str:
+    """SHA-256 over a run's reveals, key history, deficits and transcript rows."""
+    h = hashlib.sha256()
+    _hash_run(h, res, diag)
     h.update(repr([
         (row.round, row.mode, row.c2s_bytes, row.c2c_bytes, row.c2c_messages, row.dropped)
         for row in res.transcript.rows
@@ -120,13 +125,7 @@ def invariant_digest(res, diag) -> str:
     whatever its backups look like: reveals, key history, deficits, mask
     secrets and recovered piece counts (no traffic)."""
     h = hashlib.sha256()
-    for rnd, vec in res.reveals:
-        h.update(f"{rnd}:{[int(v) for v in vec]}".encode())
-    for shares in res.key_history:
-        for sh in shares:
-            h.update(b"-" if sh is None else sh.res.tobytes())
-    for _rnd, deficit in sorted(diag.deficits.items()):
-        h.update(b"-" if deficit is None else deficit.res.tobytes())
+    _hash_run(h, res, diag)
     h.update(repr(sorted(diag.mask_secrets.items())).encode())
     h.update(repr(sorted(diag.recovered_pieces.items())).encode())
     return h.hexdigest()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateful_agg import dp, dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
@@ -292,7 +294,7 @@ def _run_digest(res, diag) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "8cce77125c29a6046c2a4dbd2f3401435e21aa6578e9b2cb8b3af5616f399364"
+PINNED_DIGEST = "3db075786c44b369858bc0b138c723570cd950da1ea1ac790599b0f80db818bf"
 
 
 def test_key_history_and_reveals_are_pinned():
@@ -395,7 +397,7 @@ def test_running_sum_dropout_run_is_pinned():
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 73, schedule).reveals)
     assert sum(d is not None for d in diag.deficits.values()) >= 3
-    want = "33a66fb74451455678e528a26b688cf99e2dec1c6dbc86d84c10eac38cf43338"
+    want = "c7d095ec8c66f294f494f2278ca70568881268121506ff8eecf143319e7fc8f1"
     assert run_digest(res, diag) == want
 
 
@@ -484,3 +486,191 @@ def test_dropout_run_invariants_are_pinned(monkeypatch, case):
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
     assert len(servers) == 1
     assert (invariant_digest(res, diag), stored_digest(servers[0])) == (want, want_stored)
+
+
+def _receivers(seed, pset, i, j):
+    """Receivers of client j's pieces in round i: the public draw its
+    `client_step` makes."""
+    rng = ctx_rng(seed, "reshare", i, j)
+    return [int(v) for v in rng.integers(0, pset.n, size=pset.d)]
+
+
+def _doubled_receiver(seed, pset):
+    """(sender, receiver) of the first round-1 sender that routes two or
+    more of its pieces to one receiver."""
+    for j in range(pset.n):
+        recvs = _receivers(seed, pset, 1, j)
+        for recv in recvs:
+            if recvs.count(recv) >= 2:
+                return j, recv
+    raise AssertionError(f"seed {seed}: no round-1 sender routes two pieces to one receiver")
+
+
+def _doubled_case():
+    # Round 1: one sender routes two pieces to R, which drops in round 2.
+    # Round r = 4: a receiver of round 3's pieces drops, so the final flush
+    # recovers key pieces as well as survivors' masks.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 6, d=3, h=3, t=2, beta=0.34)
+    seed = 83
+    _sender, recv = _doubled_receiver(seed, pset)
+    last = min({r for j in range(pset.n) for r in _receivers(seed, pset, 3, j)})
+    return p, pset, {2: frozenset({recv}), 4: frozenset({last})}, seed
+
+
+def _expected_rows(p, pset, schedule, seed):
+    """Closed-form (c2s_bytes, c2c_bytes, c2c_messages) of each round.
+
+    A survivor uploads packed_coeffs coefficients and sends d pieces, plus h
+    shares of each of its G distinct receivers' piece sums and h shares of
+    its mask secret.  Round k's repair, counted in round k+1's row (round
+    r's in row r), releases t elements for each dropped client of round k
+    that a survivor of round k-1 sent pieces to, and t scalars for each
+    survivor's mask."""
+    n, N, logq, h, t, d = pset.n, pset.N, pset.logq, pset.h, pset.t, pset.d
+    survivors = {
+        i: [j for j in range(n) if j not in schedule.get(i, ())] for i in range(1, p.r + 1)
+    }
+
+    def repair(k):
+        sent_to = {
+            recv for j in survivors.get(k - 1, ()) for recv in _receivers(seed, pset, k - 1, j)
+        }
+        keyed = len(schedule.get(k, frozenset()) & sent_to)
+        return (t * keyed * N + t * len(survivors[k])) * logq / 8
+
+    rows = []
+    for i in range(1, p.r + 1):
+        c2s = len(survivors[i]) * pset.packed_coeffs * logq / 8
+        c2s += (repair(i - 1) if i >= 2 else 0) + (repair(i) if i == p.r else 0)
+        groups = [len(set(_receivers(seed, pset, i, j))) for j in survivors[i]]
+        c2c = sum(d * N * logq + h * (g * N + 1) * logq for g in groups) / 8
+        rows.append((c2s, c2c, sum(d + h * (g + 1) for g in groups)))
+    return rows
+
+
+def test_transcript_rows_match_closed_forms():
+    # One backup per (sender, receiver), t released elements per recovered
+    # receiver, and round r's repair counted in row r.
+    p, pset, schedule, seed = _doubled_case()
+    data = random_data(run_rng("doubled"), p, pset.n)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    got = [(row.c2s_bytes, row.c2c_bytes, row.c2c_messages) for row in res.transcript.rows]
+    assert got == _expected_rows(p, pset, schedule, seed)
+    assert diag.recovered_pieces[4] > 0
+
+
+def test_final_flush_repair_is_counted_in_last_row():
+    # Client 0 drops in the last round, after round 3's cohort sent it three
+    # pieces.  Without the final flush the rows carry 432.0 client-to-server
+    # bytes: 23 uploads (310.5) and the mask releases of rounds 1 to 3 (40.5
+    # each).  Round r's repair, released at the flush, lands in row r: t=2
+    # scalars for each of the 5 survivors' masks (33.75 bytes at logq=27)
+    # and t=2 summed elements for client 0's pieces (216 bytes at N=32).
+    p = dp.tree_program(1, 0.0, ell=4)
+    pset = _pset(p, 6, d=2, h=3, t=2, beta=0.2, input_bits=8)
+    assert (p.r, pset.logq) == (4, 27)
+    schedule = {4: frozenset({0})}
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, seed=89)
+    assert diag.recovered_pieces[4] == 3
+    rows = [row.c2s_bytes for row in res.transcript.rows]
+    assert rows == [c2s for c2s, _, _ in _expected_rows(p, pset, schedule, 89)]
+    assert sum(rows) == 432.0 + 33.75 + 216.0
+
+
+class _CheckedRecovery(dropout.Recovery):
+    """Records, after every repair, which receivers the next round's backups
+    still hold, and checks that their shares own their data."""
+
+    def __init__(self, schedule):
+        super().__init__(schedule)
+        self.before = {}
+        self.after = {}
+
+    def repair(self, server, rnd, next_dropped):
+        self.before[rnd + 1] = set(self.backups.get(rnd + 1, {}))
+        out = super().repair(server, rnd, next_dropped)
+        kept = self.backups.get(rnd + 1, {})
+        self.after[rnd + 1] = {recv: [count for count, _ in kept[recv]] for recv in kept}
+        for bundles in kept.values():
+            for _count, shares in bundles:
+                assert all(share.res.base is None for _x, share in shares.values())
+        return out
+
+
+def test_survivors_backups_are_freed_at_previous_repair():
+    p, pset, schedule, seed = _doubled_case()
+    recovery = _CheckedRecovery(dropout.normalize_schedule(schedule, pset, p.r))
+    data = random_data(run_rng("doubled"), p, pset.n)
+    res = protocol.run_protocol(
+        p, replace(pset, seed_resharing=False), data_inputs=data, seed=seed, recovery=recovery
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    for i in range(2, p.r + 2):
+        # Every receiver was backed up in round i-1; after repair(i-1) only
+        # round i's dropped receivers are left.
+        sent_to = {recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
+                   for recv in _receivers(seed, pset, i - 1, j)}
+        assert recovery.before[i] == sent_to
+        assert set(recovery.after[i]) == schedule.get(i, frozenset()) & sent_to
+    # R got two pieces from one round-1 sender: one backup counts both.
+    sender, recv = _doubled_receiver(seed, pset)
+    per_sender = [_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n)]
+    assert sorted(recovery.after[2][recv]) == sorted(c for c in per_sender if c)
+    assert per_sender[sender] >= 2
+    assert recovery.diagnostics.recovered_pieces[2] == sum(per_sender)
+
+
+def _doubled_key_quorum_case(alive):
+    # Receiver R, sent two or more pieces by one round-1 sender, drops in
+    # round 2; all but `alive` of its key chaperones drop in round 3, when
+    # they must release its summed shares.
+    p = _sum_program(4, 2)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    seed = 97
+    _sender, recv = _doubled_receiver(seed, pset)
+    committee = dropout.chaperone_committee(seed, pset, 2, recv, "key")
+    schedule = {2: frozenset({recv}), 3: frozenset(committee[alive:])}
+    return p, pset, schedule, seed, recv
+
+
+def test_key_quorum_exactly_t_alive_with_summed_pieces():
+    p, pset, schedule, seed, recv = _doubled_key_quorum_case(alive=3)
+    data = random_data(run_rng("keyq-summed"), p, 8)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    pieces = sum(_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n))
+    assert diag.recovered_pieces[2] == pieces
+
+
+def test_key_quorum_t_minus_one_alive_with_summed_pieces_aborts():
+    p, pset, schedule, seed, recv = _doubled_key_quorum_case(alive=2)
+    with pytest.raises(
+        dropout.QuorumError,
+        match=f"round 2: only 2 of 3 committee shares available for dropped client {recv}$",
+    ):
+        dropout.run_dropout_protocol(p, pset, schedule, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    program_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 8),
+    d=st.integers(1, 4),
+    t=st.integers(1, 2),
+    drops=st.data(),
+)
+def test_random_programs_and_schedules_match_survivor_reference(program_seed, n, d, t, drops):
+    # h = t + 2 and at most two drops per round: every committee keeps a
+    # quorum, so every run must reveal the survivor reference.
+    p, _ = random_program(run_rng("property", program_seed), r_max=5, n_max=1, ell_max=3)
+    pset = _pset(p, n, d=d, h=t + 2, t=t, beta=2 / n)
+    schedule = dropout.normalize_schedule({
+        i: drops.draw(st.sets(st.integers(0, n - 1), max_size=2), label=f"round {i}")
+        for i in range(1, p.r + 1)
+    }, pset, p.r)
+    data = random_data(run_rng("property-data", program_seed), p, n)
+    res, _ = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=program_seed)
+    ref = _survivor_reference(p, pset, data, program_seed, schedule)
+    assert reveals_equal(res.reveals, ref.reveals)
