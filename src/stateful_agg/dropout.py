@@ -23,11 +23,13 @@ keep the run correct:
 `Recovery` plugs these into `protocol.run_protocol`: the engine asks it
 which clients drop, for each survivor's self-mask, to back up each
 survivor's pieces and mask secret, and to repair each round before its
-reveal.  It alone holds the backups and mask shares, by round.  Round i's
-repair, run once round i+1 is in, hands the server the recovered pieces and
-survivors' masks in one call, frees round i's state, and frees round i+1's
-backups of every receiver that completed round i+1: recovery never reads
-them.  The backups need whole ring elements, so the run reshares plainly.
+reveal.  It alone holds the backups and mask shares, by round.  A round's
+key backups are what its receivers' chaperones hold: per receiver and
+evaluation point, the running sum of the shares sent to that chaperone,
+and the number of pieces they stand for.  Round i's repair, run once round
+i+1 is in, hands the server the recovered pieces and survivors' masks in
+one call and frees round i's state.  The backups need whole ring
+elements, so the run reshares plainly.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -121,10 +123,7 @@ def chaperone_committee(run_seed, pset: ParamSet, cohort: int, index: int, kind:
     backups ("key") or mask secret ("mask"); deterministic in the run seed."""
     if pset.h > pset.n:
         raise ValueError("committee size h cannot exceed cohort size n")
-    ident = (run_seed, "committee", kind, cohort) if pset.single_committee else (
-        run_seed, "committee", kind, cohort, index,
-    )
-    rng = ctx_rng(*ident)
+    rng = ctx_rng(run_seed, "committee", kind, cohort, index)
     return tuple(int(v) for v in rng.choice(pset.n, size=pset.h, replace=False))
 
 
@@ -154,14 +153,29 @@ class Diagnostics:
             raise ProtocolError(f"mask secrets of dropped clients released: {sorted(leaked)}")
 
 
-def _quorum(shares: dict, next_dropped: frozenset[int], t: int, msg: str) -> list[int]:
-    """The first t chaperones holding `shares` that are still alive one
+def _quorum(holders: dict, next_dropped: frozenset[int], t: int, msg: str) -> list[int]:
+    """The first t chaperones among `holders` that are still alive one
     round later; QuorumError(msg) if fewer than t are.  msg may name the
     live count as {alive}."""
-    alive = [chap for chap in sorted(shares) if chap not in next_dropped]
+    alive = [chap for chap in sorted(holders) if chap not in next_dropped]
     if len(alive) < t:
         raise QuorumError(msg.format(alive=len(alive)))
     return alive[:t]
+
+
+@dataclass
+class KeyBackups:
+    """What the key chaperones of one round's receivers hold.
+
+    sums[R, x-1] is the unreduced residue sum, (L, N) uint64, of the shares
+    that R's chaperone at point x was sent; every share is below its limb
+    p < 2^31, so up to 2^33 of them add without overflow.  pieces[R] counts
+    the resharing pieces those shares stand for, and committees[R] is R's
+    key committee (chaperone at point x is committees[R][x-1])."""
+
+    sums: np.ndarray
+    pieces: np.ndarray
+    committees: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def backup_shares(
@@ -176,26 +190,31 @@ def backup_shares(
     the pieces sent to receiver R in cohort i+1 are summed and the sum is
     shared once, recoverable by any t of R's h chaperones (cohort i+2) if R
     drops.  The G <= d sums, one per distinct receiver, are shared in one
-    call; each backup keeps the number of pieces it sums.  The key
-    committees of cohort i+1 are cached by receiver for the whole round i.
-    Returns G."""
+    call, and each chaperone adds its share into its running sum in round
+    i+1's `KeyBackups`.  Returns G."""
     pset = ctx.pset
+    rp = pset.ring()
     groups: dict[int, list[ring.RingElement]] = {}
     for recv, piece in pieces:
         groups.setdefault(recv, []).append(piece)
-    committees = recovery.key_committees.setdefault(ctx.index, {})
-    backups = recovery.backups.setdefault(ctx.index + 1, {})
+    record = recovery.backups.get(ctx.index + 1)
+    if record is None:
+        shape = (pset.n, pset.h, len(rp.limbs), pset.N)
+        record = recovery.backups[ctx.index + 1] = KeyBackups(
+            np.zeros(shape, dtype=np.uint64), np.zeros(pset.n, dtype=np.int64)
+        )
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, sender)
-    rp = pset.ring()
-    sums = [sharing.piece_sum(group, rp) for group in groups.values()]
+    # A one-piece group is its own sum.
+    sums = [g[0] if len(g) == 1 else sharing.piece_sum(g, rp) for g in groups.values()]
     shared = sharing.tshare_many(sums, pset.h, pset.t, rng)
     for (recv, group), tsh in zip(groups.items(), shared):
-        committee = committees.get(recv)
-        if committee is None:
-            committee = committees[recv] = chaperone_committee(
+        if recv not in record.committees:
+            record.committees[recv] = chaperone_committee(
                 ctx.run_seed, pset, ctx.index + 1, recv, "key"
             )
-        backups.setdefault(recv, []).append((len(group), dict(zip(committee, tsh.shares))))
+        for x, share in tsh.shares:
+            record.sums[recv, x - 1] += share.res
+        record.pieces[recv] += len(group)
     return len(groups)
 
 
@@ -212,50 +231,34 @@ def recover_round(
     repair.  Returns released item counts (key elements, mask scalars) for
     cost accounting: t key elements per dropped client that was sent
     pieces, one summed share from each chaperone of the quorum.  Frees the
-    round's backups, mask shares and key committees, and keeps of round
-    rnd+1's backups only those of the receivers in `next_dropped`.
+    round's backups and mask shares.
     """
     pset = server.pset
     rp = server.ring_params
     diagnostics = recovery.diagnostics
     dropped = recovery.dropped(rnd)
-    backups = recovery.backups.pop(rnd, {})
+    record = recovery.backups.pop(rnd, None)
     mask_shares = recovery.mask_shares.pop(rnd, {})
-    recovery.key_committees.pop(rnd, None)
-    # Round rnd+1 is in, so only its dropped receivers' backups will be read;
-    # copying their shares frees their senders' share stacks.
-    if rnd + 1 in recovery.backups:
-        recovery.backups[rnd + 1] = {
-            recv: [
-                (count, {chap: (x, ring.RingElement(share.res.copy(), rp))
-                         for chap, (x, share) in shares.items()})
-                for count, shares in bundles
-            ]
-            for recv, bundles in recovery.backups[rnd + 1].items()
-            if recv in next_dropped
-        }
     recovered = []
     pieces_recovered = 0
     for j in sorted(dropped):
-        bundles = backups.get(j, [])
-        if not bundles:
+        if record is None or not record.pieces[j]:
             continue
-        # Every backup of j went to j's one key committee, and Shamir sharing
-        # is linear: each chaperone of the quorum releases the sum of its
-        # shares, and interpolating those sums recovers the sum of j's
-        # incoming pieces.
-        first = bundles[0][1]
+        # Shamir sharing is linear: each chaperone of the quorum releases the
+        # sum of its shares for j, and interpolating those sums recovers the
+        # sum of j's incoming pieces.
+        points = {chap: x for x, chap in enumerate(record.committees[j], start=1)}
         chaps = _quorum(
-            first, next_dropped, pset.t,
+            points, next_dropped, pset.t,
             f"round {rnd}: only {{alive}} of {pset.t} committee shares "
             f"available for dropped client {j}",
         )
         summed = [
-            (first[chap][0], sharing.piece_sum([b[chap][1] for _, b in bundles], rp))
+            (points[chap], ring.RingElement(record.sums[j, points[chap] - 1] % rp._ps, rp))
             for chap in chaps
         ]
         recovered.append(sharing.trec(summed, pset.t))
-        pieces_recovered += sum(count for count, _ in bundles)
+        pieces_recovered += int(record.pieces[j])
 
     # Survivor masks: chaperones release only for clients that completed.
     masks = []
@@ -263,17 +266,13 @@ def recover_round(
     for j in range(pset.n):
         if j in dropped:
             continue
-        if pset.self_mask_reveal:
-            secret = diagnostics.mask_secrets[(rnd, j)]
-            mask_scalars += 1
-        else:
-            shares = mask_shares[j]
-            chaps = _quorum(
-                shares, next_dropped, pset.t,
-                f"round {rnd}: cannot reconstruct mask of surviving client {j}",
-            )
-            secret = sharing.trec([shares[chap] for chap in chaps], pset.t, params=rp)
-            mask_scalars += pset.t
+        shares = mask_shares[j]
+        chaps = _quorum(
+            shares, next_dropped, pset.t,
+            f"round {rnd}: cannot reconstruct mask of surviving client {j}",
+        )
+        secret = sharing.trec([shares[chap] for chap in chaps], pset.t, params=rp)
+        mask_scalars += pset.t
         diagnostics.masks_reconstructed[(rnd, j)] = True
         masks.append(prg_mask(secret, pset.m, rp))
     diagnostics.recovered_pieces[rnd] = pieces_recovered
@@ -284,21 +283,16 @@ def recover_round(
 class Recovery:
     """The dropout layer `protocol.run_protocol` calls at four points of a
     run, and the one holder of its recovery state: the schedule, the
-    diagnostics, and the backups, mask shares and key committees of rounds
-    not yet repaired, each keyed by round and popped at the round's repair.
-    A round's backups shrink one round earlier, at the previous round's
-    repair, to those of the receivers that dropped."""
+    diagnostics, and the key backups and mask shares of rounds not yet
+    repaired, each keyed by round and popped at the round's repair."""
 
     def __init__(self, schedule: DropoutSchedule):
         self.schedule = schedule
         self.diagnostics = Diagnostics()
-        # Round -> receiver -> one backup per sender that routed it pieces:
-        # (piece count, chaperone -> (point, share) of the pieces' sum).
-        self.backups: dict[int, dict[int, list[tuple[int, dict]]]] = {}
+        # Round -> its receivers' key chaperones' running sums.
+        self.backups: dict[int, KeyBackups] = {}
         # Round -> sender -> chaperone -> (point, share) of its mask secret.
         self.mask_shares: dict[int, dict[int, dict[int, tuple[int, int]]]] = {}
-        # Round i -> key committees of cohort i+1 by receiver.
-        self.key_committees: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def dropped(self, i: int) -> frozenset[int]:
         return self.schedule.get(i, frozenset())

@@ -6,9 +6,11 @@ encryption parameter recommendations, rather than re-running a lattice
 estimator.
 
 Cost model: a client uploads the used ciphertext coefficients (unused ones
-are dropped) plus one full-size correction element for seed resharing, so
-bytes per round = (ceil(ell/pf) + N) * logq / 8.  Expansion is measured
-against a cleartext baseline of 16-bit entries.
+are dropped), plus one full-size correction element with seed resharing, so
+bytes per round = (ceil(ell/pf) + N) * logq / 8; its d pieces go to peers
+as 128-bit seeds, or as whole elements of N * logq bits without seed
+resharing.  Expansion is measured against a cleartext baseline of 16-bit
+entries.
 
 Noise accounting tracks the l-infinity coefficient norm of the error.  Each
 Gaussian term is bounded by a 12-sigma tail; per-term bounds combine by
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import ring
 from .prng import ctx_rng
+from .sharing import SEED_BITS
 
 __all__ = [
     "SECURITY_LOGQ",
@@ -47,7 +50,6 @@ __all__ = [
 ]
 
 SIGMA = 3.2
-KAPPA = 128
 GAUSS_TAIL = 12.0
 
 # Max log2(q) for 128-bit security per ring degree.
@@ -105,22 +107,27 @@ def cost_model(
     ell: int,
     pf: int,
     d: int | None = None,
-    kappa: int = KAPPA,
     input_bits: int = BASELINE_INPUT_BITS,
+    seed_resharing: bool = True,
 ) -> CostReport:
     """Per-client, per-round communication.
 
-    Upload: the ceil(ell/pf) occupied ciphertext coefficients plus one
-    uncompressible correction element of N coefficients, logq bits each.
-    Client-to-client: d seeds of kappa bits when d is known.
+    Upload: the ceil(ell/pf) occupied ciphertext coefficients, plus with
+    seed resharing one uncompressible correction element of N
+    coefficients, logq bits each.  Client-to-client, when d is known: d
+    seeds of SEED_BITS bits, or d elements of N * logq bits without seed
+    resharing.
     """
     if pf < 1:
         raise ValueError("packing factor must be >= 1")
     coeffs = -(-ell // pf)
-    c2s = (coeffs + N) * logq / 8.0
-    c2c = (d * kappa / 8.0) if d else 0.0
+    if seed_resharing:
+        c2s, piece_bits = (coeffs + N) * logq / 8.0, SEED_BITS
+    else:
+        c2s, piece_bits = coeffs * logq / 8.0, N * logq
+    c2c = (d * piece_bits / 8.0) if d else 0.0
     cleartext = ell * input_bits / 8.0
-    return CostReport(c2s, c2c, c2s / cleartext)
+    return CostReport(c2s, c2c, c2s / cleartext if cleartext else math.inf)
 
 
 def format_bytes(b: float) -> str:
@@ -224,7 +231,7 @@ def simulate_honest_links(
 @dataclass
 class ParamSet:
     """Every knob a run needs: ring shape, packing, noise schedule, cohort
-    geometry, committee sizes, and protocol variant flags."""
+    geometry, committee sizes, and the resharing mode."""
 
     N: int
     logq: int
@@ -241,11 +248,8 @@ class ParamSet:
     gamma: float = 0.0
     beta: float = 0.0
     sigma: float = SIGMA
-    kappa: int = KAPPA
     dp_sigma: float = 0.0
     seed_resharing: bool = True
-    single_committee: bool = False
-    self_mask_reveal: bool = False
     limbs: tuple[int, ...] | None = None
     _ring: ring.RingParams | None = field(default=None, repr=False, compare=False)
 
@@ -274,9 +278,8 @@ class ParamSet:
 
     def cost(self) -> CostReport:
         return cost_model(
-            self.N, self.logq, self.ell, self.pf,
-            d=self.d if self.seed_resharing else None,
-            kappa=self.kappa, input_bits=self.input_bits,
+            self.N, self.logq, self.ell, self.pf, d=self.d,
+            input_bits=self.input_bits, seed_resharing=self.seed_resharing,
         )
 
     def with_overrides(self, **kw) -> "ParamSet":

@@ -113,8 +113,6 @@ class ClientStepResult:
     message: tuple[ring.RingElement, ...]
     reshares: list[tuple[int, object]]
     correction: ring.RingElement | None
-    c2s_bits: int = 0
-    c2c_bits: int = 0
 
 
 def client_step(
@@ -150,23 +148,17 @@ def client_step(
         sr = sharing.seed_reshare(key_share, pset.d, share_rng, rows)
         reshares = list(zip(receivers, sr.seeds))
         correction = sr.correction
-        c2c_bits = pset.d * pset.kappa
-        c2s_bits = pset.packed_coeffs * pset.logq + pset.N * pset.logq
     else:
         parts = sharing.ashare(key_share, pset.d, share_rng)
         for row, part in zip(rows or (), parts):
             row += part.res
         reshares = list(zip(receivers, parts))
-        c2c_bits = pset.d * pset.N * pset.logq
-        c2s_bits = pset.packed_coeffs * pset.logq
     return ClientStepResult(
         index=j,
         key_share=key_share,
         message=msg,
         reshares=reshares,
         correction=correction,
-        c2s_bits=c2s_bits,
-        c2c_bits=c2c_bits,
     )
 
 
@@ -317,6 +309,7 @@ def run_protocol(
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
     global_seed = hash_key(seed, "public-elements")
     server = ServerState(p, pset)
+    cost = pset.cost()  # every survivor's upload and peer traffic
     transcript = Transcript()
     key_history: list[list[ring.RingElement | None]] = []
 
@@ -341,8 +334,8 @@ def run_protocol(
             mask = recovery.mask(ctx, j) if recovery else None
             res = client_step(ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox)
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
-            rec.c2s_bytes += res.c2s_bits / 8.0
-            rec.c2c_bytes += (res.c2c_bits + backup_bits) / 8.0
+            rec.c2s_bytes += cost.client_server_bytes
+            rec.c2c_bytes += cost.client_client_bytes + backup_bits / 8.0
             rec.c2c_messages += len(res.reshares) + backup_messages
             results.append(res)
             keys[j] = res.key_share

@@ -290,6 +290,26 @@ def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     assert "Gaussian rule of round 1" in res.output
 
 
+@pytest.mark.parametrize("field", ["single_committee", "self_mask_reveal", "kappa"])
+def test_run_params_naming_removed_field_exits_2(runner, tmp_path, field):
+    # Recovery has one committee per client, chaperone-released masks and
+    # 128-bit seeds; a parameter file asking for anything else is rejected.
+    prog_file = tmp_path / "t.json"
+    res = runner.invoke(main, [
+        "gen", "tree", "--height", "2", "--sigma", "0", "--l", "2", "--out", str(prog_file),
+    ])
+    assert res.exit_code == 0, res.output
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({field: 1}))
+    res = runner.invoke(main, [
+        "run", "--program", str(prog_file), "--n", "4", "--seed", "1",
+        "--params", str(pfile), "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2
+    assert "bad parameters" in res.output
+    assert field in res.output
+
+
 # SHA-256 of reveals.csv from `run --check-ideal --seed 1234`, recorded when
 # the synthetic inputs were still built as object arrays of Python ints.
 SYNTH_REVEALS = {

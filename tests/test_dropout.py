@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -227,28 +228,6 @@ def test_zero_mask_hook():
     assert all(e == pr.zero() for e in dropout.prg_mask(0, 3, pr))
 
 
-def test_single_committee_flag():
-    p = _sum_program(4, 2)
-    pset = _pset(p, 6, single_committee=True)
-    for j in range(6):
-        assert dropout.chaperone_committee(1, pset, 2, j, "key") == \
-            dropout.chaperone_committee(1, pset, 2, 0, "key")
-    data = random_data(run_rng("single"), p, 6)
-    schedule = {2: frozenset({5})}
-    res, _ = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=41)
-    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 41, schedule).reveals)
-
-
-def test_self_mask_reveal_flag():
-    p = _sum_program(4, 2)
-    pset = _pset(p, 6, self_mask_reveal=True)
-    data = random_data(run_rng("selfrev"), p, 6)
-    schedule = {2: frozenset({3})}
-    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=43)
-    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 43, schedule).reveals)
-    assert (2, 3) not in diag.masks_reconstructed
-
-
 def test_key_recovery_invariant():
     # After recovery, surviving shares plus the recovery accumulator equal
     # the global key defined by the first cohort's senders.
@@ -366,20 +345,20 @@ def test_key_quorum_t_minus_one_alive_aborts():
 
 
 def test_repaired_rounds_are_freed():
-    # Each round's backups, mask shares and key committees are popped at its
-    # repair; only the backups meant for the never-run cohort r+1 remain.
+    # Each round's key backups and mask shares are popped at its repair;
+    # only the backups meant for the never-run cohort r+1 remain.
     p = _sum_program(5, 2)
     pset = _pset(p, 8, h=5, t=2)
     schedule = {2: frozenset({0, 5}), 3: frozenset({1, 6})}
-    recovery = dropout.Recovery(schedule)
+    recovery = _CheckedRecovery(schedule)
     data = random_data(run_rng("freed"), p, 8)
     res = protocol.run_protocol(
         p, replace(pset, seed_resharing=False), data_inputs=data, seed=67, recovery=recovery
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 67, schedule).reveals)
-    assert all(rnd > p.r for rnd in recovery.backups)
+    assert list(recovery.backups) == [p.r + 1]
     assert not recovery.mask_shares
-    assert not recovery.key_committees
+    assert sorted(recovery.seen) == list(range(2, p.r + 2))
 
 
 def test_running_sum_dropout_run_is_pinned():
@@ -580,46 +559,70 @@ def test_final_flush_repair_is_counted_in_last_row():
 
 
 class _CheckedRecovery(dropout.Recovery):
-    """Records, after every repair, which receivers the next round's backups
-    still hold, and checks that their shares own their data."""
+    """Copies, before every repair(rnd), the key backups of round rnd+1
+    (complete since round rnd), and checks that the repair leaves no record
+    of a round at or before rnd."""
 
     def __init__(self, schedule):
         super().__init__(schedule)
-        self.before = {}
-        self.after = {}
+        self.seen = {}
 
     def repair(self, server, rnd, next_dropped):
-        self.before[rnd + 1] = set(self.backups.get(rnd + 1, {}))
+        record = self.backups[rnd + 1]
+        self.seen[rnd + 1] = (record.sums.copy(), record.pieces.copy(), dict(record.committees))
         out = super().repair(server, rnd, next_dropped)
-        kept = self.backups.get(rnd + 1, {})
-        self.after[rnd + 1] = {recv: [count for count, _ in kept[recv]] for recv in kept}
-        for bundles in kept.values():
-            for _count, shares in bundles:
-                assert all(share.res.base is None for _x, share in shares.values())
+        assert all(k > rnd for k in self.backups)
         return out
 
 
-def test_survivors_backups_are_freed_at_previous_repair():
-    p, pset, schedule, seed = _doubled_case()
+def _checked_run(p, pset, data, schedule, seed):
     recovery = _CheckedRecovery(dropout.normalize_schedule(schedule, pset, p.r))
-    data = random_data(run_rng("doubled"), p, pset.n)
     res = protocol.run_protocol(
-        p, replace(pset, seed_resharing=False), data_inputs=data, seed=seed, recovery=recovery
+        p, replace(pset, seed_resharing=False), data_inputs=data, seed=seed,
+        track_keys=True, recovery=recovery,
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    return res, recovery
+
+
+def test_backup_records_count_pieces_per_receiver():
+    p, pset, schedule, seed = _doubled_case()
+    data = random_data(run_rng("doubled"), p, pset.n)
+    _res, recovery = _checked_run(p, pset, data, schedule, seed)
     for i in range(2, p.r + 2):
-        # Every receiver was backed up in round i-1; after repair(i-1) only
-        # round i's dropped receivers are left.
-        sent_to = {recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
-                   for recv in _receivers(seed, pset, i - 1, j)}
-        assert recovery.before[i] == sent_to
-        assert set(recovery.after[i]) == schedule.get(i, frozenset()) & sent_to
-    # R got two pieces from one round-1 sender: one backup counts both.
+        # Round i's receivers: every piece a survivor of round i-1 routed.
+        routed = [
+            recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
+            for recv in _receivers(seed, pset, i - 1, j)
+        ]
+        _sums, pieces, committees = recovery.seen[i]
+        assert list(pieces) == [routed.count(recv) for recv in range(pset.n)]
+        assert set(committees) == set(routed)
+        for recv, committee in committees.items():
+            assert committee == dropout.chaperone_committee(seed, pset, i, recv, "key")
+    # R got two pieces from one round-1 sender; both count.
     sender, recv = _doubled_receiver(seed, pset)
     per_sender = [_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n)]
-    assert sorted(recovery.after[2][recv]) == sorted(c for c in per_sender if c)
     assert per_sender[sender] >= 2
+    assert recovery.seen[2][1][recv] == sum(per_sender)
     assert recovery.diagnostics.recovered_pieces[2] == sum(per_sender)
+
+
+@pytest.mark.parametrize("make", [_consecutive_case, _running_sum_case])
+def test_backup_sums_interpolate_to_key_shares(make):
+    # Before repair(i), any t points of a receiver's running sums in round
+    # i+1's record interpolate to the key share it derived in round i+1.
+    p, pset, data, schedule, seed = make()
+    res, recovery = _checked_run(p, pset, data, schedule, seed)
+    rp = pset.ring()
+    for i in range(2, p.r + 1):
+        sums, _pieces, _committees = recovery.seen[i]
+        for recv, key in enumerate(res.key_history[i - 1]):
+            if key is None:
+                continue
+            for xs in itertools.combinations(range(1, pset.h + 1), pset.t):
+                points = [(x, ring.RingElement(sums[recv, x - 1] % rp._ps, rp)) for x in xs]
+                assert sharing.trec(points, pset.t) == key, (i, recv, xs)
 
 
 def _doubled_key_quorum_case(alive):

@@ -53,6 +53,14 @@ def test_cost_model_c2c_bytes():
     assert c.client_client_bytes == 47 * 128 / 8
 
 
+def test_cost_model_zero_width_inputs_have_infinite_expansion():
+    # Every run asks its parameter set for its cost; zero-width inputs have
+    # no cleartext to compare against.
+    c = params.cost_model(32, 27, 4, 1, d=2, input_bits=0)
+    assert c.client_server_bytes == (4 + 32) * 27 / 8
+    assert c.expansion == math.inf
+
+
 def test_format_bytes():
     assert params.format_bytes(16764) == "16.76 KB"
     assert params.format_bytes(34795082) == "34.80 MB"

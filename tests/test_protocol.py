@@ -151,8 +151,23 @@ def test_client_to_client_bytes_seed_resharing():
     pset = desk_paramset(p, n=5, d=7, seed_resharing=True)
     res = protocol.run_protocol(p, pset, seed=4)
     for row in res.transcript.rows:
-        assert row.c2c_bytes == pset.n * pset.d * pset.kappa / 8
+        assert row.c2c_bytes == pset.n * pset.d * sharing.SEED_BITS / 8
         assert row.c2c_messages == pset.n * pset.d
+
+
+@pytest.mark.parametrize("seed_resharing", [True, False])
+def test_cost_equals_synchronous_run_per_client_bytes(seed_resharing):
+    # Seeds plus a correction element, or whole elements to peers: the cost
+    # model and the transcript count the same bytes per client and round.
+    p = _sum_program(3, 5)
+    pset = desk_paramset(p, n=4, d=3, seed_resharing=seed_resharing)
+    res = protocol.run_protocol(p, pset, seed=5)
+    cost = pset.cost()
+    for row in res.transcript.rows:
+        assert row.c2s_bytes == pset.n * cost.client_server_bytes
+        assert row.c2c_bytes == pset.n * cost.client_client_bytes
+    per_piece = sharing.SEED_BITS if seed_resharing else pset.N * pset.logq
+    assert cost.client_client_bytes == pset.d * per_piece / 8
 
 
 def test_client_to_server_bytes_match_cost_model_benchmark_row():
