@@ -278,7 +278,7 @@ def cmd_params(n, ell, rounds, input_bits, dp_sigma, limbs):
     click.echo(f"packing      {ps.pf}")
     click.echo(f"slot_width   {ps.slot_width}")
     click.echo(f"plaintext    2^{ps.pf * ps.slot_width}")
-    click.echo(f"sigma        {ps.sigma}")
+    click.echo(f"sigma        {params.SIGMA}")
     click.echo(f"sigma_s      {ps.sigma_s:.4f}")
     click.echo(f"sigma_n      {ps.sigma_n:.4f}")
     click.echo(f"d            {ps.d}")

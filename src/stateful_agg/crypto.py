@@ -116,9 +116,10 @@ def open(
     reduction mod T must happen on centered values), reduces mod T and
     unpacks the plaintext slots.  Valid in the noise regime where the total
     signed magnitude stays below q/2.  When T is a power of two no larger
-    than 2^64 (every T that params.make_paramset builds) the lift runs on
-    the residues (ring.centered_mod_t) and the result is a uint64 array;
-    any other T is lifted through Python ints.
+    than 2^64 the lift runs on the residues (ring.centered_mod_t) and the
+    result is a uint64 array; any other T, such as the powers of two above
+    2^64 that params.make_paramset builds for wide packed slots, is lifted
+    through Python ints.
     """
     params = reveal_agg[0].params
     coeff_arrays = []

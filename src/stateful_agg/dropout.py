@@ -11,9 +11,10 @@ keep the run correct:
   the receiver drops, each of a quorum of t chaperones releases the sum of
   its shares for it, and the server interpolates the receiver's incoming
   pieces' sum into the recovery element Z;
-* every upload is blinded by a self-mask expanded from a short secret whose
-  threshold shares go to the sender's own chaperones; the chaperones
-  release them only for clients that completed their round, so the server
+* every upload is blinded by a self-mask expanded from a secret in Z_q (an
+  element of the degree-1 ring over the run's limbs) whose threshold
+  shares go to the sender's own chaperones; the chaperones release them
+  only for clients that completed their round, so the server
   can strip masks of survivors while a dropout's half-sent ciphertext
   stays blinded forever;
 * reveals subtract the weighted products of public round bases with each
@@ -21,15 +22,15 @@ keep the run correct:
   have uploaded.
 
 `Recovery` plugs these into `protocol.run_protocol`: the engine asks it
-which clients drop, for each survivor's self-mask, to back up each
-survivor's pieces and mask secret, and to repair each round before its
-reveal.  It alone holds the backups and mask shares, by round.  A round's
-key backups are what its receivers' chaperones hold: per receiver and
-evaluation point, the running sum of the shares sent to that chaperone,
-and the number of pieces they stand for.  Round i's repair, run once round
-i+1 is in, hands the server the recovered pieces and survivors' masks in
-one call and frees round i's state.  The backups need whole ring
-elements, so the run reshares plainly.
+which clients drop, for each survivor's self-mask (its secret is shared
+on the spot), to back up each survivor's pieces, and to repair each round
+before its reveal.  It alone holds the backups and mask shares, by round.
+A round's key backups are what its receivers' chaperones hold: per
+receiver and evaluation point, the running sum of the shares sent to that
+chaperone, and the number of pieces they stand for.  Round i's repair,
+run once round i+1 is in, hands the server the recovered pieces and
+survivors' masks in one call and frees round i's state.  The backups need
+whole ring elements, so the run reshares plainly.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -39,6 +40,7 @@ needed committee falls below its threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,6 +127,12 @@ def chaperone_committee(run_seed, pset: ParamSet, cohort: int, index: int, kind:
         raise ValueError("committee size h cannot exceed cohort size n")
     rng = ctx_rng(run_seed, "committee", kind, cohort, index)
     return tuple(int(v) for v in rng.choice(pset.n, size=pset.h, replace=False))
+
+
+@lru_cache(maxsize=64)
+def _scalar_ring(rp: ring.RingParams) -> ring.RingParams:
+    """Z_q as the degree-1 ring over rp's limbs: the mask secrets' ring."""
+    return ring.RingParams(1, rp.T, limbs=rp.limbs)
 
 
 def prg_mask(secret: int, m: int, params: ring.RingParams) -> list[ring.RingElement]:
@@ -227,11 +235,12 @@ def recover_round(
     """Round-boundary repairs for `rnd`, executed one round later.
 
     Recovers the incoming pieces of rnd's dropped clients and reconstructs
-    the self-masks of its survivors, then hands both to the server's
-    repair.  Returns released item counts (key elements, mask scalars) for
-    cost accounting: t key elements per dropped client that was sent
-    pieces, one summed share from each chaperone of the quorum.  Frees the
-    round's backups and mask shares.
+    the self-masks of its survivors (interpolating their degree-1 mask
+    shares), then hands both to the server's repair.  Returns released
+    item counts (key elements, mask scalars) for cost accounting: t key
+    elements per dropped client that was sent pieces, one summed share
+    from each chaperone of the quorum.  Frees the round's backups and mask
+    shares.
     """
     pset = server.pset
     rp = server.ring_params
@@ -271,10 +280,10 @@ def recover_round(
             shares, next_dropped, pset.t,
             f"round {rnd}: cannot reconstruct mask of surviving client {j}",
         )
-        secret = sharing.trec([shares[chap] for chap in chaps], pset.t, params=rp)
+        secret = sharing.trec([shares[chap] for chap in chaps], pset.t)
         mask_scalars += pset.t
         diagnostics.masks_reconstructed[(rnd, j)] = True
-        masks.append(prg_mask(secret, pset.m, rp))
+        masks.append(prg_mask(int(secret.coeffs[0]), pset.m, rp))
     diagnostics.recovered_pieces[rnd] = pieces_recovered
     diagnostics.deficits[rnd] = server.repair(rnd, recovered, masks)
     return pset.t * len(recovered), mask_scalars
@@ -283,8 +292,9 @@ def recover_round(
 class Recovery:
     """The dropout layer `protocol.run_protocol` calls at four points of a
     run, and the one holder of its recovery state: the schedule, the
-    diagnostics, and the key backups and mask shares of rounds not yet
-    repaired, each keyed by round and popped at the round's repair."""
+    diagnostics, and the key backups and mask-secret shares (degree-1
+    elements) of rounds not yet repaired, each keyed by round and popped at
+    the round's repair."""
 
     def __init__(self, schedule: DropoutSchedule):
         self.schedule = schedule
@@ -292,32 +302,33 @@ class Recovery:
         # Round -> its receivers' key chaperones' running sums.
         self.backups: dict[int, KeyBackups] = {}
         # Round -> sender -> chaperone -> (point, share) of its mask secret.
-        self.mask_shares: dict[int, dict[int, dict[int, tuple[int, int]]]] = {}
+        self.mask_shares: dict[int, dict[int, dict[int, tuple[int, ring.RingElement]]]] = {}
 
     def dropped(self, i: int) -> frozenset[int]:
         return self.schedule.get(i, frozenset())
 
     def mask(self, ctx: RoundContext, j: int) -> list[ring.RingElement]:
-        """Survivor j's self-mask for round ctx.index, from a fresh secret."""
-        rp = ctx.pset.ring()
-        rng = ctx_rng(ctx.run_seed, "mask-secret", ctx.index, j)
-        # Uniform in Z_q: one uniform residue per limb, CRT-lifted.
-        secret = sharing._from_residues([[rng.integers(0, p)] for p in rp.limbs], rp, True)
-        self.diagnostics.mask_secrets[(ctx.index, j)] = secret
-        return prg_mask(secret, ctx.pset.m, rp)
+        """Survivor j's self-mask for round ctx.index, from a fresh secret
+        that is Shamir-shared to j's mask committee on the spot."""
+        pset, i = ctx.pset, ctx.index
+        rp = pset.ring()
+        rng = ctx_rng(ctx.run_seed, "mask-secret", i, j)
+        # Uniform in Z_q: one uniform residue per limb, a degree-1 element.
+        res = np.array([[rng.integers(0, p)] for p in rp.limbs], dtype=np.uint64)
+        secret = ring.RingElement(res, _scalar_ring(rp))
+        committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
+        tsh = sharing.tshare(secret, pset.h, pset.t, ctx_rng(ctx.run_seed, "mask-share", i, j))
+        self.mask_shares.setdefault(i, {})[j] = dict(zip(committee, tsh.shares))
+        value = self.diagnostics.mask_secrets[(i, j)] = int(secret.coeffs[0])
+        return prg_mask(value, pset.m, rp)
 
     def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
         """Share a survivor's per-receiver piece sums to their receivers' key
-        committees and its mask secret to its own mask committee; returns
-        the extra client-to-client bits and messages."""
-        pset, i, j = ctx.pset, ctx.index, res.index
-        receivers = backup_shares(self, ctx, j, res.reshares)
-        secret = self.diagnostics.mask_secrets[(i, j)]
-        committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
-        rng = ctx_rng(ctx.run_seed, "mask-share", i, j)
-        tsh = sharing.tshare(secret, pset.h, pset.t, rng, params=pset.ring())
-        self.mask_shares.setdefault(i, {})[j] = dict(zip(committee, tsh.shares))
-        # h shares of each receiver's sum, plus h shares of the secret.
+        committees; returns the extra client-to-client bits and messages,
+        the h mask shares `mask` sent included."""
+        pset = ctx.pset
+        receivers = backup_shares(self, ctx, res.index, res.reshares)
+        # h shares of each receiver's sum, plus h shares of the mask secret.
         return pset.h * (receivers * pset.N + 1) * pset.logq, pset.h * (receivers + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:

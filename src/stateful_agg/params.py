@@ -247,7 +247,6 @@ class ParamSet:
     t: int
     gamma: float = 0.0
     beta: float = 0.0
-    sigma: float = SIGMA
     dp_sigma: float = 0.0
     seed_resharing: bool = True
     limbs: tuple[int, ...] | None = None
@@ -255,11 +254,11 @@ class ParamSet:
 
     @property
     def sigma_s(self) -> float:
-        return sigma_schedule(self.r, self.sigma)[0]
+        return sigma_schedule(self.r)[0]
 
     @property
     def sigma_n(self) -> float:
-        return sigma_schedule(self.r, self.sigma)[1]
+        return sigma_schedule(self.r)[1]
 
     @property
     def packed_coeffs(self) -> int:

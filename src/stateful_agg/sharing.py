@@ -4,8 +4,8 @@ seeds and a single correction element sent to the server.
 
 Shamir sharing of a ring element is applied coefficientwise, one
 polynomial per coefficient, and independently per prime limb of q (the
-evaluation points 1..h must be invertible, which holds per limb).  Scalar
-secrets in Z_q are shared the same way via their limb residues.
+evaluation points 1..h must be invertible, which holds per limb).  A
+scalar in Z_q is an element of the degree-1 ring over the same limbs.
 """
 
 from __future__ import annotations
@@ -59,28 +59,10 @@ def ashare(
 
 @dataclass(frozen=True)
 class ThresholdShares:
-    """Pairs (evaluation point, share value); any t of them reconstruct."""
+    """Pairs (evaluation point, share element); any t of them reconstruct."""
 
-    shares: tuple[tuple[int, object], ...]
+    shares: tuple[tuple[int, ring.RingElement], ...]
     threshold: int
-    params: "ring.RingParams | None" = None  # modulus context for scalar shares
-
-
-def _as_residues(secret, params: ring.RingParams) -> np.ndarray:
-    """Residue stack (L, k) for a ring element or (L, 1) for a scalar."""
-    if isinstance(secret, ring.RingElement):
-        return secret.res
-    v = int(secret)
-    return np.array([[v % p] for p in params.limbs], dtype=np.uint64)
-
-
-def _from_residues(res: np.ndarray, params: ring.RingParams, scalar: bool):
-    if scalar:
-        val = 0
-        for row, w in zip(res, params._crt_weights):
-            val += int(row[0]) * w
-        return val % params.q
-    return ring.RingElement(res.astype(np.uint64), params)
 
 
 def _shamir_stack(res: np.ndarray, h: int, t: int, rng: np.random.Generator, limbs) -> np.ndarray:
@@ -115,64 +97,36 @@ def _shamir_stack(res: np.ndarray, h: int, t: int, rng: np.random.Generator, lim
     return out
 
 
-def _share(secrets: Sequence, h: int, t: int, rng: np.random.Generator, params) -> list[ThresholdShares]:
-    scalar = not isinstance(secrets[0], ring.RingElement)
-    if not scalar:
-        params = secrets[0].params
-    elif params is None:
-        raise ValueError("scalar secrets need ring params for the modulus")
-    if t < 1 or t > h:
-        raise ValueError(f"threshold t={t} must satisfy 1 <= t <= h={h}")
-    if h >= min(params.limbs):
-        raise ValueError("committee size must be below every prime limb")
-    res = np.stack([_as_residues(s, params) for s in secrets])
-    out = _shamir_stack(res, h, t, rng, params.limbs)
-
-    def value(share_res: np.ndarray):
-        if scalar:
-            return _from_residues(share_res, params, True)
-        return ring.RingElement(share_res, params)  # a view into `out`, no copy
-
-    return [
-        ThresholdShares(
-            tuple((x, value(out[x - 1, k])) for x in range(1, h + 1)),
-            t,
-            params if scalar else None,
-        )
-        for k in range(len(secrets))
-    ]
-
-
-def tshare(
-    secret,
-    h: int,
-    t: int,
-    rng: np.random.Generator,
-    params: ring.RingParams | None = None,
-) -> ThresholdShares:
-    """Shamir-share a ring element or a scalar in Z_q among h holders.
+def tshare(secret: ring.RingElement, h: int, t: int, rng: np.random.Generator) -> ThresholdShares:
+    """Shamir-share a ring element among h holders.
 
     Shares are degree-(t-1) polynomial evaluations at points 1..h with the
     secret as constant term, done per coefficient and per limb.
     """
-    return _share([secret], h, t, rng, params)[0]
+    return tshare_many([secret], h, t, rng)[0]
 
 
 def tshare_many(
-    secrets: Sequence,
-    h: int,
-    t: int,
-    rng: np.random.Generator,
-    params: ring.RingParams | None = None,
+    secrets: Sequence[ring.RingElement], h: int, t: int, rng: np.random.Generator
 ) -> list[ThresholdShares]:
-    """Shamir-share several ring elements (or several scalars) at once.
+    """Shamir-share several ring elements at once.
 
     Gives exactly the shares of one `tshare` call per secret, in order, on
     the same generator.
     """
     if not secrets:
         return []
-    return _share(secrets, h, t, rng, params)
+    if t < 1 or t > h:
+        raise ValueError(f"threshold t={t} must satisfy 1 <= t <= h={h}")
+    pr = secrets[0].params
+    if h >= min(pr.limbs):
+        raise ValueError("committee size must be below every prime limb")
+    out = _shamir_stack(np.stack([s.res for s in secrets]), h, t, rng, pr.limbs)
+    # Each share is a view into `out`, no copy.
+    return [
+        ThresholdShares(tuple((x, ring.RingElement(out[x - 1, k], pr)) for x in range(1, h + 1)), t)
+        for k in range(len(secrets))
+    ]
 
 
 @lru_cache(maxsize=256)
@@ -191,11 +145,10 @@ def _lagrange_at_zero(xs: tuple[int, ...], limbs: tuple[int, ...]) -> np.ndarray
     return lam
 
 
-def trec(shares, t: int | None = None, params: ring.RingParams | None = None):
+def trec(shares, t: int | None = None) -> ring.RingElement:
     """Reconstruct by Lagrange interpolation at 0 from at least t shares."""
     if isinstance(shares, ThresholdShares):
         t = shares.threshold if t is None else t
-        params = shares.params if params is None else params
         pairs = list(shares.shares)
     else:
         pairs = list(shares)
@@ -206,15 +159,10 @@ def trec(shares, t: int | None = None, params: ring.RingParams | None = None):
     xs = tuple(x for x, _ in pairs)
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate evaluation points")
-    first = pairs[0][1]
-    scalar = not isinstance(first, ring.RingElement)
-    if scalar and params is None:
-        raise ValueError("scalar reconstruction needs ring params")
-    pr = params if scalar else first.params
-    vals = np.stack([_as_residues(v, pr) for _, v in pairs])
+    pr = pairs[0][1].params
+    vals = np.stack([v.res for _, v in pairs])
     lam = _lagrange_at_zero(xs, pr.limbs)
-    acc = (vals * lam[:, :, None] % pr._ps).sum(axis=0) % pr._ps
-    return _from_residues(acc, pr, scalar)
+    return ring.RingElement((vals * lam[:, :, None] % pr._ps).sum(axis=0) % pr._ps, pr)
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,11 @@ def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     assert "Gaussian rule of round 1" in res.output
 
 
-@pytest.mark.parametrize("field", ["single_committee", "self_mask_reveal", "kappa"])
+@pytest.mark.parametrize("field", ["single_committee", "self_mask_reveal", "kappa", "sigma"])
 def test_run_params_naming_removed_field_exits_2(runner, tmp_path, field):
     # Recovery has one committee per client, chaperone-released masks and
-    # 128-bit seeds; a parameter file asking for anything else is rejected.
+    # 128-bit seeds, and the encryption noise width is params.SIGMA; a
+    # parameter file asking for anything else is rejected.
     prog_file = tmp_path / "t.json"
     res = runner.invoke(main, [
         "gen", "tree", "--height", "2", "--sigma", "0", "--l", "2", "--out", str(prog_file),

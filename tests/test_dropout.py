@@ -185,8 +185,9 @@ def test_mask_reconstruction_matches_prg():
     pr = ring.RingParams(8, 2, q=97)
     rng = run_rng("maskrec")
     secret = 55
-    shares = sharing.tshare(secret, 5, 3, rng, params=pr)
-    rec = sharing.trec(list(shares.shares[1:4]), 3, params=pr)
+    # The secret is shared as an element of the degree-1 ring over pr's limbs.
+    shares = sharing.tshare(ring.RingParams(1, 2, q=97).from_coeffs([secret]), 5, 3, rng)
+    rec = int(sharing.trec(list(shares.shares[1:4]), 3).coeffs[0])
     assert rec == secret
     a = dropout.prg_mask(secret, 2, pr)
     b = dropout.prg_mask(rec, 2, pr)
@@ -560,16 +561,18 @@ def test_final_flush_repair_is_counted_in_last_row():
 
 class _CheckedRecovery(dropout.Recovery):
     """Copies, before every repair(rnd), the key backups of round rnd+1
-    (complete since round rnd), and checks that the repair leaves no record
-    of a round at or before rnd."""
+    (complete since round rnd) and round rnd's mask shares, and checks that
+    the repair leaves no record of a round at or before rnd."""
 
     def __init__(self, schedule):
         super().__init__(schedule)
         self.seen = {}
+        self.mask_seen = {}
 
     def repair(self, server, rnd, next_dropped):
         record = self.backups[rnd + 1]
         self.seen[rnd + 1] = (record.sums.copy(), record.pieces.copy(), dict(record.committees))
+        self.mask_seen[rnd] = {j: dict(held) for j, held in self.mask_shares[rnd].items()}
         out = super().repair(server, rnd, next_dropped)
         assert all(k > rnd for k in self.backups)
         return out
@@ -623,6 +626,23 @@ def test_backup_sums_interpolate_to_key_shares(make):
             for xs in itertools.combinations(range(1, pset.h + 1), pset.t):
                 points = [(x, ring.RingElement(sums[recv, x - 1] % rp._ps, rp)) for x in xs]
                 assert sharing.trec(points, pset.t) == key, (i, recv, xs)
+
+
+@pytest.mark.parametrize("make", [_consecutive_case, _running_sum_case])
+def test_mask_shares_interpolate_to_mask_secrets(make):
+    # Before repair(i), survivor j's mask committee holds its mask secret's
+    # shares, and any t of them interpolate to the secret recorded for (i, j).
+    p, pset, data, schedule, seed = make()
+    _res, recovery = _checked_run(p, pset, data, schedule, seed)
+    secrets = recovery.diagnostics.mask_secrets
+    for i in range(1, p.r + 1):
+        survivors = {j for j in range(pset.n) if j not in schedule.get(i, ())}
+        assert set(recovery.mask_seen[i]) == survivors
+        for j, held in recovery.mask_seen[i].items():
+            assert set(held) == set(dropout.chaperone_committee(seed, pset, i, j, "mask"))
+            for subset in itertools.combinations(held.values(), pset.t):
+                rec = sharing.trec(list(subset), pset.t)
+                assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j)
 
 
 def _doubled_key_quorum_case(alive):

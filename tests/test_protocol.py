@@ -227,6 +227,20 @@ def test_packed_slots_through_protocol():
     assert reveals_equal(res.reveals, _reference(p, pset, data, 78).reveals)
 
 
+def test_plaintext_modulus_above_2_64_run_matches_reference():
+    # Three 28-bit slots per coefficient: T = 2^84, so the lift mod T and
+    # the unpacking run on Python ints (ring.centered_mod_t, ring.decode).
+    p = tree_program(1, 0.0, ell=64)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=24, N=16, pf=3, stats=prog.reveal_stats(p),
+    )
+    assert (pset.T, pset.logq) == (2**84, 99)
+    data = random_data(run_rng("wide-T"), p, 4, input_bits=24)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=84)
+    assert len(res.reveals) == 2
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 84).reveals)
+
+
 def test_weights_on_reveal_rounds_supported():
     # Later rounds may reference earlier revealed values; the composed mask
     # bases keep the key terms cancelling.

@@ -11,6 +11,16 @@ F17 = ring.RingParams(1, 2, q=17)  # degree-1 ring: plain mod-17 scalars
 SMALL = ring.RingParams(8, 2, q=97)
 
 
+def scalar(v, pr=F17):
+    """v in Z_q as an element of pr, a degree-1 ring."""
+    return pr.from_coeffs([v])
+
+
+def degree1(pr):
+    """Z_q over pr's limbs: the degree-1 ring scalars are shared in."""
+    return ring.RingParams(1, pr.T, limbs=pr.limbs)
+
+
 def shamir_points(secret, poly, xs, p):
     """Reference: evaluate secret + poly[0]*x + poly[1]*x^2 + ... at each x, mod p."""
     out = []
@@ -60,10 +70,11 @@ def test_ashare_counts_property():
 def test_shamir_hand_example():
     # polynomial 5 + 3X over F_17: shares at 1,2,3 are 8, 11, 14
     assert shamir_points(5, [3], [1, 2, 3], 17) == [8, 11, 14]
-    got = sharing.trec([(1, 8), (2, 11)], 2, params=F17)
-    assert got == 5
-    assert sharing.trec([(2, 11), (3, 14)], 2, params=F17) == 5
-    assert sharing.trec([(1, 8), (3, 14)], 2, params=F17) == 5
+    s8, s11, s14 = scalar(8), scalar(11), scalar(14)
+    got = sharing.trec([(1, s8), (2, s11)], 2)
+    assert got == scalar(5)
+    assert sharing.trec([(2, s11), (3, s14)], 2) == scalar(5)
+    assert sharing.trec([(1, s8), (3, s14)], 2) == scalar(5)
 
 
 def test_tshare_trec_exhaustive_small_field():
@@ -71,35 +82,35 @@ def test_tshare_trec_exhaustive_small_field():
     for h in range(1, 11):
         for t in range(1, h + 1):
             for secret in range(0, 17, 4):
-                ts = sharing.tshare(secret, h, t, rng, params=F17)
-                assert sharing.trec(ts) == secret
+                ts = sharing.tshare(scalar(secret), h, t, rng)
+                assert sharing.trec(ts) == scalar(secret)
                 # any t-subset reconstructs
-                assert sharing.trec(list(ts.shares[:t]), t, params=F17) == secret
-                assert sharing.trec(list(ts.shares[-t:]), t, params=F17) == secret
+                assert sharing.trec(list(ts.shares[:t]), t) == scalar(secret)
+                assert sharing.trec(list(ts.shares[-t:]), t) == scalar(secret)
 
 
 def test_tshare_t1_each_share_alone():
     rng = run_rng("t1")
-    ts = sharing.tshare(9, 4, 1, rng, params=F17)
+    ts = sharing.tshare(scalar(9), 4, 1, rng)
     for pair in ts.shares:
-        assert sharing.trec([pair], 1, params=F17) == 9
+        assert sharing.trec([pair], 1) == scalar(9)
 
 
 def test_tshare_full_threshold_insufficient():
     rng = run_rng("th")
-    ts = sharing.tshare(5, 3, 3, rng, params=F17)
+    ts = sharing.tshare(scalar(5), 3, 3, rng)
     with pytest.raises(ValueError, match="at least 3"):
-        sharing.trec(list(ts.shares[:2]), 3, params=F17)
+        sharing.trec(list(ts.shares[:2]), 3)
 
 
 def test_trec_duplicate_points():
     with pytest.raises(ValueError, match="duplicate"):
-        sharing.trec([(1, 8), (1, 8)], 2, params=F17)
+        sharing.trec([(1, scalar(8)), (1, scalar(8))], 2)
 
 
 def test_trec_invalid_threshold():
     with pytest.raises(ValueError, match="threshold"):
-        sharing.tshare(5, 3, 4, run_rng("x"), params=F17)
+        sharing.tshare(scalar(5), 3, 4, run_rng("x"))
 
 
 def test_tshare_uniform_share_distribution():
@@ -125,16 +136,16 @@ def test_tshare_ring_element():
 
 def test_tshare_zero():
     rng = run_rng("tzero")
-    ts = sharing.tshare(0, 4, 2, rng, params=F17)
-    assert sharing.trec(ts) == 0
+    ts = sharing.tshare(scalar(0), 4, 2, rng)
+    assert sharing.trec(ts) == scalar(0)
 
 
 def test_tshare_rns_scalar():
-    pr = ring.RingParams.from_bits(8, 50, 2)
+    pr = degree1(ring.RingParams.from_bits(8, 50, 2))
     rng = run_rng("trns")
-    secret = 123456789012345 % pr.q
-    ts = sharing.tshare(secret, 5, 3, rng, params=pr)
-    assert sharing.trec(list(ts.shares[:3]), 3, params=pr) == secret
+    secret = scalar(123456789012345 % pr.q, pr)
+    ts = sharing.tshare(secret, 5, 3, rng)
+    assert sharing.trec(list(ts.shares[:3]), 3) == secret
 
 
 def test_expand_seed_deterministic():
@@ -174,10 +185,7 @@ def _horner_shares(secrets, h, t, rng, pr):
     ints.  Returns per secret the (L, W) residues of shares at points 1..h."""
     out = []
     for s in secrets:
-        if isinstance(s, ring.RingElement):
-            res = [[int(v) for v in row] for row in s.res]
-        else:
-            res = [[int(s) % p] for p in pr.limbs]
+        res = [[int(v) for v in row] for row in s.res]
         width = len(res[0])
         coeffs = [
             [rng.integers(0, p, size=width, dtype=np.uint64) for p in pr.limbs]
@@ -199,10 +207,8 @@ def _horner_shares(secrets, h, t, rng, pr):
     return out
 
 
-def _share_residues(ts, pr):
-    if ts.params is None:
-        return [[[int(v) for v in row] for row in value.res] for _, value in ts.shares]
-    return [[[value % p] for p in pr.limbs] for _, value in ts.shares]
+def _share_residues(ts):
+    return [[[int(v) for v in row] for row in value.res] for _, value in ts.shares]
 
 
 # A single 31-bit limb: with h = t = 20 the terms x^k mod p reach ~2^31, so
@@ -222,15 +228,18 @@ def test_tshare_matches_horner_reference(logq, limbs, h, t):
         vmax = max(pow(x, k, p) for x in range(1, h + 1) for k in range(1, t))
         assert (t - 1) * vmax * (p - 1) >= 2**64
     elems = [ring.sample_uniform(run_rng("hr-e", h, t, k), pr) for k in range(3)]
-    scalars = [int(run_rng("hr-s", h, t, k).integers(0, 2**62)) % pr.q for k in range(3)]
+    scalars = [
+        scalar(int(run_rng("hr-s", h, t, k).integers(0, 2**62)) % pr.q, degree1(pr))
+        for k in range(3)
+    ]
     for secrets in (elems, scalars):
         want = _horner_shares(secrets, h, t, run_rng("hr", h, t), pr)
-        many = sharing.tshare_many(secrets, h, t, run_rng("hr", h, t), params=pr)
+        many = sharing.tshare_many(secrets, h, t, run_rng("hr", h, t))
         rng = run_rng("hr", h, t)
-        single = [sharing.tshare(s, h, t, rng, params=pr) for s in secrets]
+        single = [sharing.tshare(s, h, t, rng) for s in secrets]
         for ref, a, b in zip(want, many, single):
-            assert _share_residues(a, pr) == ref
-            assert _share_residues(b, pr) == ref
+            assert _share_residues(a) == ref
+            assert _share_residues(b) == ref
             assert [x for x, _ in a.shares] == list(range(1, h + 1))
 
 
@@ -250,10 +259,10 @@ def test_trec_every_t_subset_and_summed_bundles():
         for ts, secret in zip(shared, secrets):
             assert sharing.trec([ts.shares[i] for i in subset], t) == secret
         assert sharing.trec([summed[i] for i in subset], t) == total
-    scalar = 987654321012345 % pr.q
-    ts = sharing.tshare(scalar, h, t, rng, params=pr)
+    value = scalar(987654321012345 % pr.q, degree1(pr))
+    ts = sharing.tshare(value, h, t, rng)
     for subset in itertools.combinations(ts.shares, t):
-        assert sharing.trec(list(subset), t, params=pr) == scalar
+        assert sharing.trec(list(subset), t) == value
 
 
 # One, two and four limbs; the single limb is 31 bits wide.
