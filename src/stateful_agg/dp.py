@@ -129,9 +129,6 @@ class BandedMatrix:
         s = 2**self.precision_bits
         return [[Fraction(int(v), s) for v in row] for row in self.scaled]
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.real()))
-
     def __post_init__(self):
         s = self.scaled
         if s.ndim != 2 or s.shape[0] != s.shape[1]:

@@ -29,8 +29,8 @@ A round's key backups are what its receivers' chaperones hold: per
 receiver and evaluation point, the running sum of the shares sent to that
 chaperone, and the number of pieces they stand for.  Round i's repair,
 run once round i+1 is in, hands the server the recovered pieces and
-survivors' masks in one call and frees round i's state.  The backups need
-whole ring elements, so the run reshares plainly.
+survivors' masks in one call and frees round i's state.  With seed
+resharing, a sender backs up the expansions of the seeds it routed.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -39,7 +39,7 @@ needed committee falls below its threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -327,7 +327,11 @@ class Recovery:
         committees; returns the extra client-to-client bits and messages,
         the h mask shares `mask` sent included."""
         pset = ctx.pset
-        receivers = backup_shares(self, ctx, res.index, res.reshares)
+        pieces = res.reshares
+        if pset.seed_resharing:
+            rp = pset.ring()
+            pieces = [(recv, sharing.expand_seed(seed, rp)) for recv, seed in pieces]
+        receivers = backup_shares(self, ctx, res.index, pieces)
         # h shares of each receiver's sum, plus h shares of the mask secret.
         return pset.h * (receivers * pset.N + 1) * pset.logq, pset.h * (receivers + 1)
 
@@ -354,9 +358,6 @@ def run_dropout_protocol(
     if not 1 <= pset.t <= pset.h:
         raise ValueError("need 1 <= t <= h")
     recovery = Recovery(normalize_schedule(schedule, pset, p.r))
-    result = run_protocol(
-        p, replace(pset, seed_resharing=False), data_inputs, seed, track_keys,
-        recovery=recovery,
-    )
+    result = run_protocol(p, pset, data_inputs, seed, track_keys, recovery=recovery)
     recovery.diagnostics.assert_dropped_masks_private(recovery.schedule)
     return result, recovery.diagnostics

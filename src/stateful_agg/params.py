@@ -24,7 +24,7 @@ never reproduce practical modulus sizes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,9 @@ GAUSS_TAIL = 12.0
 SECURITY_LOGQ = {2048: 54, 4096: 109, 8192: 218, 16384: 438}
 
 BASELINE_INPUT_BITS = 16
+
+# Failure probability the derived resharing fanout d is sized for.
+DELTA_LINKS = 2.0**-40
 
 
 def max_logq(N: int) -> int:
@@ -235,7 +238,6 @@ class ParamSet:
 
     N: int
     logq: int
-    T: int
     pf: int
     slot_width: int
     ell: int
@@ -247,10 +249,13 @@ class ParamSet:
     t: int
     gamma: float = 0.0
     beta: float = 0.0
-    dp_sigma: float = 0.0
     seed_resharing: bool = True
-    limbs: tuple[int, ...] | None = None
-    _ring: ring.RingParams | None = field(default=None, repr=False, compare=False)
+    # Built on first use; `dataclasses.replace` starts a fresh one.
+    _ring: ring.RingParams | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def T(self) -> int:
+        return 2 ** (self.pf * self.slot_width)
 
     @property
     def sigma_s(self) -> float:
@@ -270,9 +275,7 @@ class ParamSet:
 
     def ring(self) -> ring.RingParams:
         if self._ring is None:
-            limbs = self.limbs or ring.choose_limbs(self.N, self.logq)
-            self._ring = ring.RingParams(self.N, self.T, limbs=limbs)
-            self.limbs = self._ring.limbs
+            self._ring = ring.RingParams.from_bits(self.N, self.logq, self.T)
         return self._ring
 
     def cost(self) -> CostReport:
@@ -280,11 +283,6 @@ class ParamSet:
             self.N, self.logq, self.ell, self.pf, d=self.d,
             input_bits=self.input_bits, seed_resharing=self.seed_resharing,
         )
-
-    def with_overrides(self, **kw) -> "ParamSet":
-        kw.setdefault("_ring", None)
-        kw.setdefault("limbs", None)
-        return replace(self, **kw)
 
 
 def make_paramset(
@@ -305,17 +303,15 @@ def make_paramset(
     slot_width: int | None = None,
     stats: tuple[float, float] = (1.0, 1.0),
     margin_bits: int = 4,
-    delta_links: float = 2.0**-40,
     enforce_security: bool = False,
-    **flags,
+    seed_resharing: bool = True,
 ) -> ParamSet:
     """Assemble a parameter set, deriving anything not pinned explicitly.
 
     With enforce_security the modulus is clamped to the embedded table (and
     N must appear in it); otherwise desk-scale toy degrees are accepted and
     logq is sized from the noise budget plus a safety margin, then stepped
-    up to the first width a limb split realizes (its limbs are kept, so
-    `ParamSet.ring()` does not search again).  When packing
+    up to the first width a limb split realizes.  When packing
     (pf > 1) the slot width also covers the program's weight accumulation so
     lane sums cannot carry across slots; unpacked coefficients wrap mod T,
     which is the functionality's own semantics.
@@ -324,7 +320,6 @@ def make_paramset(
         slot_width = slot_width_for(
             input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0
         )
-    T = 2 ** (pf * slot_width)
     packed = -(-ell // pf)
     if N is None:
         N = 16
@@ -332,13 +327,12 @@ def make_paramset(
             N *= 2
     _, sigma_n = sigma_schedule(r)
     if logq is None:
-        req, _ = _budget_bits(T, sigma_n, n, *stats)
-        logq, limbs = _buildable_logq(N, math.floor(req + 1.0) + 1 + margin_bits, enforce_security)
-        flags.setdefault("limbs", limbs)
+        req, _ = _budget_bits(2 ** (pf * slot_width), sigma_n, n, *stats)
+        logq = _buildable_logq(N, math.floor(req + 1.0) + 1 + margin_bits, enforce_security)
     if enforce_security and logq > max_logq(N):
         raise ValueError(f"logq={logq} exceeds the {max_logq(N)}-bit cap for N={N}")
     if d is None:
-        d = committee_sizes(n, r, gamma, delta_links)
+        d = committee_sizes(n, r, gamma, DELTA_LINKS)
     if h is None:
         h = min(d, n)
     if t is None:
@@ -346,19 +340,19 @@ def make_paramset(
     if h > n:
         raise ValueError(f"committee size h={h} cannot exceed cohort size n={n}")
     return ParamSet(
-        N=N, logq=logq, T=T, pf=pf, slot_width=slot_width, ell=ell,
-        input_bits=input_bits, n=n, r=r, d=d, h=h, t=t, gamma=gamma, beta=beta,
-        dp_sigma=dp_sigma, **flags,
+        N=N, logq=logq, pf=pf, slot_width=slot_width, ell=ell, input_bits=input_bits,
+        n=n, r=r, d=d, h=h, t=t, gamma=gamma, beta=beta, seed_resharing=seed_resharing,
     )
 
 
-def _buildable_logq(N: int, logq: int, enforce_security: bool) -> tuple[int, tuple[int, ...]]:
+def _buildable_logq(N: int, logq: int, enforce_security: bool) -> int:
     """The smallest logq at or above the given one that a limb split
-    realizes, with its limbs; never above the security cap when enforced."""
+    realizes; never above the security cap when enforced."""
     cap = max_logq(N) if enforce_security else None
     while True:
         try:
-            return logq, ring.choose_limbs(N, logq)
+            ring.choose_limbs(N, logq)
+            return logq
         except ValueError:
             if cap is not None and logq >= cap:
                 raise

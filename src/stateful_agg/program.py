@@ -76,10 +76,6 @@ class Instruction:
         items = tuple(sorted((int(k), int(v)) for k, v in (weights or {}).items()))
         return cls(mode, rule, items)
 
-    @property
-    def weight_map(self) -> dict[int, int]:
-        return dict(self.weights)
-
 
 @dataclass
 class Program:

@@ -84,7 +84,6 @@ class RoundRecord:
 @dataclass
 class Transcript:
     rows: list[RoundRecord] = field(default_factory=list)
-    reveals: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 @dataclass
@@ -224,19 +223,25 @@ class ServerState:
             self.drift = ring.lincomb(terms, self.ring_params)
 
     def repair(self, rnd: int, recovered, masks) -> ring.RingElement | None:
-        """Dropout repair of round rnd, before anything reads it: shift the
-        drift by the dropped clients' recovered key pieces, make it the
-        round's deficit, and strip the survivors' self-masks (one list of m
-        elements each) from the round's stored aggregate.  Returns the
-        deficit."""
-        self.shift_drift(recovered)
-        self.deficit[rnd] = self.drift
+        """Dropout repair of round rnd, before anything reads it: the dropped
+        clients' recovered key pieces are lost to round rnd's cohort and to
+        every later one, so their sum joins the drift, round rnd's deficit
+        and round rnd+1's (snapshot at its `server_step`, before this
+        repair).  Strips the survivors' self-masks (one list of m elements
+        each) from the round's stored aggregate.  Returns the deficit."""
+        if recovered:
+            lost = sharing.piece_sum(recovered, self.ring_params)
+            self.shift_drift([lost])
+            for k in (rnd, rnd + 1):
+                if k in self.deficit:
+                    prior = self.deficit[k]
+                    self.deficit[k] = lost if prior is None else prior + lost
         if masks:
             self.stored[rnd] = tuple(
                 ring.lincomb([(1, agg)] + [(-1, mk[e]) for mk in masks], self.ring_params)
                 for e, agg in enumerate(self.stored[rnd])
             )
-        return self.drift
+        return self.deficit[rnd]
 
 
 def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
@@ -291,7 +296,9 @@ def run_protocol(
     opened after round i+1's uploads are absorbed.  A recovery layer (see
     `dropout.Recovery`) names each round's dropped clients, masks and backs
     up every survivor's step, and repairs round i-1 before its reveal;
-    without one no client drops.
+    without one no client drops.  Round r's survivors reshare and back up
+    like every other cohort's: the state is append-only and outlives any
+    simulated prefix, so the last cohort hands the key on too.
     """
     errs = prog.validate(p)
     if errs:
@@ -311,11 +318,12 @@ def run_protocol(
     server = ServerState(p, pset)
     cost = pset.cost()  # every survivor's upload and peer traffic
     transcript = Transcript()
+    reveals: list[tuple[int, np.ndarray]] = []
     key_history: list[list[ring.RingElement | None]] = []
 
     def deliver(k: int) -> None:
         if k >= 1 and p.instruction(k).mode == prog.REVEAL:
-            transcript.reveals.append((k, server.open_round(k)))
+            reveals.append((k, server.open_round(k)))
 
     # Round i's pieces, summed per receiver in residue form; a dropped
     # receiver's row is never read (recovery rebuilds it from backups).
@@ -353,7 +361,7 @@ def run_protocol(
         transcript.rows[-1].c2s_bytes += recovery.repair(server, p.r, frozenset())
     deliver(p.r)
     return RunResult(
-        reveals=list(transcript.reveals),
+        reveals=reveals,
         transcript=transcript,
         key_history=key_history if track_keys else None,
     )

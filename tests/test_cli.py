@@ -290,10 +290,13 @@ def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     assert "Gaussian rule of round 1" in res.output
 
 
-@pytest.mark.parametrize("field", ["single_committee", "self_mask_reveal", "kappa", "sigma"])
+@pytest.mark.parametrize(
+    "field", ["single_committee", "self_mask_reveal", "kappa", "sigma", "limbs", "delta_links"]
+)
 def test_run_params_naming_removed_field_exits_2(runner, tmp_path, field):
     # Recovery has one committee per client, chaperone-released masks and
-    # 128-bit seeds, and the encryption noise width is params.SIGMA; a
+    # 128-bit seeds, the encryption noise width is params.SIGMA, the limbs
+    # follow from N and logq, and d is sized for params.DELTA_LINKS; a
     # parameter file asking for anything else is rejected.
     prog_file = tmp_path / "t.json"
     res = runner.invoke(main, [

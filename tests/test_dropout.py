@@ -34,6 +34,8 @@ def _survivor_reference(p, pset, data, seed, schedule):
 
 def _pset(p, n, **kw):
     kw.setdefault("beta", 0.4)
+    # Element pieces, as the pinned scenarios ran; seed-mode tests pass True.
+    kw.setdefault("seed_resharing", False)
     kw.setdefault("h", 3)
     kw.setdefault("t", 2)
     return desk_paramset(p, n=n, **kw)
@@ -44,9 +46,7 @@ def test_empty_schedule_matches_synchronous_protocol():
     pset = _pset(p, 6, beta=0.0)
     data = random_data(run_rng("empty"), p, 6)
     res, diag = dropout.run_dropout_protocol(p, pset, {}, data_inputs=data, seed=7)
-    sync = protocol.run_protocol(
-        p, pset.with_overrides(seed_resharing=False), data_inputs=data, seed=7
-    )
+    sync = protocol.run_protocol(p, pset, data_inputs=data, seed=7)
     assert reveals_equal(res.reveals, sync.reveals)
     assert all(diag.masks_reconstructed.values())
     assert diag.recovered_pieces == {i: 0 for i in diag.recovered_pieces}
@@ -292,57 +292,63 @@ def test_key_history_and_reveals_are_pinned():
     assert _run_digest(res, diag) == PINNED_DIGEST
 
 
-def _mask_quorum_case(alive):
+def _mask_quorum_case(alive, seed_resharing):
     # Client 0 survives round 2; all but `alive` of its mask chaperones drop
     # in round 3, when the chaperones must release its mask shares.
     p = _sum_program(4, 2)
-    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
     committee = dropout.chaperone_committee(59, pset, 2, 0, "mask")
     schedule = {3: frozenset(committee[alive:])}
     return p, pset, schedule
 
 
 def test_mask_quorum_exactly_t_alive():
-    p, pset, schedule = _mask_quorum_case(alive=3)
-    data = random_data(run_rng("maskq"), p, 8)
-    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=59)
-    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 59, schedule).reveals)
-    assert diag.masks_reconstructed[(2, 0)]
+    for seed_resharing in (False, True):
+        p, pset, schedule = _mask_quorum_case(alive=3, seed_resharing=seed_resharing)
+        data = random_data(run_rng("maskq"), p, 8)
+        res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=59)
+        ref = _survivor_reference(p, pset, data, 59, schedule)
+        assert reveals_equal(res.reveals, ref.reveals), seed_resharing
+        assert diag.masks_reconstructed[(2, 0)]
 
 
 def test_mask_quorum_t_minus_one_alive_aborts():
-    p, pset, schedule = _mask_quorum_case(alive=2)
-    with pytest.raises(dropout.QuorumError, match="round 2: cannot reconstruct mask"):
-        dropout.run_dropout_protocol(p, pset, schedule, seed=59)
+    for seed_resharing in (False, True):
+        p, pset, schedule = _mask_quorum_case(alive=2, seed_resharing=seed_resharing)
+        with pytest.raises(dropout.QuorumError, match="round 2: cannot reconstruct mask"):
+            dropout.run_dropout_protocol(p, pset, schedule, seed=59)
 
 
-def _key_quorum_case(alive):
+def _key_quorum_case(alive, seed_resharing):
     # Client 0 drops in round 2; all but `alive` of its key chaperones drop
     # in round 3, when they must release its incoming pieces.
     p = _sum_program(4, 2)
-    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
     committee = dropout.chaperone_committee(61, pset, 2, 0, "key")
     schedule = {2: frozenset({0}), 3: frozenset(committee[alive:])}
     return p, pset, schedule
 
 
 def test_key_quorum_exactly_t_alive():
-    p, pset, schedule = _key_quorum_case(alive=3)
-    data = random_data(run_rng("keyq"), p, 8)
-    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=61)
-    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 61, schedule).reveals)
-    assert diag.recovered_pieces[2] > 0
+    for seed_resharing in (False, True):
+        p, pset, schedule = _key_quorum_case(alive=3, seed_resharing=seed_resharing)
+        data = random_data(run_rng("keyq"), p, 8)
+        res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=61)
+        ref = _survivor_reference(p, pset, data, 61, schedule)
+        assert reveals_equal(res.reveals, ref.reveals), seed_resharing
+        assert diag.recovered_pieces[2] > 0
 
 
 def test_key_quorum_t_minus_one_alive_aborts():
     # Key recovery runs before mask release, so the key committee's error
     # comes first even though round 3's drops also thin mask committees.
-    p, pset, schedule = _key_quorum_case(alive=2)
-    with pytest.raises(
-        dropout.QuorumError,
-        match="round 2: only 2 of 3 committee shares available for dropped client",
-    ):
-        dropout.run_dropout_protocol(p, pset, schedule, seed=61)
+    for seed_resharing in (False, True):
+        p, pset, schedule = _key_quorum_case(alive=2, seed_resharing=seed_resharing)
+        with pytest.raises(
+            dropout.QuorumError,
+            match="round 2: only 2 of 3 committee shares available for dropped client",
+        ):
+            dropout.run_dropout_protocol(p, pset, schedule, seed=61)
 
 
 def test_repaired_rounds_are_freed():
@@ -368,7 +374,7 @@ def test_running_sum_dropout_run_is_pinned():
     p = running_sum_program(6, 8)
     pset = params.make_paramset(
         n=6, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, h=4, t=2, beta=0.34,
-        stats=prog.reveal_stats(p),
+        stats=prog.reveal_stats(p), seed_resharing=False,
     )
     data = random_data(run_rng("pin-dropout"), p, 6, input_bits=20)
     schedule = {2: frozenset({1}), 3: frozenset({4}), 5: frozenset({0, 3})}
@@ -390,10 +396,7 @@ def test_empty_schedule_key_history_matches_plain_resharing_run():
     res, _ = dropout.run_dropout_protocol(
         p, pset, {}, data_inputs=data, seed=7, track_keys=True
     )
-    sync = protocol.run_protocol(
-        p, pset.with_overrides(seed_resharing=False), data_inputs=data, seed=7,
-        track_keys=True,
-    )
+    sync = protocol.run_protocol(p, pset, data_inputs=data, seed=7, track_keys=True)
     assert len(res.key_history) == p.r
     assert res.key_history == sync.key_history
 
@@ -412,7 +415,7 @@ def _running_sum_case():
     p = running_sum_program(6, 8)
     pset = params.make_paramset(
         n=6, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, h=4, t=2, beta=0.34,
-        stats=prog.reveal_stats(p),
+        stats=prog.reveal_stats(p), seed_resharing=False,
     )
     data = random_data(run_rng("pin-dropout"), p, 6, input_bits=20)
     schedule = {2: frozenset({1}), 3: frozenset({4}), 5: frozenset({0, 3})}
@@ -468,6 +471,28 @@ def test_dropout_run_invariants_are_pinned(monkeypatch, case):
     assert (invariant_digest(res, diag), stored_digest(servers[0])) == (want, want_stored)
 
 
+# run_digest of the consecutive-drops run with seed pieces: key shares,
+# deficits (corrections and recovered pieces), reveals and traffic.
+SEED_RESHARING_DIGESTS = {
+    "consecutive": "46f954559abdd5899ab256506bf2de5bf6e9268845115d8fd479bab873c43a29",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_DIGESTS))
+def test_seed_resharing_dropout_runs_match_survivor_reference(case):
+    # The same scenarios with seed pieces: senders back up their seeds'
+    # expansions, and the corrections move the drift between repairs.
+    p, pset, data, schedule, seed = INVARIANT_DIGESTS[case][0]()
+    pset = replace(pset, seed_resharing=True)
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=seed, track_keys=True
+    )
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert sum(diag.recovered_pieces.values()) > 0
+    if case in SEED_RESHARING_DIGESTS:
+        assert run_digest(res, diag) == SEED_RESHARING_DIGESTS[case]
+
+
 def _receivers(seed, pset, i, j):
     """Receivers of client j's pieces in round i: the public draw its
     `client_step` makes."""
@@ -486,12 +511,12 @@ def _doubled_receiver(seed, pset):
     raise AssertionError(f"seed {seed}: no round-1 sender routes two pieces to one receiver")
 
 
-def _doubled_case():
+def _doubled_case(seed_resharing=False):
     # Round 1: one sender routes two pieces to R, which drops in round 2.
     # Round r = 4: a receiver of round 3's pieces drops, so the final flush
     # recovers key pieces as well as survivors' masks.
     p = _sum_program(4, 2)
-    pset = _pset(p, 6, d=3, h=3, t=2, beta=0.34)
+    pset = _pset(p, 6, d=3, h=3, t=2, beta=0.34, seed_resharing=seed_resharing)
     seed = 83
     _sender, recv = _doubled_receiver(seed, pset)
     last = min({r for j in range(pset.n) for r in _receivers(seed, pset, 3, j)})
@@ -501,13 +526,16 @@ def _doubled_case():
 def _expected_rows(p, pset, schedule, seed):
     """Closed-form (c2s_bytes, c2c_bytes, c2c_messages) of each round.
 
-    A survivor uploads packed_coeffs coefficients and sends d pieces, plus h
-    shares of each of its G distinct receivers' piece sums and h shares of
-    its mask secret.  Round k's repair, counted in round k+1's row (round
-    r's in row r), releases t elements for each dropped client of round k
-    that a survivor of round k-1 sent pieces to, and t scalars for each
-    survivor's mask."""
+    A survivor uploads packed_coeffs coefficients, plus a correction
+    element with seed resharing, and sends d pieces (elements, or seeds of
+    SEED_BITS), plus h shares of each of its G distinct receivers' piece
+    sums and h shares of its mask secret.  Round k's repair, counted in
+    round k+1's row (round r's in row r), releases t elements for each
+    dropped client of round k that a survivor of round k-1 sent pieces to,
+    and t scalars for each survivor's mask."""
     n, N, logq, h, t, d = pset.n, pset.N, pset.logq, pset.h, pset.t, pset.d
+    upload = (pset.packed_coeffs + (N if pset.seed_resharing else 0)) * logq
+    piece = sharing.SEED_BITS if pset.seed_resharing else N * logq
     survivors = {
         i: [j for j in range(n) if j not in schedule.get(i, ())] for i in range(1, p.r + 1)
     }
@@ -521,10 +549,10 @@ def _expected_rows(p, pset, schedule, seed):
 
     rows = []
     for i in range(1, p.r + 1):
-        c2s = len(survivors[i]) * pset.packed_coeffs * logq / 8
+        c2s = len(survivors[i]) * upload / 8
         c2s += (repair(i - 1) if i >= 2 else 0) + (repair(i) if i == p.r else 0)
         groups = [len(set(_receivers(seed, pset, i, j))) for j in survivors[i]]
-        c2c = sum(d * N * logq + h * (g * N + 1) * logq for g in groups) / 8
+        c2c = sum(d * piece + h * (g * N + 1) * logq for g in groups) / 8
         rows.append((c2s, c2c, sum(d + h * (g + 1) for g in groups)))
     return rows
 
@@ -533,6 +561,18 @@ def test_transcript_rows_match_closed_forms():
     # One backup per (sender, receiver), t released elements per recovered
     # receiver, and round r's repair counted in row r.
     p, pset, schedule, seed = _doubled_case()
+    data = random_data(run_rng("doubled"), p, pset.n)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    got = [(row.c2s_bytes, row.c2c_bytes, row.c2c_messages) for row in res.transcript.rows]
+    assert got == _expected_rows(p, pset, schedule, seed)
+    assert diag.recovered_pieces[4] > 0
+
+
+def test_transcript_rows_match_closed_forms_with_seed_resharing():
+    # Each survivor uploads its correction element too, and sends d seeds
+    # to peers next to the same backups.
+    p, pset, schedule, seed = _doubled_case(seed_resharing=True)
     data = random_data(run_rng("doubled"), p, pset.n)
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
@@ -645,12 +685,12 @@ def test_mask_shares_interpolate_to_mask_secrets(make):
                 assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j)
 
 
-def _doubled_key_quorum_case(alive):
+def _doubled_key_quorum_case(alive, seed_resharing):
     # Receiver R, sent two or more pieces by one round-1 sender, drops in
     # round 2; all but `alive` of its key chaperones drop in round 3, when
     # they must release its summed shares.
     p = _sum_program(4, 2)
-    pset = _pset(p, 8, h=5, t=3, beta=0.375)
+    pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
     seed = 97
     _sender, recv = _doubled_receiver(seed, pset)
     committee = dropout.chaperone_committee(seed, pset, 2, recv, "key")
@@ -659,21 +699,24 @@ def _doubled_key_quorum_case(alive):
 
 
 def test_key_quorum_exactly_t_alive_with_summed_pieces():
-    p, pset, schedule, seed, recv = _doubled_key_quorum_case(alive=3)
-    data = random_data(run_rng("keyq-summed"), p, 8)
-    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
-    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
-    pieces = sum(_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n))
-    assert diag.recovered_pieces[2] == pieces
+    for seed_resharing in (False, True):
+        p, pset, schedule, seed, recv = _doubled_key_quorum_case(3, seed_resharing)
+        data = random_data(run_rng("keyq-summed"), p, 8)
+        res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+        ref = _survivor_reference(p, pset, data, seed, schedule)
+        assert reveals_equal(res.reveals, ref.reveals), seed_resharing
+        pieces = sum(_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n))
+        assert diag.recovered_pieces[2] == pieces
 
 
 def test_key_quorum_t_minus_one_alive_with_summed_pieces_aborts():
-    p, pset, schedule, seed, recv = _doubled_key_quorum_case(alive=2)
-    with pytest.raises(
-        dropout.QuorumError,
-        match=f"round 2: only 2 of 3 committee shares available for dropped client {recv}$",
-    ):
-        dropout.run_dropout_protocol(p, pset, schedule, seed=seed)
+    for seed_resharing in (False, True):
+        p, pset, schedule, seed, recv = _doubled_key_quorum_case(2, seed_resharing)
+        with pytest.raises(
+            dropout.QuorumError,
+            match=f"round 2: only 2 of 3 committee shares available for dropped client {recv}$",
+        ):
+            dropout.run_dropout_protocol(p, pset, schedule, seed=seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -682,13 +725,17 @@ def test_key_quorum_t_minus_one_alive_with_summed_pieces_aborts():
     n=st.integers(4, 8),
     d=st.integers(1, 4),
     t=st.integers(1, 2),
+    seed_resharing=st.booleans(),
     drops=st.data(),
 )
-def test_random_programs_and_schedules_match_survivor_reference(program_seed, n, d, t, drops):
+def test_random_programs_and_schedules_match_survivor_reference(
+    program_seed, n, d, t, seed_resharing, drops
+):
     # h = t + 2 and at most two drops per round: every committee keeps a
-    # quorum, so every run must reveal the survivor reference.
+    # quorum, so every run must reveal the survivor reference, in either
+    # resharing mode.
     p, _ = random_program(run_rng("property", program_seed), r_max=5, n_max=1, ell_max=3)
-    pset = _pset(p, n, d=d, h=t + 2, t=t, beta=2 / n)
+    pset = _pset(p, n, d=d, h=t + 2, t=t, beta=2 / n, seed_resharing=seed_resharing)
     schedule = dropout.normalize_schedule({
         i: drops.draw(st.sets(st.integers(0, n - 1), max_size=2), label=f"round {i}")
         for i in range(1, p.r + 1)

@@ -1,9 +1,13 @@
+import ast
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stateful_agg import dp, ideal, params, protocol
+import stateful_agg
+from stateful_agg import dp, ideal, params, protocol, ring
 from stateful_agg import program as prog
 from stateful_agg.dp import tree_program
 
@@ -223,8 +227,7 @@ def test_make_paramset_steps_past_an_unbuildable_modulus():
     stats = prog.reveal_stats(p)
     ps = params.make_paramset(n=4, r=1, ell=8, input_bits=16, N=8192, stats=stats)
     assert ps.logq == 33
-    assert ps.limbs is not None
-    assert ps.ring().limbs == ps.limbs
+    assert ps.ring().limbs == ring.choose_limbs(8192, 33)
     assert ps.ring().logq == ps.logq
     assert params.noise_budget(ps, stats).ok
 
@@ -267,3 +270,23 @@ def test_grid_search_never_packs_gaussian_inputs():
 def test_grid_search_rejects_a_bad_gamma_by_name():
     with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\)"):
         params.grid_search(10, 10, 10, 8, gamma=1.0)
+
+
+def test_replace_rederives_plaintext_modulus_and_ring():
+    ps = params.make_paramset(n=4, r=2, ell=8, input_bits=8, N=16)
+    assert ps.ring().T == ps.T
+    w = ps.slot_width + 3
+    packed = replace(ps, pf=2, slot_width=w)
+    assert packed.T == 2 ** (2 * w)
+    assert packed.ring().T == packed.T and ps.ring().T == ps.T
+
+
+def test_every_paramset_field_is_read():
+    # A field no module reads is a knob a run silently ignores.
+    read = set()
+    for path in Path(stateful_agg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f.name for f in fields(params.ParamSet) if f.init and f.name not in read]
+    assert unread == []

@@ -125,7 +125,7 @@ def test_json_negative_weight_strings(tmp_path):
     path = tmp_path / "neg.json"
     path.write_text(json.dumps(doc))
     p = prog.load_program(path)
-    assert p.rounds[1].weight_map == {1: -1}
+    assert dict(p.rounds[1].weights) == {1: -1}
 
 
 def test_json_combined_data_noise_rule(tmp_path):

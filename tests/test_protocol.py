@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_long_running_aggregation_matches_reference():
 def test_single_31_bit_limb_run_matches_reference():
     # logq=31 at N=2048 has no even two-limb split; one 31-bit limb realizes it.
     p = _sum_program(3, 4)
-    pset = desk_paramset(p, n=4, N=2048).with_overrides(logq=31)
+    pset = replace(desk_paramset(p, n=4, N=2048), logq=31)
     assert params.noise_budget(pset).ok
     assert len(pset.ring().limbs) == 1
     data = random_data(run_rng("limb31"), p, 4)
