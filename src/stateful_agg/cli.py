@@ -105,6 +105,7 @@ def cmd_run(program_path, n, gamma, beta, seed, schedule_path, check_ideal,
     )
     base.update(overrides)
     try:
+        protocol.check_packing(p, base.get("pf", 1))  # names the Gaussian round
         pset = params.make_paramset(**base)
     except (TypeError, ValueError) as exc:
         _fail(2, f"bad parameters: {exc}")
@@ -284,6 +285,8 @@ def cmd_params(n, ell, rounds, input_bits, dp_sigma, limbs):
     click.echo(f"d            {ps.d}")
     click.echo(f"h, t         {ps.h}, {ps.t}")
     click.echo(f"client->server  {params.format_bytes(cost.client_server_bytes)}")
+    fanout = min(ps.d, ps.n)
+    click.echo(f"peer piece   {params.format_bytes(cost.piece_bytes)} to <= {fanout} receivers")
     click.echo(f"expansion    {cost.expansion:.2f}x")
     if limbs:
         click.echo(f"limbs        {list(ps.ring().limbs)}")

@@ -5,12 +5,12 @@ uploads.
 A client that drops out of its round sends nothing at all.  Three repairs
 keep the run correct:
 
-* every sender sums the resharing pieces it routes to each next-cohort
-  receiver and threshold shares the sum to the receiver's chaperone
-  committee (h clients one cohort later); Shamir sharing is linear, so if
-  the receiver drops, each of a quorum of t chaperones releases the sum of
-  its shares for it, and the server interpolates the receiver's incoming
-  pieces' sum into the recovery element Z;
+* every sender threshold shares the one resharing piece it routes to each
+  distinct next-cohort receiver to the receiver's chaperone committee (h
+  clients one cohort later); Shamir sharing is linear, so if the receiver
+  drops, each of a quorum of t chaperones releases the sum of its shares
+  for it, and the server interpolates the receiver's incoming pieces' sum
+  into the recovery element Z;
 * every upload is blinded by a self-mask expanded from a secret in Z_q (an
   element of the degree-1 ring over the run's limbs) whose threshold
   shares go to the sender's own chaperones; the chaperones release them
@@ -30,7 +30,7 @@ receiver and evaluation point, the running sum of the shares sent to that
 chaperone, and the number of pieces they stand for.  Round i's repair,
 run once round i+1 is in, hands the server the recovered pieces and
 survivors' masks in one call and frees round i's state.  With seed
-resharing, a sender backs up the expansions of the seeds it routed.
+resharing, a sender backs up the expansions its step made of its seeds.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -178,7 +178,7 @@ class KeyBackups:
     sums[R, x-1] is the unreduced residue sum, (L, N) uint64, of the shares
     that R's chaperone at point x was sent; every share is below its limb
     p < 2^31, so up to 2^33 of them add without overflow.  pieces[R] counts
-    the resharing pieces those shares stand for, and committees[R] is R's
+    the senders that routed a piece to R, and committees[R] is R's
     key committee (chaperone at point x is committees[R][x-1])."""
 
     sums: np.ndarray
@@ -186,44 +186,33 @@ class KeyBackups:
     committees: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-def backup_shares(
-    recovery: Recovery,
-    ctx: RoundContext,
-    sender: int,
-    pieces: list[tuple[int, ring.RingElement]],
-) -> int:
-    """Threshold-share, per receiver, the sum of the pieces routed to it.
+def backup_shares(recovery: Recovery, ctx: RoundContext, res: ClientStepResult) -> int:
+    """Threshold-share each of a sender's pieces to its receiver's key committee.
 
-    Recovery only needs the sum of a dropped receiver's incoming pieces, so
-    the pieces sent to receiver R in cohort i+1 are summed and the sum is
-    shared once, recoverable by any t of R's h chaperones (cohort i+2) if R
-    drops.  The G <= d sums, one per distinct receiver, are shared in one
-    call, and each chaperone adds its share into its running sum in round
-    i+1's `KeyBackups`.  Returns G."""
+    A sender routes one piece to each of its G distinct receivers in
+    cohort i+1, so a piece is all that recovery needs of the sender if its
+    receiver R drops: any t of R's h chaperones (cohort i+2) recover it.
+    The G pieces are shared in one call, and each chaperone adds its share
+    into its running sum in round i+1's `KeyBackups`.  Returns G."""
     pset = ctx.pset
     rp = pset.ring()
-    groups: dict[int, list[ring.RingElement]] = {}
-    for recv, piece in pieces:
-        groups.setdefault(recv, []).append(piece)
     record = recovery.backups.get(ctx.index + 1)
     if record is None:
         shape = (pset.n, pset.h, len(rp.limbs), pset.N)
         record = recovery.backups[ctx.index + 1] = KeyBackups(
             np.zeros(shape, dtype=np.uint64), np.zeros(pset.n, dtype=np.int64)
         )
-    rng = ctx_rng(ctx.run_seed, "backup", ctx.index, sender)
-    # A one-piece group is its own sum.
-    sums = [g[0] if len(g) == 1 else sharing.piece_sum(g, rp) for g in groups.values()]
-    shared = sharing.tshare_many(sums, pset.h, pset.t, rng)
-    for (recv, group), tsh in zip(groups.items(), shared):
+    rng = ctx_rng(ctx.run_seed, "backup", ctx.index, res.index)
+    shared = sharing.tshare_many(res.pieces, pset.h, pset.t, rng)
+    for (recv, _), tsh in zip(res.reshares, shared):
         if recv not in record.committees:
             record.committees[recv] = chaperone_committee(
                 ctx.run_seed, pset, ctx.index + 1, recv, "key"
             )
         for x, share in tsh.shares:
             record.sums[recv, x - 1] += share.res
-        record.pieces[recv] += len(group)
-    return len(groups)
+        record.pieces[recv] += 1
+    return len(shared)
 
 
 def recover_round(
@@ -323,17 +312,14 @@ class Recovery:
         return prg_mask(value, pset.m, rp)
 
     def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
-        """Share a survivor's per-receiver piece sums to their receivers' key
-        committees; returns the extra client-to-client bits and messages,
-        the h mask shares `mask` sent included."""
+        """Share a survivor's pieces (with seeds, the expansions its step
+        made) to their receivers' key committees; returns the extra
+        client-to-client bits and messages, the h mask shares `mask` sent
+        included."""
         pset = ctx.pset
-        pieces = res.reshares
-        if pset.seed_resharing:
-            rp = pset.ring()
-            pieces = [(recv, sharing.expand_seed(seed, rp)) for recv, seed in pieces]
-        receivers = backup_shares(self, ctx, res.index, pieces)
-        # h shares of each receiver's sum, plus h shares of the mask secret.
-        return pset.h * (receivers * pset.N + 1) * pset.logq, pset.h * (receivers + 1)
+        g = backup_shares(self, ctx, res)
+        # h shares of each piece, plus h shares of the mask secret.
+        return pset.h * (g * pset.N + 1) * pset.logq, pset.h * (g + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:
         """Repairs of round rnd before its reveal; returns the bytes the

@@ -7,10 +7,11 @@ estimator.
 
 Cost model: a client uploads the used ciphertext coefficients (unused ones
 are dropped), plus one full-size correction element with seed resharing, so
-bytes per round = (ceil(ell/pf) + N) * logq / 8; its d pieces go to peers
-as 128-bit seeds, or as whole elements of N * logq bits without seed
-resharing.  Expansion is measured against a cleartext baseline of 16-bit
-entries.
+bytes per round = (ceil(ell/pf) + N) * logq / 8.  Of its d uniform picks
+from the next cohort, each distinct receiver gets one piece: a 128-bit
+seed, or a whole element of N * logq bits without seed resharing.  The
+fanout G is at most min(d, n), with E[G] = n * (1 - (1 - 1/n)^d).
+Expansion is measured against a cleartext baseline of 16-bit entries.
 
 Noise accounting tracks the l-infinity coefficient norm of the error.  Each
 Gaussian term is bounded by a 12-sigma tail; per-term bounds combine by
@@ -100,7 +101,7 @@ def slot_width_for(input_bits: int, n: int, dp_sigma: float = 0.0, weight_sum: f
 @dataclass(frozen=True)
 class CostReport:
     client_server_bytes: float
-    client_client_bytes: float
+    piece_bytes: float
     expansion: float
 
 
@@ -109,7 +110,6 @@ def cost_model(
     logq: int,
     ell: int,
     pf: int,
-    d: int | None = None,
     input_bits: int = BASELINE_INPUT_BITS,
     seed_resharing: bool = True,
 ) -> CostReport:
@@ -117,9 +117,10 @@ def cost_model(
 
     Upload: the ceil(ell/pf) occupied ciphertext coefficients, plus with
     seed resharing one uncompressible correction element of N
-    coefficients, logq bits each.  Client-to-client, when d is known: d
-    seeds of SEED_BITS bits, or d elements of N * logq bits without seed
-    resharing.
+    coefficients, logq bits each.  Client-to-client: one piece per
+    distinct receiver of the client's d picks (G <= min(d, n) of them, a
+    number the draw fixes), each a seed of SEED_BITS bits, or an element of
+    N * logq bits without seed resharing.
     """
     if pf < 1:
         raise ValueError("packing factor must be >= 1")
@@ -128,9 +129,8 @@ def cost_model(
         c2s, piece_bits = (coeffs + N) * logq / 8.0, SEED_BITS
     else:
         c2s, piece_bits = coeffs * logq / 8.0, N * logq
-    c2c = (d * piece_bits / 8.0) if d else 0.0
     cleartext = ell * input_bits / 8.0
-    return CostReport(c2s, c2c, c2s / cleartext if cleartext else math.inf)
+    return CostReport(c2s, piece_bits / 8.0, c2s / cleartext if cleartext else math.inf)
 
 
 def format_bytes(b: float) -> str:
@@ -187,9 +187,12 @@ def noise_budget(pset: "ParamSet", stats: tuple[float, float] | None = None) -> 
 
 
 def committee_sizes(n: int, r: int, gamma: float, delta: float) -> int:
-    """Resharing fanout d so that, except with probability delta, every
+    """Resharing picks d so that, except with probability delta, every
     honest client links to an honest peer across all n*r client slots:
-    d >= ln(2nr/delta) / (1 - gamma)."""
+    d >= ln(2nr/delta) / (1 - gamma).  The d uniform picks are made with
+    replacement; the event depends only on the set of receivers, so a
+    client sends one piece per distinct pick, G <= min(d, n) of them with
+    E[G] = n * (1 - (1 - 1/n)^d)."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must be in [0, 1)")
     if not 0 < delta < 1:
@@ -280,8 +283,7 @@ class ParamSet:
 
     def cost(self) -> CostReport:
         return cost_model(
-            self.N, self.logq, self.ell, self.pf, d=self.d,
-            input_bits=self.input_bits, seed_resharing=self.seed_resharing,
+            self.N, self.logq, self.ell, self.pf, self.input_bits, self.seed_resharing
         )
 
 
@@ -316,6 +318,11 @@ def make_paramset(
     lane sums cannot carry across slots; unpacked coefficients wrap mod T,
     which is the functionality's own semantics.
     """
+    if pf >= 2 and dp_sigma > 0:
+        raise ValueError(
+            f"packing (pf={pf}) needs nonnegative inputs, but dp_sigma={dp_sigma} draws "
+            "signed noise; use pf=1"
+        )
     if slot_width is None:
         slot_width = slot_width_for(
             input_bits, n, dp_sigma, weight_sum=stats[0] if pf > 1 else 1.0

@@ -2,16 +2,18 @@
 
 One cohort of n ephemeral clients acts per round.  A persistent global key
 s, defined by the uniform samples of the first cohort, is carried from
-cohort to cohort by additive resharing: each client splits its share d ways
-and routes the pieces to uniformly chosen members of the next cohort, who
-sum what they receive.  With seed resharing the pieces are 128-bit PRG
-seeds and a per-client correction element goes to the server instead,
-shifting the effective key; the server repairs reveals with the
+cohort to cohort by additive resharing: each client makes d uniform picks
+(with replacement) from the next cohort and splits its share once per
+distinct receiver, G <= min(d, n) ways with E[G] = n * (1 - (1 - 1/n)^d);
+the receivers sum what they get.  With seed resharing the pieces are
+128-bit PRG seeds and a per-client correction element goes to the server
+instead, shifting the effective key; the server repairs reveals with the
 appropriately weighted products of public elements and accumulated
 corrections.  The simulation delivers pieces through one residue inbox per
 round, (n, L, N) uint64: a sender adds each piece (an additive part, or a
-seed's expansion, made once for both its correction and its receiver) into
-its receiver's row, and the receiver's key share is that row reduced once.
+seed's expansion, made once for its correction, its receiver and its
+backup) into its receiver's row, and the receiver's key share is that row
+reduced once.
 
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
@@ -56,6 +58,7 @@ __all__ = [
     "RoundRecord",
     "RunResult",
     "ProtocolError",
+    "check_packing",
     "client_step",
     "server_step",
     "run_protocol",
@@ -112,6 +115,9 @@ class ClientStepResult:
     message: tuple[ring.RingElement, ...]
     reshares: list[tuple[int, object]]
     correction: ring.RingElement | None
+    # The elements the reshares stand for, in order: the additive parts or
+    # the seeds' expansions.  The round loop drops them once backed up.
+    pieces: tuple[ring.RingElement, ...]
 
 
 def client_step(
@@ -121,11 +127,14 @@ def client_step(
 
     incoming is this client's row of the previous round's inbox: the
     unreduced residue sum of the pieces the previous cohort routed to it
-    (unused in round 1).  mask, if given, is added to the upload.  Each
-    reshare piece, a seed's expansion or an additive part, is added into
-    its receiver's row of `inbox`, this round's (n, L, N) uint64 array, if
-    one is given.  Returns the upload, the routed reshare pieces (seeds or
-    elements), and the server-bound correction if any.
+    (unused in round 1).  mask, if given, is added to the upload.  The
+    client makes d uniform picks from the next cohort and sends one piece
+    to each distinct receiver: G <= min(d, n) pieces, sorted by receiver.
+    Each piece, a seed's expansion or an additive part, is added into its
+    receiver's row of `inbox`, this round's (n, L, N) uint64 array, if one
+    is given.  Returns the upload, the routed reshare pieces (seeds or
+    elements), the server-bound correction if any, and the pieces as
+    elements.
     """
     pset = ctx.pset
     rp = pset.ring()
@@ -140,25 +149,18 @@ def client_step(
         pset.sigma_n, noise_rng, ctx.noise_weights, mask,
     )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
-    receivers = [int(v) for v in share_rng.integers(0, pset.n, size=pset.d)]
-    rows = [inbox[r] for r in receivers] if inbox is not None else None
-    correction = None
+    receivers = sorted({int(v) for v in share_rng.integers(0, pset.n, size=pset.d)})
     if pset.seed_resharing:
-        sr = sharing.seed_reshare(key_share, pset.d, share_rng, rows)
-        reshares = list(zip(receivers, sr.seeds))
-        correction = sr.correction
+        sr = sharing.seed_reshare(key_share, len(receivers), share_rng)
+        sent, correction, pieces = sr.seeds, sr.correction, sr.expansions
     else:
-        parts = sharing.ashare(key_share, pset.d, share_rng)
-        for row, part in zip(rows or (), parts):
-            row += part.res
-        reshares = list(zip(receivers, parts))
-    return ClientStepResult(
-        index=j,
-        key_share=key_share,
-        message=msg,
-        reshares=reshares,
-        correction=correction,
-    )
+        pieces = sharing.ashare(key_share, len(receivers), share_rng)
+        sent, correction = pieces, None
+    if inbox is not None:
+        for recv, piece in zip(receivers, pieces):
+            inbox[recv] += piece.res
+    reshares = list(zip(receivers, sent))
+    return ClientStepResult(j, key_share, msg, reshares, correction, pieces)
 
 
 class ServerState:
@@ -280,6 +282,17 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     return RoundContext(i, instr, basis, noise_weights, pset, run_seed)
 
 
+def check_packing(p: prog.Program, pf: int) -> None:
+    """Packed slots (pf >= 2) hold nonnegative values; a Gaussian input rule
+    draws signed noise, so its program must run unpacked."""
+    noisy = [i for i, ins in enumerate(p.rounds, start=1) if ins.rule.variance > 0]
+    if pf >= 2 and noisy:
+        raise ValueError(
+            f"packing (pf={pf}) needs nonnegative inputs, but the Gaussian rule of "
+            f"round {noisy[0]} draws signed noise; use pf=1"
+        )
+
+
 def run_protocol(
     p: prog.Program,
     pset: ParamSet,
@@ -305,13 +318,7 @@ def run_protocol(
         raise ValueError("invalid program: " + "; ".join(errs))
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
-    if pset.pf >= 2:
-        noisy = [i for i, ins in enumerate(p.rounds, start=1) if ins.rule.variance > 0]
-        if noisy:
-            raise ValueError(
-                f"packing (pf={pset.pf}) needs nonnegative inputs, but the Gaussian rule of "
-                f"round {noisy[0]} draws signed noise; use pf=1"
-            )
+    check_packing(p, pset.pf)
     n = pset.n
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
     global_seed = hash_key(seed, "public-elements")
@@ -342,8 +349,9 @@ def run_protocol(
             mask = recovery.mask(ctx, j) if recovery else None
             res = client_step(ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox)
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
+            res.pieces = ()  # a round's worth would be n*G elements
             rec.c2s_bytes += cost.client_server_bytes
-            rec.c2c_bytes += cost.client_client_bytes + backup_bits / 8.0
+            rec.c2c_bytes += len(res.reshares) * cost.piece_bytes + backup_bits / 8.0
             rec.c2c_messages += len(res.reshares) + backup_messages
             results.append(res)
             keys[j] = res.key_share

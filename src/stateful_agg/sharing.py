@@ -174,11 +174,13 @@ def trec(shares, t: int | None = None) -> ring.RingElement:
 class SeedReshare:
     """d short seeds for the peers plus one correction element for the server.
 
-    expand(seed_1) + ... + expand(seed_d) + correction == secret.
+    expand(seed_1) + ... + expand(seed_d) + correction == secret; the
+    expansions, made once, are kept in seed order for the sender's backups.
     """
 
     seeds: tuple[int, ...]
     correction: ring.RingElement
+    expansions: tuple[ring.RingElement, ...]
 
 
 def expand_seed(seed: int, params: ring.RingParams) -> ring.RingElement:
@@ -191,15 +193,12 @@ def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
     return ring.lincomb(((1, p) for p in pieces), params)
 
 
-def seed_reshare(
-    secret: ring.RingElement, d: int, rng: np.random.Generator, rows=None
-) -> SeedReshare:
+def seed_reshare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> SeedReshare:
     """Reshare via d fresh 128-bit seeds; peers get seeds, server gets y*.
 
-    Each seed is expanded once.  With `rows` (d uint64 residue arrays, one
-    per seed in order, such as the receivers' rows of a round inbox) each
-    expansion is also added into its row unreduced, so the receiver never
-    expands the seed again.
+    Each seed is expanded once; the caller that routes the seeds can hand
+    the kept expansions on (to a round inbox, to backups), so no receiver
+    or backup expands a seed again.
     """
     if d < 1:
         raise ValueError("share count must be >= 1")
@@ -207,11 +206,5 @@ def seed_reshare(
     width = SEED_BITS // 8
     raw = rng.bytes(width * d)
     seeds = tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, width * d, width))
-    pr = secret.params
-    acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
-    for k, seed in enumerate(seeds):
-        piece = expand_seed(seed, pr).res
-        acc += piece
-        if rows is not None:
-            rows[k] += piece
-    return SeedReshare(seeds, secret - ring.RingElement(acc % pr._ps, pr))
+    expansions = tuple(expand_seed(seed, secret.params) for seed in seeds)
+    return SeedReshare(seeds, secret - piece_sum(expansions, secret.params), expansions)

@@ -90,6 +90,13 @@ def run_rng(*parts) -> np.random.Generator:
     return ctx_rng("test", *parts)
 
 
+def routed_receivers(seed, pset, i: int, j: int) -> list[int]:
+    """Receivers of client j's pieces in round i, one piece each: the
+    distinct values of the d public picks its `client_step` draws."""
+    rng = ctx_rng(seed, "reshare", i, j)
+    return sorted({int(v) for v in rng.integers(0, pset.n, size=pset.d)})
+
+
 def running_sum_program(r: int, ell: int) -> prog.Program:
     """Round i reveals x_i + v_(i-1): every reveal reads every earlier round."""
     return prog.Program(ell=ell, rounds=[

@@ -13,7 +13,7 @@ from stateful_agg.prng import ctx_rng
 
 from helpers import (
     capture_servers, desk_paramset, invariant_digest, random_data, random_program,
-    reveals_equal, run_digest, run_rng, running_sum_program, stored_digest,
+    reveals_equal, routed_receivers, run_digest, run_rng, running_sum_program, stored_digest,
 )
 
 
@@ -274,7 +274,7 @@ def _run_digest(res, diag) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "3db075786c44b369858bc0b138c723570cd950da1ea1ac790599b0f80db818bf"
+PINNED_DIGEST = "8c0888c474dd05da873e87908ce80a24da7f8923882286aca774a5fe4d658a6b"
 
 
 def test_key_history_and_reveals_are_pinned():
@@ -383,7 +383,7 @@ def test_running_sum_dropout_run_is_pinned():
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 73, schedule).reveals)
     assert sum(d is not None for d in diag.deficits.values()) >= 3
-    want = "c7d095ec8c66f294f494f2278ca70568881268121506ff8eecf143319e7fc8f1"
+    want = "5ffdd7d3212ffa4942f67758086d96d3baab71b7bb21d9cda2126240efdaf511"
     assert run_digest(res, diag) == want
 
 
@@ -434,23 +434,23 @@ def _perfbench_case():
     return p, pset, data, dropout.random_schedule(pset, p.r, 0), 0
 
 
-# Recorded before dropout backups were grouped by receiver; what recovery
-# delivers does not depend on how the backups are cut.
+# Recorded when each sender began routing one piece per distinct receiver;
+# what recovery delivers does not depend on how the backups are cut.
 INVARIANT_DIGESTS = {
     "consecutive": (
         _consecutive_case,
-        "7f67d059619ab76a6ec50408bb72d3b54d7934ec77d694e53e1781ffa8bae9a1",
-        "bdbf45c4c2b3fa4c353cc3dbabd55ec2667f40c2af5a7d6378b2a99719209186",
+        "ce308e898ffbda20564c849db157ae708df3ee486354a7421cb9c191e30f4da2",
+        "437667fdadbd1841bd53d38a218262a481966fbb758e8830d80a797495de044f",
     ),
     "running-sum": (
         _running_sum_case,
-        "85b1da715093f347f6dc0f0c4db4e72e86934bbdc32cb86004911d8944eec453",
+        "5696a233fac288ed9222e95cef5a9801d54679e27756f5ffd222e9408e83e60b",
         "cbc375d0772aecd07c8cb605cb068b587df1e647123174ff5170be2805c80259",
     ),
     "perfbench": (
         _perfbench_case,
-        "471f392de68d35c58af6248cc8bcd42dc603a4ced47a642d3fbba33343f8d6f4",
-        "fd891746b5488eddc869dfab06d100bad8b89b7519bda79af52002bf64223f7f",
+        "688ac75cc9fe00c7793388607e28effe2d423ffbef1b8a285938a0c01ad436b4",
+        "8d259e791848c9ef8e7b347466e251f3b0e6076f65dee909f566da6a6a2d2808",
     ),
 }
 
@@ -474,7 +474,7 @@ def test_dropout_run_invariants_are_pinned(monkeypatch, case):
 # run_digest of the consecutive-drops run with seed pieces: key shares,
 # deficits (corrections and recovered pieces), reveals and traffic.
 SEED_RESHARING_DIGESTS = {
-    "consecutive": "46f954559abdd5899ab256506bf2de5bf6e9268845115d8fd479bab873c43a29",
+    "consecutive": "7239856eaf4427c7f7792ed92ee6bf29bb4ee0790fb39798c9be83cca29199ef",
 }
 
 
@@ -493,33 +493,52 @@ def test_seed_resharing_dropout_runs_match_survivor_reference(case):
         assert run_digest(res, diag) == SEED_RESHARING_DIGESTS[case]
 
 
-def _receivers(seed, pset, i, j):
-    """Receivers of client j's pieces in round i: the public draw its
-    `client_step` makes."""
-    rng = ctx_rng(seed, "reshare", i, j)
-    return [int(v) for v in rng.integers(0, pset.n, size=pset.d)]
+def test_seed_resharing_dropout_run_expands_each_routed_seed_once(monkeypatch):
+    # A survivor's backups share the expansions its step made: a run makes
+    # one expansion per routed seed, none for recovery.
+    p, pset, data, schedule, seed = _consecutive_case()
+    pset = replace(pset, seed_resharing=True)
+    seeds = []
+    expand = sharing.expand_seed
+
+    def counted(s, params):
+        seeds.append(s)
+        return expand(s, params)
+
+    monkeypatch.setattr(sharing, "expand_seed", counted)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert sum(diag.recovered_pieces.values()) > 0
+    routed = sum(
+        len(routed_receivers(seed, pset, i, j))
+        for i in range(1, p.r + 1) for j in range(pset.n) if j not in schedule.get(i, ())
+    )
+    assert len(seeds) == len(set(seeds)) == routed
 
 
-def _doubled_receiver(seed, pset):
-    """(sender, receiver) of the first round-1 sender that routes two or
-    more of its pieces to one receiver."""
-    for j in range(pset.n):
-        recvs = _receivers(seed, pset, 1, j)
-        for recv in recvs:
-            if recvs.count(recv) >= 2:
-                return j, recv
-    raise AssertionError(f"seed {seed}: no round-1 sender routes two pieces to one receiver")
+def _senders(seed, pset, recv):
+    """The round-1 senders that route a piece to round-2 client recv."""
+    return [j for j in range(pset.n) if recv in routed_receivers(seed, pset, 1, j)]
 
 
-def _doubled_case(seed_resharing=False):
-    # Round 1: one sender routes two pieces to R, which drops in round 2.
+def _shared_receiver(seed, pset):
+    """The first round-2 client that two or more round-1 senders route a
+    piece to."""
+    for recv in range(pset.n):
+        if len(_senders(seed, pset, recv)) >= 2:
+            return recv
+    raise AssertionError(f"seed {seed}: no receiver is fed by two round-1 senders")
+
+
+def _shared_case(seed_resharing=False):
+    # Round 1: several senders route a piece to R, which drops in round 2.
     # Round r = 4: a receiver of round 3's pieces drops, so the final flush
     # recovers key pieces as well as survivors' masks.
     p = _sum_program(4, 2)
     pset = _pset(p, 6, d=3, h=3, t=2, beta=0.34, seed_resharing=seed_resharing)
     seed = 83
-    _sender, recv = _doubled_receiver(seed, pset)
-    last = min({r for j in range(pset.n) for r in _receivers(seed, pset, 3, j)})
+    recv = _shared_receiver(seed, pset)
+    last = min({r for j in range(pset.n) for r in routed_receivers(seed, pset, 3, j)})
     return p, pset, {2: frozenset({recv}), 4: frozenset({last})}, seed
 
 
@@ -527,13 +546,13 @@ def _expected_rows(p, pset, schedule, seed):
     """Closed-form (c2s_bytes, c2c_bytes, c2c_messages) of each round.
 
     A survivor uploads packed_coeffs coefficients, plus a correction
-    element with seed resharing, and sends d pieces (elements, or seeds of
-    SEED_BITS), plus h shares of each of its G distinct receivers' piece
-    sums and h shares of its mask secret.  Round k's repair, counted in
+    element with seed resharing, and sends one piece (an element, or a seed
+    of SEED_BITS) to each of its G distinct receivers, plus h shares of
+    each piece and h shares of its mask secret.  Round k's repair, counted in
     round k+1's row (round r's in row r), releases t elements for each
     dropped client of round k that a survivor of round k-1 sent pieces to,
     and t scalars for each survivor's mask."""
-    n, N, logq, h, t, d = pset.n, pset.N, pset.logq, pset.h, pset.t, pset.d
+    n, N, logq, h, t = pset.n, pset.N, pset.logq, pset.h, pset.t
     upload = (pset.packed_coeffs + (N if pset.seed_resharing else 0)) * logq
     piece = sharing.SEED_BITS if pset.seed_resharing else N * logq
     survivors = {
@@ -542,7 +561,8 @@ def _expected_rows(p, pset, schedule, seed):
 
     def repair(k):
         sent_to = {
-            recv for j in survivors.get(k - 1, ()) for recv in _receivers(seed, pset, k - 1, j)
+            recv for j in survivors.get(k - 1, ())
+            for recv in routed_receivers(seed, pset, k - 1, j)
         }
         keyed = len(schedule.get(k, frozenset()) & sent_to)
         return (t * keyed * N + t * len(survivors[k])) * logq / 8
@@ -551,16 +571,16 @@ def _expected_rows(p, pset, schedule, seed):
     for i in range(1, p.r + 1):
         c2s = len(survivors[i]) * upload / 8
         c2s += (repair(i - 1) if i >= 2 else 0) + (repair(i) if i == p.r else 0)
-        groups = [len(set(_receivers(seed, pset, i, j))) for j in survivors[i]]
-        c2c = sum(d * piece + h * (g * N + 1) * logq for g in groups) / 8
-        rows.append((c2s, c2c, sum(d + h * (g + 1) for g in groups)))
+        fanouts = [len(routed_receivers(seed, pset, i, j)) for j in survivors[i]]
+        c2c = sum(g * piece + h * (g * N + 1) * logq for g in fanouts) / 8
+        rows.append((c2s, c2c, sum(g + h * (g + 1) for g in fanouts)))
     return rows
 
 
 def test_transcript_rows_match_closed_forms():
-    # One backup per (sender, receiver), t released elements per recovered
-    # receiver, and round r's repair counted in row r.
-    p, pset, schedule, seed = _doubled_case()
+    # One piece and one backup per (sender, receiver), t released elements
+    # per recovered receiver, and round r's repair counted in row r.
+    p, pset, schedule, seed = _shared_case()
     data = random_data(run_rng("doubled"), p, pset.n)
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
@@ -570,9 +590,9 @@ def test_transcript_rows_match_closed_forms():
 
 
 def test_transcript_rows_match_closed_forms_with_seed_resharing():
-    # Each survivor uploads its correction element too, and sends d seeds
+    # Each survivor uploads its correction element too, and sends G seeds
     # to peers next to the same backups.
-    p, pset, schedule, seed = _doubled_case(seed_resharing=True)
+    p, pset, schedule, seed = _shared_case(seed_resharing=True)
     data = random_data(run_rng("doubled"), p, pset.n)
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
@@ -629,26 +649,26 @@ def _checked_run(p, pset, data, schedule, seed):
 
 
 def test_backup_records_count_pieces_per_receiver():
-    p, pset, schedule, seed = _doubled_case()
+    p, pset, schedule, seed = _shared_case()
     data = random_data(run_rng("doubled"), p, pset.n)
     _res, recovery = _checked_run(p, pset, data, schedule, seed)
     for i in range(2, p.r + 2):
-        # Round i's receivers: every piece a survivor of round i-1 routed.
+        # Round i's receivers: one piece from each survivor of round i-1
+        # that picked them, however often it picked them.
         routed = [
             recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
-            for recv in _receivers(seed, pset, i - 1, j)
+            for recv in routed_receivers(seed, pset, i - 1, j)
         ]
         _sums, pieces, committees = recovery.seen[i]
         assert list(pieces) == [routed.count(recv) for recv in range(pset.n)]
         assert set(committees) == set(routed)
         for recv, committee in committees.items():
             assert committee == dropout.chaperone_committee(seed, pset, i, recv, "key")
-    # R got two pieces from one round-1 sender; both count.
-    sender, recv = _doubled_receiver(seed, pset)
-    per_sender = [_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n)]
-    assert per_sender[sender] >= 2
-    assert recovery.seen[2][1][recv] == sum(per_sender)
-    assert recovery.diagnostics.recovered_pieces[2] == sum(per_sender)
+    # R got one piece from each of several round-1 senders; each counts.
+    recv = _shared_receiver(seed, pset)
+    senders = len(_senders(seed, pset, recv))
+    assert recovery.seen[2][1][recv] == senders >= 2
+    assert recovery.diagnostics.recovered_pieces[2] == senders
 
 
 @pytest.mark.parametrize("make", [_consecutive_case, _running_sum_case])
@@ -685,14 +705,14 @@ def test_mask_shares_interpolate_to_mask_secrets(make):
                 assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j)
 
 
-def _doubled_key_quorum_case(alive, seed_resharing):
-    # Receiver R, sent two or more pieces by one round-1 sender, drops in
+def _shared_key_quorum_case(alive, seed_resharing):
+    # Receiver R, sent a piece by each of several round-1 senders, drops in
     # round 2; all but `alive` of its key chaperones drop in round 3, when
     # they must release its summed shares.
     p = _sum_program(4, 2)
     pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
     seed = 97
-    _sender, recv = _doubled_receiver(seed, pset)
+    recv = _shared_receiver(seed, pset)
     committee = dropout.chaperone_committee(seed, pset, 2, recv, "key")
     schedule = {2: frozenset({recv}), 3: frozenset(committee[alive:])}
     return p, pset, schedule, seed, recv
@@ -700,18 +720,17 @@ def _doubled_key_quorum_case(alive, seed_resharing):
 
 def test_key_quorum_exactly_t_alive_with_summed_pieces():
     for seed_resharing in (False, True):
-        p, pset, schedule, seed, recv = _doubled_key_quorum_case(3, seed_resharing)
+        p, pset, schedule, seed, recv = _shared_key_quorum_case(3, seed_resharing)
         data = random_data(run_rng("keyq-summed"), p, 8)
         res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
         ref = _survivor_reference(p, pset, data, seed, schedule)
         assert reveals_equal(res.reveals, ref.reveals), seed_resharing
-        pieces = sum(_receivers(seed, pset, 1, j).count(recv) for j in range(pset.n))
-        assert diag.recovered_pieces[2] == pieces
+        assert diag.recovered_pieces[2] == len(_senders(seed, pset, recv)) >= 2
 
 
 def test_key_quorum_t_minus_one_alive_with_summed_pieces_aborts():
     for seed_resharing in (False, True):
-        p, pset, schedule, seed, recv = _doubled_key_quorum_case(2, seed_resharing)
+        p, pset, schedule, seed, recv = _shared_key_quorum_case(2, seed_resharing)
         with pytest.raises(
             dropout.QuorumError,
             match=f"round 2: only 2 of 3 committee shares available for dropped client {recv}$",

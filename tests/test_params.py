@@ -53,14 +53,16 @@ def test_cost_model_reproduces_benchmark_rows(row):
 
 
 def test_cost_model_c2c_bytes():
-    c = params.cost_model(2048, 44, 1000, 1, d=47)
-    assert c.client_client_bytes == 47 * 128 / 8
+    # One piece per distinct receiver: a 128-bit seed, or a whole element.
+    assert params.cost_model(2048, 44, 1000, 1).piece_bytes == 128 / 8
+    c = params.cost_model(2048, 44, 1000, 1, seed_resharing=False)
+    assert c.piece_bytes == 2048 * 44 / 8
 
 
 def test_cost_model_zero_width_inputs_have_infinite_expansion():
     # Every run asks its parameter set for its cost; zero-width inputs have
     # no cleartext to compare against.
-    c = params.cost_model(32, 27, 4, 1, d=2, input_bits=0)
+    c = params.cost_model(32, 27, 4, 1, input_bits=0)
     assert c.client_server_bytes == (4 + 32) * 27 / 8
     assert c.expansion == math.inf
 
@@ -265,6 +267,17 @@ def test_grid_search_never_packs_gaussian_inputs():
         ps = params.grid_search(n, ell, 1000, 16, dp_sigma=2.0)
         assert ps.pf == 1
         assert params.noise_budget(ps).ok
+
+
+def test_make_paramset_refuses_packed_gaussian_sets():
+    # Packed slots hold nonnegative values and Gaussian inputs are signed:
+    # the set fails closed with the engine's wording, before any run.
+    stats = prog.reveal_stats(tree_program(2, 2.0, ell=8))
+    with pytest.raises(ValueError, match=r"packing \(pf=2\) needs nonnegative inputs.*pf=1"):
+        params.make_paramset(
+            n=4, r=8, ell=8, input_bits=8, N=32, pf=2, dp_sigma=2.0, stats=stats
+        )
+    assert params.make_paramset(n=4, r=8, ell=8, input_bits=8, N=32, dp_sigma=2.0).pf == 1
 
 
 def test_grid_search_rejects_a_bad_gamma_by_name():

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateful_agg import dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
 from stateful_agg.dp import tree_program
+from stateful_agg.prng import ctx_rng
 
 from helpers import (
-    capture_servers, desk_paramset, random_data, random_program, reveals_equal, run_digest,
-    run_rng, running_sum_program, stored_digest,
+    capture_servers, desk_paramset, random_data, random_program, reveals_equal, routed_receivers,
+    run_digest, run_rng, running_sum_program, stored_digest,
 )
 
 
@@ -149,27 +152,32 @@ def test_transcript_deterministic():
 
 
 def test_client_to_client_bytes_seed_resharing():
+    # d=7 picks among n=5 receivers: one seed per distinct receiver.
     p = _sum_program(3, 2)
     pset = desk_paramset(p, n=5, d=7, seed_resharing=True)
     res = protocol.run_protocol(p, pset, seed=4)
-    for row in res.transcript.rows:
-        assert row.c2c_bytes == pset.n * pset.d * sharing.SEED_BITS / 8
-        assert row.c2c_messages == pset.n * pset.d
+    for i, row in enumerate(res.transcript.rows, start=1):
+        seeds = sum(len(routed_receivers(4, pset, i, j)) for j in range(pset.n))
+        assert seeds < pset.n * pset.d
+        assert row.c2c_bytes == seeds * sharing.SEED_BITS / 8
+        assert row.c2c_messages == seeds
 
 
 @pytest.mark.parametrize("seed_resharing", [True, False])
 def test_cost_equals_synchronous_run_per_client_bytes(seed_resharing):
-    # Seeds plus a correction element, or whole elements to peers: the cost
-    # model and the transcript count the same bytes per client and round.
+    # Seeds plus a correction element, or whole elements to peers: each row
+    # counts every survivor's upload and one cost-model piece per distinct
+    # receiver.
     p = _sum_program(3, 5)
     pset = desk_paramset(p, n=4, d=3, seed_resharing=seed_resharing)
     res = protocol.run_protocol(p, pset, seed=5)
     cost = pset.cost()
-    for row in res.transcript.rows:
+    for i, row in enumerate(res.transcript.rows, start=1):
+        pieces = sum(len(routed_receivers(5, pset, i, j)) for j in range(pset.n))
         assert row.c2s_bytes == pset.n * cost.client_server_bytes
-        assert row.c2c_bytes == pset.n * cost.client_client_bytes
+        assert row.c2c_bytes == pieces * cost.piece_bytes
     per_piece = sharing.SEED_BITS if seed_resharing else pset.N * pset.logq
-    assert cost.client_client_bytes == pset.d * per_piece / 8
+    assert cost.piece_bytes == per_piece / 8
 
 
 def test_client_to_server_bytes_match_cost_model_benchmark_row():
@@ -270,7 +278,7 @@ def test_running_sum_run_is_pinned():
     data = random_data(run_rng("pin-running"), p, 4, input_bits=20)
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=71, track_keys=True)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
-    assert run_digest(res) == "60a20d232c13ab8e225237fbbe11e29792dd6f7e97b252b9a75074c67673686e"
+    assert run_digest(res) == "0c6369575166d7df3ec9e65a1a578c8d4ef21794c9f80d07f56a6bb960d3d3e9"
 
 
 def test_running_sum_stored_aggregates_are_pinned(monkeypatch):
@@ -302,7 +310,7 @@ def test_plain_resharing_running_sum_run_is_pinned():
     data = random_data(run_rng("pin-plain"), p, 4, input_bits=20)
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=79, track_keys=True)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 79).reveals)
-    assert run_digest(res) == "f666670ee98b9d28959ed6766556b969f89e946c0be8ec46290b231204459411"
+    assert run_digest(res) == "079298c13d887fab3b55dacc14b3c6dfd997eb2f09d71f67aa33c92c9db0a118"
 
 
 def test_server_step_expects_one_upload_per_survivor():
@@ -327,10 +335,11 @@ def test_server_step_expects_one_upload_per_survivor():
 
 def test_packed_gaussian_run_fails_closed_before_round_one(monkeypatch):
     # Gaussian inputs are signed and packed slots hold nonnegative values.
+    # make_paramset refuses pf=2 with dp_sigma > 0; a set built without
+    # dp_sigma still reaches the engine, which reads the program's rules.
     p = tree_program(2, 2.0, ell=8)
     pset = params.make_paramset(
-        n=4, r=p.r, ell=8, input_bits=8, N=32, pf=2, dp_sigma=2.0,
-        stats=prog.reveal_stats(p),
+        n=4, r=p.r, ell=8, input_bits=8, N=32, pf=2, stats=prog.reveal_stats(p),
     )
 
     def no_step(*args, **kwargs):
@@ -372,8 +381,9 @@ def test_server_step_stores_the_sum_of_the_uploads():
 
 def test_seed_resharing_expands_each_seed_once(monkeypatch):
     # The sender's expansion feeds both its correction and the receiver's
-    # inbox row, so an r-round run makes n*d expansions per round.  Store
-    # rounds encrypt under the key, so a lost piece would show in the reveal.
+    # inbox row, so a run makes one expansion per routed seed: one per
+    # distinct receiver of each client's d picks.  Store rounds encrypt
+    # under the key, so a lost piece would show in the reveal.
     p = _sum_program(5, 4)
     pset = desk_paramset(p, n=4, d=3)
     assert pset.seed_resharing
@@ -387,15 +397,18 @@ def test_seed_resharing_expands_each_seed_once(monkeypatch):
     monkeypatch.setattr(sharing, "expand_seed", counted)
     data = random_data(run_rng("expand-once"), p, 4)
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=19)
-    assert len(seeds) == pset.n * pset.d * p.r
+    routed = sum(
+        len(routed_receivers(19, pset, i, j)) for i in range(1, p.r + 1) for j in range(pset.n)
+    )
+    assert len(seeds) == routed < pset.n * pset.d * p.r
     assert len(set(seeds)) == len(seeds)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 19).reveals)
 
 
 def test_plain_resharing_with_empty_inboxes_is_pinned():
-    # With d=2 pieces per sender among n=4 receivers, some receivers get no
+    # With d=2 picks per sender among n=4 receivers, some receivers get no
     # piece in a round and hold a zero key share; the digest was recorded
-    # when each receiver still summed a list of routed pieces.
+    # when each sender began routing one piece per distinct receiver.
     p = _sum_program(6, 5)
     pset = params.make_paramset(
         n=4, r=p.r, ell=p.ell, input_bits=8, N=64, d=2, seed_resharing=False,
@@ -405,7 +418,7 @@ def test_plain_resharing_with_empty_inboxes_is_pinned():
     res = protocol.run_protocol(p, pset, data_inputs=data, seed=84, track_keys=True)
     assert reveals_equal(res.reveals, _reference(p, pset, data, 84).reveals)
     assert sum(not k.res.any() for keys in res.key_history[1:] for k in keys) == 6
-    assert run_digest(res) == "0a41e18e590ddca6e91a9382bbae7c3520e1f5219442777f1ed482f82b397db1"
+    assert run_digest(res) == "052b38fe741ebdc1d3fb501ac3a6079a8a87c43eada41ecb807685c716b11d8f"
 
 
 def test_corrections_drop_zero_basis_terms(monkeypatch):
@@ -450,3 +463,37 @@ def test_corrections_drop_zero_basis_terms(monkeypatch):
     data = random_data(run_rng("zero-corrections-run"), q, 4, input_bits=20)
     res = protocol.run_protocol(q, qset, data_inputs=data, seed=72)
     assert reveals_equal(res.reveals, _reference(q, qset, data, 72).reveals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    seed_resharing=st.booleans(),
+)
+def test_one_piece_per_distinct_receiver(n, d, seed, seed_resharing):
+    # The d picks are drawn with replacement; a sender routes one piece to
+    # each distinct pick, in receiver order, and the pieces (with the
+    # correction, in seed mode) sum to its key share.
+    p = _sum_program(2, 1)
+    pset = desk_paramset(p, n=n, d=d, N=16, seed_resharing=seed_resharing)
+    rp = pset.ring()
+    ctx = protocol.build_context(protocol.ServerState(p, pset), "gs", 1, seed)
+    picks = ctx_rng(seed, "reshare", 1, 0).integers(0, n, size=d)
+    inbox = np.zeros((n, len(rp.limbs), pset.N), dtype=np.uint64)
+    res = protocol.client_step(ctx, 0, [], np.zeros(1, dtype=object), inbox=inbox)
+    receivers = [recv for recv, _ in res.reshares]
+    assert receivers == sorted(set(picks.tolist()))
+    assert len(res.pieces) == len(receivers) <= min(d, n)
+    for recv in range(n):
+        want = res.pieces[receivers.index(recv)].res if recv in receivers else 0
+        assert (inbox[recv] == want).all()
+    if seed_resharing:
+        expanded = [sharing.expand_seed(s, rp) for _, s in res.reshares]
+        assert expanded == list(res.pieces)
+        assert sharing.piece_sum(expanded + [res.correction], rp) == res.key_share
+    else:
+        assert [part for _, part in res.reshares] == list(res.pieces)
+        assert res.correction is None
+        assert sharing.piece_sum(res.pieces, rp) == res.key_share
