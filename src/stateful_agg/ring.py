@@ -657,64 +657,61 @@ def sample_uniform(rng: np.random.Generator, params: RingParams) -> RingElement:
     return RingElement(res, params)
 
 
-# Measured crossover: a 64-draw call costs ~40% more through the guide
-# table than through searchsorted, a 2048-draw call about a third as much.
-_GUIDE_MIN_DRAWS = 256
+# Generator.random(size) is (x >> 11) * 2^-53 over the words x that
+# random_raw(size) returns, and uses them up alike, for these bit generators.
+_RAW_DOUBLE_BITGENS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 @lru_cache(maxsize=64)
-def _gauss_table(sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse-CDF table for the discrete Gaussian, truncated at 12 sigma,
-    with its guide table."""
+def _gauss_table(sigma: float) -> tuple[np.ndarray, np.ndarray, np.uint64, np.integer]:
+    """(thr, table, shift, bound) for the discrete Gaussian on -bound..bound,
+    bound = ceil(12 sigma).  thr[i] = floor(cdf[i] * 2^53) for the float
+    inverse CDF, so cdf[i] < (x >> 11) * 2^-53 exactly when thr[i] < x >> 11.
+    table maps the top b = 64 - shift bits of x to the answer, -bound plus
+    the count of thresholds below that bucket (a guide table, Chen & Asau
+    1974), in the narrowest signed dtype; a bucket holding a threshold
+    stores the sentinel bound + 1.  b = 16, or 16 buckets per cdf entry up to
+    2^18: 2^18 beat 2^16 by 20% at sigma 640, 2^20 fell out of cache."""
     bound = int(math.ceil(12 * sigma))
-    zs = np.arange(-bound, bound + 1, dtype=np.int64)
-    logp = -(zs.astype(np.float64) ** 2) / (2 * sigma * sigma)
-    pmf = np.exp(logp - logp.max())
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
-    return zs, cdf, _guide_table(cdf)
-
-
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """guide[b] for b = 0..8m (m = len(cdf)): the first index whose cdf
-    reaches b/(8m), so a draw u in bucket floor(u*8m) starts its search
-    there and usually lands within a step (Chen & Asau, 1974).  Eight
-    buckets per table entry leave about 0.1% of draws at sigma 44.8 to the
-    search, against 1% with m buckets, and took 8% off a 47x2048-draw call
-    (2-core VM, interleaved timings).
-
-    The thresholds sit 2^-50 below b/(8m): u*8m can round up to b for a u
-    just under b/(8m), and the search from guide[b] only ever steps forward.
-    """
-    m = 8 * len(cdf)
-    return np.searchsorted(cdf, np.arange(m + 1) / m - 2.0**-50, side="left")
+    logp = -(np.arange(-bound, bound + 1, dtype=np.float64) ** 2) / (2 * sigma * sigma)
+    cdf = np.cumsum(np.exp(logp - logp.max()))
+    thr = (cdf / cdf[-1] * 2.0**53).astype(np.uint64)
+    b = min(18, max(16, len(thr).bit_length() + 4))
+    # Each distinct threshold bucket (the last, 2^b, lies past the table)
+    # ends a run of buckets that share its first threshold's index.
+    k = (thr >> np.uint64(53 - b)).astype(np.intp)
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    z = (first - bound).astype(np.min_scalar_type(-(bound + 2)))  # holds bound + 1
+    table = np.repeat(z, np.diff(k[first], prepend=-1))
+    table[k[first[:-1]]] = bound + 1
+    return thr, table[: 1 << b], np.uint64(64 - b), z.dtype.type(bound)  # cheaper compares
 
 
 def gaussian_ints(
     rng: np.random.Generator, sigma: float, size: int | tuple[int, ...]
 ) -> np.ndarray:
-    """Discrete Gaussian integers, stddev sigma, via inverse-CDF lookup.
-
-    Returns zs[searchsorted(cdf, u, "left")] for u = rng.random(size).  The
-    guide table finds that index in one step for most draws; the rest (the
-    tails crowd into the first and last buckets) are searched.  Below
-    _GUIDE_MIN_DRAWS draws the table's fixed cost outweighs the search.
-    """
+    """Discrete Gaussian int64 draws, stddev sigma, truncated at ceil(12 sigma):
+    zs[searchsorted(cdf, rng.random(size), "left")] (inverse-CDF sampling,
+    Peikert 2010), leaving rng in the same state.  They read the words x of
+    rng.bit_generator.random_raw(size), which random() turns into exactly
+    (x >> 11) * 2^-53 for Philox, PCG64, PCG64DXSM and SFC64, through
+    _gauss_table's integer tables.  Other bit generators raise TypeError
+    (MT19937 builds each double from two 32-bit words)."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, _RAW_DOUBLE_BITGENS):
+        name = type(bitgen).__name__
+        raise TypeError(f"gaussian_ints cannot reproduce Generator.random from {name} words")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
         return np.zeros(size, dtype=np.int64)
-    zs, cdf, guide = _gauss_table(float(sigma))
-    u = rng.random(size)
-    if u.size < _GUIDE_MIN_DRAWS:
-        return zs[np.searchsorted(cdf, u, side="left")]
-    flat = u.ravel()
-    idx = guide[(flat * (len(guide) - 1)).astype(np.intp)]
-    idx += cdf[idx] < flat
-    miss = np.flatnonzero(cdf[idx] < flat)
+    thr, table, shift, bound = _gauss_table(float(sigma))
+    x = bitgen.random_raw(size)
+    z = table[(x >> shift).view(np.intp)]
+    miss = (z == bound + 1).ravel().nonzero()[0]
     if miss.size:
-        idx[miss] = np.searchsorted(cdf, flat[miss], side="left")
-    return zs[idx].reshape(u.shape)
+        z.ravel()[miss] = np.searchsorted(thr, x.ravel()[miss] >> np.uint64(11)) - bound
+    return z.astype(np.int64)
 
 
 def sample_gaussian(
@@ -723,12 +720,12 @@ def sample_gaussian(
     """sum_k w_k * g_k mod q over the weights w_k, for independent elements
     g_k with discrete-Gaussian coefficients (by default one element, g_0).
 
-    Row k of one (K, N) gaussian_ints block is g_k: Generator.random fills
-    it in the order of K separate N-draw calls, so the stream is the same.
-    Draws are truncated at ceil(12 sigma).  The draws of each distinct
-    weight are summed in int64 and reduced once: one conditional add of p
-    while that sum's bound stays below the smallest limb, otherwise a signed
-    np.mod.  lincomb then weights the sums and reduces once more.
+    Row k of one (K, N) gaussian_ints block is g_k: the generator's words
+    fill it in the order of K separate N-draw calls, so the stream is the
+    same.  The draws of each distinct weight are summed in int64 and reduced
+    once: one conditional add of p while that sum's bound stays below the
+    smallest limb, otherwise a signed np.mod.  lincomb then weights the sums
+    and reduces once more.
     """
     ints = gaussian_ints(rng, sigma, (len(weights), params.N))
     groups: dict[int, list[int]] = {}

@@ -75,6 +75,25 @@ def test_run_check_ideal_catches_wraparound(runner, tmp_path):
     ])
     assert res.exit_code == 1
     assert "mismatch" in res.output
+    # The noise budget check warns before the run, naming both widths.
+    assert "warning: noise needs 21.1 bits, over the budget of 14.0 bits" in res.stderr
+
+
+@pytest.mark.parametrize("case", ["sum", "tree"])
+def test_run_derived_params_print_no_noise_warning(runner, tmp_path, case):
+    ppath = tmp_path / "prog.json"
+    if case == "tree":
+        res = runner.invoke(main, [
+            "gen", "tree", "--out", str(ppath), "--sigma", "2.0", "--l", "6", "--height", "2",
+        ])
+        assert res.exit_code == 0, res.output
+    else:
+        _write_sum_program(ppath, r=6)
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "4", "--seed", "3", "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
 
 
 def test_run_missing_program_exit_2(runner, tmp_path):

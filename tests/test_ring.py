@@ -274,14 +274,33 @@ def _searchsorted_table(sigma):
     return zs, cdf / cdf[-1]
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose .random returns chosen values."""
+class _FixedWords(np.random.Philox):
+    """A Philox whose random_raw returns chosen words, for crafted draws."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = np.asarray(words, dtype=np.uint64)
 
-    def random(self, size):
-        return self.u.reshape(size).copy()
+    def random_raw(self, size=None, output=True):
+        return self.words.reshape(size).copy()
+
+
+def _as_words(u):
+    """The words whose doubles (x >> 11) * 2^-53 are floor(u * 2^53) * 2^-53,
+    once with the low 11 bits clear and once with them all set."""
+    x = (np.asarray(u, dtype=np.float64) * 2.0**53).astype(np.uint64) << np.uint64(11)
+    return np.concatenate([x, x | np.uint64(0x7FF)])
+
+
+def _check_crafted_words(sigma, words):
+    # The float lookup on the doubles Generator.random makes of the words.
+    zs, cdf = _searchsorted_table(sigma)
+    want = zs[np.searchsorted(cdf, (words >> np.uint64(11)) * 2.0**-53, side="left")]
+    got = ring.gaussian_ints(np.random.Generator(_FixedWords(words)), sigma, len(words))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    rows = words[: len(words) // 2 * 2]
+    block = ring.gaussian_ints(np.random.Generator(_FixedWords(rows)), sigma, (2, len(rows) // 2))
+    assert np.array_equal(block, want[: len(rows)].reshape(2, -1))
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
@@ -294,42 +313,84 @@ def test_gaussian_ints_match_searchsorted(sigma):
         assert np.array_equal(got, zs[np.searchsorted(cdf, u, side="left")])
 
 
-@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0, 640.0])
 def test_gaussian_ints_match_searchsorted_on_crafted_uniforms(sigma):
-    # Bucket edges b/m, every cdf value, their neighbours on both sides and
-    # the ends of [0, 1): the draws where a table lookup can go wrong.
-    zs, cdf = _searchsorted_table(sigma)
+    # The words where an integer lookup can go wrong: every direct-table
+    # bucket edge k << (64 - b) and its neighbours, every threshold
+    # thr[i] << 11 and (thr[i] +- 1) << 11, and the doubles at the float
+    # table's bucket edges b/m, its cdf values, their neighbours and the
+    # ends of [0, 1), each also with the low 11 bits all set.
+    thr, _, shift, _ = ring._gauss_table(sigma)
+    _, cdf = _searchsorted_table(sigma)
+    one = np.uint64(1)
+    edges = np.arange(1 << (64 - int(shift)), dtype=np.uint64) << shift
+    at = np.concatenate([thr, thr - one, thr + one]) << np.uint64(11)
     m = len(cdf)
-    edges = np.concatenate([np.arange(m + 1) / m, cdf, [0.0, 1.0 - 2.0**-53]])
-    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    want = zs[np.searchsorted(cdf, u, side="left")]
-    # Calls below the guide table's minimum size search directly.
-    small = np.array_split(np.arange(len(u)), -(-len(u) // (ring._GUIDE_MIN_DRAWS - 1)))
-    for part in small:
-        got = ring.gaussian_ints(_FixedUniforms(u[part]), sigma, len(part))
-        assert np.array_equal(got, want[part])
-    reps = -(-ring._GUIDE_MIN_DRAWS // len(u))
-    got = ring.gaussian_ints(_FixedUniforms(np.tile(u, reps)), sigma, reps * len(u))
-    assert np.array_equal(got, np.tile(want, reps))
+    u = np.concatenate([np.arange(m + 1) / m, cdf, [0.0, 1.0 - 2.0**-53]])
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+    words = np.concatenate([edges, edges - one, edges + one, at, at | np.uint64(0x7FF)])
+    _check_crafted_words(sigma, np.concatenate([words, _as_words(u[(u >= 0.0) & (u < 1.0)])]))
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.0, 250.0])
 def test_gaussian_ints_match_searchsorted_at_eighth_bucket_edges(sigma):
-    # The guide table has 8m buckets for m table entries: its edges b/(8m)
-    # and their neighbours on both sides, through the guide path and through
-    # a 2-D block.
-    zs, cdf = _searchsorted_table(sigma)
+    # The doubles b/(8m) for m table entries and their neighbours on both
+    # sides: a grid finer than the table that no threshold is aligned to.
+    _, cdf = _searchsorted_table(sigma)
     m8 = 8 * len(cdf)
     edges = np.arange(m8 + 1) / m8
     u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    u = np.tile(u, -(-ring._GUIDE_MIN_DRAWS // len(u)))
-    want = zs[np.searchsorted(cdf, u, side="left")]
-    assert np.array_equal(ring.gaussian_ints(_FixedUniforms(u), sigma, len(u)), want)
-    rows = u[: len(u) // 2 * 2]
-    got = ring.gaussian_ints(_FixedUniforms(rows), sigma, (2, len(rows) // 2))
-    assert np.array_equal(got, want[: len(rows)].reshape(2, -1))
+    _check_crafted_words(sigma, _as_words(u[(u >= 0.0) & (u < 1.0)]))
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.2, 44.8, 64.3, 250.0, 640.0])
+def test_gaussian_ints_match_float_lookup_on_a_twin_generator(sigma):
+    zs, cdf = _searchsorted_table(sigma)
+    for size in (1, 64, 2048, (24, 2048), 10**6):
+        rng, twin = ctx_rng("twin", sigma, str(size)), ctx_rng("twin", sigma, str(size))
+        got = ring.gaussian_ints(rng, sigma, size)
+        want = zs[np.searchsorted(cdf, twin.random(size), side="left")]
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64])
+def test_gaussian_ints_match_float_lookup_on_other_64_bit_generators(bitgen):
+    zs, cdf = _searchsorted_table(44.8)
+    rng, twin = np.random.Generator(bitgen(7)), np.random.Generator(bitgen(7))
+    got = ring.gaussian_ints(rng, 44.8, (3, 2048))
+    assert np.array_equal(got, zs[np.searchsorted(cdf, twin.random((3, 2048)), side="left")])
+    assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("sigma", [10.55, 2730.56])
+def test_gaussian_ints_table_dtype_holds_the_sentinel(sigma):
+    # bound = ceil(12 sigma) is 127 and 32767: the sentinel bound + 1 needs
+    # the next wider dtype than -bound..bound does.
+    zs, cdf = _searchsorted_table(sigma)
+    assert int(zs[-1]) in (127, 32767)
+    rng, twin = ctx_rng("sentinel", sigma), ctx_rng("sentinel", sigma)
+    want = zs[np.searchsorted(cdf, twin.random((4, 2048)), side="left")]
+    assert np.array_equal(ring.gaussian_ints(rng, sigma, (4, 2048)), want)
+
+
+def test_gaussian_ints_refuse_a_generator_whose_doubles_take_two_words():
+    # MT19937 builds each double from two 32-bit words, so its raw words
+    # cannot reproduce Generator.random: fail closed, draw nothing.
+    rng = np.random.Generator(np.random.MT19937(5))
+    before = rng.bit_generator.state
+    with pytest.raises(TypeError, match="MT19937"):
+        ring.gaussian_ints(rng, 3.2, 64)
+    with pytest.raises(TypeError, match="MT19937"):
+        ring.sample_gaussian(rng, 3.2, TINY)
+    assert _same_state(rng.bit_generator.state, before)
 
 
 def _mul_sum_case(N, logq, seed):
@@ -363,15 +424,20 @@ def test_mul_sum_rejects_mixed_params_and_no_terms():
         ring.mul_sum([])
 
 
-def test_gaussian_ints_guide_never_starts_past_the_answer(monkeypatch):
-    # u just below 5/6 lands in bucket 5 of 6 (u*6 rounds up to 5.0); with a
-    # cdf value at u itself, that bucket must start its search at or before it.
-    u = np.nextafter(5 / 6, 0.0)
-    assert int(u * 6) == 5
-    zs, cdf = np.arange(6), np.array([0.1, 0.3, 0.5, 0.7, u, 1.0])
-    monkeypatch.setattr(ring, "_gauss_table", lambda sigma: (zs, cdf, ring._guide_table(cdf)))
-    draws = ring.gaussian_ints(_FixedUniforms([u] * 256), 1.0, 256)
-    assert draws.tolist() == [4] * 256
+def test_gaussian_ints_guide_never_starts_past_the_answer():
+    # Every direct-table bucket either holds the sentinel bound + 1 or holds
+    # no threshold and answers with -bound plus the count of thresholds
+    # below it, which is the lookup's answer for every word in the bucket.
+    for sigma in (0.3, 3.2, 44.8, 250.0, 640.0):
+        thr, table, shift, bound = ring._gauss_table(sigma)
+        lo = np.arange(len(table), dtype=np.uint64) << (shift - np.uint64(11))
+        hi = lo + (np.uint64(1) << (shift - np.uint64(11))) - np.uint64(1)
+        below = np.searchsorted(thr, lo, side="left")
+        direct = table != bound + 1
+        assert np.array_equal(table[direct], below[direct] - bound)
+        assert np.array_equal(below[direct], np.searchsorted(thr, hi[direct], side="right"))
+        # The sentinel is rare: fewer buckets than thresholds.
+        assert 0 < (~direct).sum() <= len(thr)
 
 
 def _lincomb_params():
@@ -466,7 +532,6 @@ def _weight_vectors(q):
 @pytest.mark.parametrize("which", list(_WEIGHTED_PARAMS))
 def test_weighted_sample_gaussian_matches_per_draw_lincomb(which, sigma):
     pr = _WEIGHTED_PARAMS[which]
-    assert pr.N < ring._GUIDE_MIN_DRAWS or pr.N == 2048
     for name, weights in _weight_vectors(pr.q).items():
         got = ring.sample_gaussian(ctx_rng("wsg", which, name), sigma, pr, weights)
         want = _weighted_gaussian_reference(ctx_rng("wsg", which, name), sigma, pr, weights)
