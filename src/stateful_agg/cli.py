@@ -109,10 +109,6 @@ def cmd_run(program_path, n, gamma, beta, seed, schedule_path, check_ideal,
         pset = params.make_paramset(**base)
     except (TypeError, ValueError) as exc:
         _fail(2, f"bad parameters: {exc}")
-    budget = params.noise_budget(pset, base["stats"])
-    if not budget.ok:
-        click.echo(f"warning: noise needs {budget.required_bits:.1f} bits, over the budget of "
-                   f"{budget.budget_bits:.1f} bits (logq={pset.logq}); reveals may wrap", err=True)
     try:
         data = (
             _load_inputs_csv(inputs_path, p, n)

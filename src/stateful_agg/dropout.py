@@ -7,14 +7,16 @@ keep the run correct:
 
 * every sender threshold shares the one resharing piece it routes to each
   distinct next-cohort receiver to the receiver's chaperone committee (h
-  clients one cohort later); Shamir sharing is linear, so if the receiver
+  clients one cohort later); the chaperones at points 1..t-1 get a 128-bit
+  seed whose expansion is their share, the other h-t+1 an element
+  (`sharing.tshare_many`); Shamir sharing is linear, so if the receiver
   drops, each of a quorum of t chaperones releases the sum of its shares
   for it, and the server interpolates the receiver's incoming pieces' sum
   into the recovery element Z;
 * every upload is blinded by a self-mask expanded from a secret in Z_q (an
   element of the degree-1 ring over the run's limbs) whose threshold
-  shares go to the sender's own chaperones; the chaperones release them
-  only for clients that completed their round, so the server
+  shares, seeded alike, go to the sender's own chaperones; the chaperones
+  release them only for clients that completed their round, so the server
   can strip masks of survivors while a dropout's half-sent ciphertext
   stays blinded forever;
 * reveals subtract the weighted products of public round bases with each
@@ -186,14 +188,18 @@ class KeyBackups:
     committees: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
-def backup_shares(recovery: Recovery, ctx: RoundContext, res: ClientStepResult) -> int:
+def backup_shares(
+    recovery: Recovery, ctx: RoundContext, res: ClientStepResult
+) -> list[sharing.ThresholdShares]:
     """Threshold-share each of a sender's pieces to its receiver's key committee.
 
     A sender routes one piece to each of its G distinct receivers in
     cohort i+1, so a piece is all that recovery needs of the sender if its
     receiver R drops: any t of R's h chaperones (cohort i+2) recover it.
-    The G pieces are shared in one call, and each chaperone adds its share
-    into its running sum in round i+1's `KeyBackups`.  Returns G."""
+    The G pieces are shared in one call; R's chaperones at points 1..t-1
+    are sent a seed, the others an element.  Each chaperone adds the value
+    of its share (a seed's expansion, for a seeded one) into its running
+    sum in round i+1's `KeyBackups`.  Returns the G sharings sent."""
     pset = ctx.pset
     rp = pset.ring()
     record = recovery.backups.get(ctx.index + 1)
@@ -212,7 +218,7 @@ def backup_shares(recovery: Recovery, ctx: RoundContext, res: ClientStepResult) 
         for x, share in tsh.shares:
             record.sums[recv, x - 1] += share.res
         record.pieces[recv] += 1
-    return len(shared)
+    return shared
 
 
 def recover_round(
@@ -317,9 +323,10 @@ class Recovery:
         client-to-client bits and messages, the h mask shares `mask` sent
         included."""
         pset = ctx.pset
-        g = backup_shares(self, ctx, res)
-        # h shares of each piece, plus h shares of the mask secret.
-        return pset.h * (g * pset.N + 1) * pset.logq, pset.h * (g + 1)
+        g = len(backup_shares(self, ctx, res))
+        # h shares of each piece and of the mask secret, t-1 of each seeded.
+        bits = g * sharing.share_bits(pset.h, pset.t, pset.N * pset.logq)
+        return bits + sharing.share_bits(pset.h, pset.t, pset.logq), pset.h * (g + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:
         """Repairs of round rnd before its reveal; returns the bytes the

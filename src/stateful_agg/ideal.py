@@ -19,7 +19,7 @@ import numpy as np
 
 from . import program as prog
 from .dp import per_client_std
-from .prng import ctx_rng
+from .prng import hash_key, rekeyed_rng
 from .ring import gaussian_ints
 
 __all__ = ["IdealState", "IdealResult", "materialize_inputs", "evaluate_program", "run_ideal"]
@@ -73,8 +73,9 @@ def materialize_inputs(
     out[rows] = values
     for i, std in stds.items():
         for j in range(n):
-            draw = gaussian_ints(ctx_rng(noise_seed, "input-noise", i, j), std, p.ell)
-            out[i - 1, j] += draw.astype(out.dtype)
+            # Each stream is drawn in full on the spot: `rekeyed_rng`'s rule.
+            rng = rekeyed_rng(hash_key(noise_seed, "input-noise", i, j))
+            out[i - 1, j] += gaussian_ints(rng, std, p.ell).astype(out.dtype)
     return out
 
 

@@ -9,9 +9,10 @@ Because a key and a zero counter fully define a Philox stream, re-keying
 one generator in place gives the same draws as building a new one, at a
 tenth of the cost.  `rekeyed_rng` does that on one module-level generator.
 Its rule: the caller uses up the stream before the next `rekeyed_rng` call,
-which rewinds the same generator.  It serves seed expansion, where each
-stream is drawn in full on the spot; it is not a general `ctx_rng`
-replacement, since callers hold `ctx_rng` generators across other calls.
+which rewinds the same generator.  It serves seed expansion and the
+Gaussian input noise, where each stream is drawn in full on the spot; it
+is not a general `ctx_rng` replacement, since callers hold `ctx_rng`
+generators across other calls.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ import numpy as np
 from . import crypto, ring, sharing
 from . import program as prog
 from .ideal import materialize_inputs
-from .params import ParamSet
+from .params import ParamSet, noise_budget
 from .prng import ctx_rng, hash_key
 
 __all__ = [
@@ -303,7 +303,9 @@ def run_protocol(
     recovery=None,
 ) -> RunResult:
     """Simulate the whole program; reveals are exact mod T in the noise
-    regime the parameter set was sized for.
+    regime the parameter set was sized for.  Raises ValueError before round
+    1 when the parameter set fails the noise budget of the program's reveal
+    weights, since its reveals could wrap.
 
     Runs every round, then flushes the last reveal.  Round i's reveal is
     opened after round i+1's uploads are absorbed.  A recovery layer (see
@@ -319,6 +321,12 @@ def run_protocol(
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
     check_packing(p, pset.pf)
+    budget = noise_budget(pset, prog.reveal_stats(p))
+    if not budget.ok:
+        raise ValueError(
+            f"noise needs {budget.required_bits:.1f} bits, over the budget of "
+            f"{budget.budget_bits:.1f} bits (logq={pset.logq}); reveals would wrap"
+        )
     n = pset.n
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
     global_seed = hash_key(seed, "public-elements")

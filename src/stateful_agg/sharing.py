@@ -6,6 +6,23 @@ Shamir sharing of a ring element is applied coefficientwise, one
 polynomial per coefficient, and independently per prime limb of q (the
 evaluation points 1..h must be invertible, which holds per limb).  A
 scalar in Z_q is an element of the degree-1 ring over the same limbs.
+
+Shamir shares are seed-compressed, the seed-for-share trade of
+pseudorandom secret sharing (Cramer, Damgard and Ishai, TCC 2005).  For
+each secret, t-1 fresh 128-bit seeds are drawn, and the shares at points
+1..t-1 are their `expand_seed` expansions; the shares at points t..h are
+the values there of the degree-(t-1) polynomial through (0, secret) and
+those t-1 points.  So holders 1..t-1 can be sent a seed instead of an
+element: one sharing costs (t-1) seeds and h-t+1 elements (`share_bits`).
+
+Security: the sharing is as hiding as one with uniform coefficients, up
+to the PRG.  Fix f(0) = secret.  For any set S of t-1 nonzero points,
+the values of f on S are an affine bijection of the t-1 values at 1..t-1
+(both sets, with 0, determine f by interpolation), whose linear part does
+not depend on the secret.  With the seeded values uniform, a coalition of
+fewer than t holders sees uniform values, and with them pseudorandom, it
+sees values indistinguishable from uniform, independent of the secret.
+Any t shares still interpolate to the secret.
 """
 
 from __future__ import annotations
@@ -29,6 +46,7 @@ __all__ = [
     "seed_reshare",
     "expand_seed",
     "piece_sum",
+    "share_bits",
     "SEED_BITS",
 ]
 
@@ -59,49 +77,80 @@ def ashare(
 
 @dataclass(frozen=True)
 class ThresholdShares:
-    """Pairs (evaluation point, share element); any t of them reconstruct."""
+    """Pairs (evaluation point, share element); any t of them reconstruct.
+
+    seeds[x-1] is the seed whose `expand_seed` is the share at point x, for
+    x = 1..t-1: those holders can be sent the seed instead of the element."""
 
     shares: tuple[tuple[int, ring.RingElement], ...]
     threshold: int
+    seeds: tuple[int, ...]
 
 
-def _shamir_stack(res: np.ndarray, h: int, t: int, rng: np.random.Generator, limbs) -> np.ndarray:
-    """Shares of a (K, L, W) residue stack at points 1..h, shape (h, K, L, W).
+def share_bits(h: int, t: int, elem_bits: int) -> int:
+    """Bits that carry one `tshare` sharing of an element of elem_bits bits:
+    t-1 seeded shares, each a seed or the element if that is shorter, and
+    h-t+1 computed elements."""
+    return (t - 1) * min(SEED_BITS, elem_bits) + (h - t + 1) * elem_bits
 
-    The polynomial coefficients are drawn secret by secret, then by power,
-    then by limb, so a stack of K secrets consumes `rng` exactly as K
-    single-secret calls do.  Each point sums its Vandermonde terms x^k
-    unreduced in uint64 and reduces once, or every few terms when
-    (t-1) * max(x^k mod p) * p could overflow.
-    """
-    K, L, W = res.shape
-    coeffs = np.empty((L, t - 1, K, W), dtype=np.uint64)
-    for k in range(K):
-        for c in range(t - 1):
-            for l, p in enumerate(limbs):
-                coeffs[l, c, k] = rng.integers(0, p, size=W, dtype=np.uint64)
-    out = np.empty((h, K, L, W), dtype=np.uint64)
+
+@lru_cache(maxsize=256)
+def _lagrange(xs: tuple[int, ...], at: tuple[int, ...], limbs: tuple[int, ...]) -> np.ndarray:
+    """Weights (len(at), len(xs), L): per limb, the polynomial of degree
+    below len(xs) through the points xs takes at `at[a]` the value
+    sum_i lam[a, i] * (its value at xs[i])."""
+    lam = np.empty((len(at), len(xs), len(limbs)), dtype=np.uint64)
     for l, p in enumerate(limbs):
+        for a, z in enumerate(at):
+            for i, xi in enumerate(xs):
+                num, den = 1, 1
+                for xj in xs:
+                    if xj != xi:
+                        num = num * (z - xj) % p
+                        den = den * (xi - xj) % p
+                lam[a, i, l] = num * pow(den, -1, p) % p
+    lam.setflags(write=False)
+    return lam
+
+
+def _combine(lam: np.ndarray, vals: np.ndarray, pr: ring.RingParams, out=None) -> np.ndarray:
+    """sum_i lam[a, i] * vals[i] mod each limb of pr, in out[a] (a new
+    array if None), for every point a of the weights lam (P, T, L), from
+    residues vals (T, ..., L, W); out is (P, ..., L, W).  Per limb, the terms add
+    unreduced in uint64 and reduce once, or every few terms when they could
+    overflow (limbs near 2^31).  The reductions divide by the scalar limb,
+    which numpy does fast, and one scratch array serves every operation."""
+    P, T = lam.shape[:2]
+    if out is None:
+        out = np.empty((P,) + vals.shape[1:], dtype=np.uint64)
+    scratch = np.empty(out[:, ..., 0, :].shape, dtype=np.uint64)
+
+    def reduce(acc, pw):
+        np.floor_divide(acc, pw, out=scratch)
+        np.multiply(scratch, pw, out=scratch)
+        acc -= scratch
+
+    for l, p in enumerate(pr.limbs):
         pw = np.uint64(p)
-        powers = [[pow(x, c, p) for c in range(1, t)] for x in range(1, h + 1)]
-        vmax = max((v for row in powers for v in row), default=1)
-        # Terms c*v (c < p, v <= vmax) that fit in uint64 on top of a sum below p.
-        chunk = max(1, (2**64 - p) // (vmax * (p - 1)))
-        for xi, row in enumerate(powers):
-            acc = res[:, l].astype(np.uint64)
-            for c, v in enumerate(row, start=1):
-                acc += coeffs[l, c - 1] * np.uint64(v)
-                if c % chunk == 0:
-                    acc -= acc // pw * pw
-            out[xi, :, l] = acc - acc // pw * pw
+        w = lam[:, :, l].reshape((P, T) + (1,) * (vals.ndim - 2))
+        # Terms below p^2 that fit in uint64 on top of a sum below p.
+        chunk = (2**64 - p) // (p - 1) ** 2
+        acc = out[:, ..., l, :]
+        np.multiply(w[:, 0], vals[0, ..., l, :], out=acc)
+        for i in range(1, T):
+            if i % chunk == 0:
+                reduce(acc, pw)
+            np.multiply(w[:, i], vals[i, ..., l, :], out=scratch)
+            acc += scratch
+        reduce(acc, pw)
     return out
 
 
 def tshare(secret: ring.RingElement, h: int, t: int, rng: np.random.Generator) -> ThresholdShares:
-    """Shamir-share a ring element among h holders.
-
-    Shares are degree-(t-1) polynomial evaluations at points 1..h with the
-    secret as constant term, done per coefficient and per limb.
+    """Shamir-share a ring element among h holders: evaluations at points
+    1..h of a degree-(t-1) polynomial with the secret as constant term,
+    coefficientwise and per limb.  The shares at points 1..t-1 are the
+    expansions of t-1 fresh seeds drawn from rng; see the module docstring.
     """
     return tshare_many([secret], h, t, rng)[0]
 
@@ -112,7 +161,7 @@ def tshare_many(
     """Shamir-share several ring elements at once.
 
     Gives exactly the shares of one `tshare` call per secret, in order, on
-    the same generator.
+    the same generator: the seeds are drawn secret by secret.
     """
     if not secrets:
         return []
@@ -121,28 +170,23 @@ def tshare_many(
     pr = secrets[0].params
     if h >= min(pr.limbs):
         raise ValueError("committee size must be below every prime limb")
-    out = _shamir_stack(np.stack([s.res for s in secrets]), h, t, rng, pr.limbs)
-    # Each share is a view into `out`, no copy.
+    seeds = [_draw_seeds(rng, t - 1) for _ in secrets]
+    # vals[0] holds the secrets (the values at point 0), vals[x] the shares
+    # at point x: seed expansions below t, Lagrange evaluations from t on.
+    vals = np.empty((h + 1, len(secrets), len(pr.limbs), pr.N), dtype=np.uint64)
+    for k, s in enumerate(secrets):
+        vals[0, k] = s.res
+        for x, seed in enumerate(seeds[k], start=1):
+            vals[x, k] = expand_seed(seed, pr).res
+    lam = _lagrange(tuple(range(t)), tuple(range(t, h + 1)), pr.limbs)
+    _combine(lam, vals[:t], pr, vals[t:])
+    # Each share is a view into `vals`, no copy.
     return [
-        ThresholdShares(tuple((x, ring.RingElement(out[x - 1, k], pr)) for x in range(1, h + 1)), t)
-        for k in range(len(secrets))
+        ThresholdShares(
+            tuple((x, ring.RingElement(vals[x, k], pr)) for x in range(1, h + 1)), t, own
+        )
+        for k, own in enumerate(seeds)
     ]
-
-
-@lru_cache(maxsize=256)
-def _lagrange_at_zero(xs: tuple[int, ...], limbs: tuple[int, ...]) -> np.ndarray:
-    """Weights (len(xs), L) interpolating at 0 from points xs, per limb."""
-    lam = np.empty((len(xs), len(limbs)), dtype=np.uint64)
-    for l, p in enumerate(limbs):
-        for i, xi in enumerate(xs):
-            num, den = 1, 1
-            for xj in xs:
-                if xj != xi:
-                    num = num * xj % p
-                    den = den * (xj - xi) % p
-            lam[i, l] = num * pow(den, -1, p) % p
-    lam.setflags(write=False)
-    return lam
 
 
 def trec(shares, t: int | None = None) -> ring.RingElement:
@@ -161,8 +205,7 @@ def trec(shares, t: int | None = None) -> ring.RingElement:
         raise ValueError("duplicate evaluation points")
     pr = pairs[0][1].params
     vals = np.stack([v.res for _, v in pairs])
-    lam = _lagrange_at_zero(xs, pr.limbs)
-    return ring.RingElement((vals * lam[:, :, None] % pr._ps).sum(axis=0) % pr._ps, pr)
+    return ring.RingElement(_combine(_lagrange(xs, (0,), pr.limbs), vals, pr)[0], pr)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +224,14 @@ class SeedReshare:
     seeds: tuple[int, ...]
     correction: ring.RingElement
     expansions: tuple[ring.RingElement, ...]
+
+
+def _draw_seeds(rng: np.random.Generator, count: int) -> tuple[int, ...]:
+    """count fresh SEED_BITS-bit seeds.  One draw of count*16 bytes equals
+    count draws of 16: both are whole uint32 words."""
+    width = SEED_BITS // 8
+    raw = rng.bytes(width * count)
+    return tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, width * count, width))
 
 
 def expand_seed(seed: int, params: ring.RingParams) -> ring.RingElement:
@@ -202,9 +253,6 @@ def seed_reshare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> 
     """
     if d < 1:
         raise ValueError("share count must be >= 1")
-    # One draw of d*16 bytes equals d draws of 16: both are whole uint32 words.
-    width = SEED_BITS // 8
-    raw = rng.bytes(width * d)
-    seeds = tuple(int.from_bytes(raw[k : k + width], "big") for k in range(0, width * d, width))
+    seeds = _draw_seeds(rng, d)
     expansions = tuple(expand_seed(seed, secret.params) for seed in seeds)
     return SeedReshare(seeds, secret - piece_sum(expansions, secret.params), expansions)

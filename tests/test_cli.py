@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from stateful_agg import program as prog
-from stateful_agg import cli
+from stateful_agg import cli, protocol
 from stateful_agg.cli import _load_inputs_csv, _synth_inputs, main
 
 
@@ -63,8 +63,8 @@ def test_run_deterministic_outputs(runner, tmp_path):
 
 
 def test_run_check_ideal_catches_wraparound(runner, tmp_path):
-    # An absurdly small modulus forces noise wraparound; the side-by-side
-    # reference check must fail loudly.
+    # An absurdly small modulus would make the noise wrap; the run refuses
+    # it before round 1, naming both widths, and writes no reveals.
     ppath = tmp_path / "sum.json"
     _write_sum_program(ppath, r=4)
     pfile = tmp_path / "params.json"
@@ -73,10 +73,31 @@ def test_run_check_ideal_catches_wraparound(runner, tmp_path):
         "run", "--program", str(ppath), "--n", "5", "--seed", "2",
         "--params", str(pfile), "--check-ideal", "--out", str(tmp_path),
     ])
+    assert res.exit_code == 2
+    assert "noise needs 21.1 bits, over the budget of 14.0 bits" in res.stderr
+    assert not (tmp_path / "reveals.csv").exists()
+
+
+def test_run_check_ideal_reports_a_wrong_reveal(runner, tmp_path, monkeypatch):
+    # The side-by-side reference check fails loudly on any reveal that
+    # differs from the reference: here one coefficient is off by one.
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath, r=4)
+    run = protocol.run_protocol
+
+    def off_by_one(*args, **kwargs):
+        result = run(*args, **kwargs)
+        rnd, vec = result.reveals[0]
+        result.reveals[0] = (rnd, [int(vec[0]) + 1] + list(vec[1:]))
+        return result
+
+    monkeypatch.setattr(protocol, "run_protocol", off_by_one)
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "5", "--seed", "2",
+        "--check-ideal", "--out", str(tmp_path),
+    ])
     assert res.exit_code == 1
     assert "mismatch" in res.output
-    # The noise budget check warns before the run, naming both widths.
-    assert "warning: noise needs 21.1 bits, over the budget of 14.0 bits" in res.stderr
 
 
 @pytest.mark.parametrize("case", ["sum", "tree"])

@@ -274,7 +274,7 @@ def _run_digest(res, diag) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "8c0888c474dd05da873e87908ce80a24da7f8923882286aca774a5fe4d658a6b"
+PINNED_DIGEST = "4cd9bfb6fe155c8634e270c852e54970ddc55b715c62a9bb79b0c2a897e389a8"
 
 
 def test_key_history_and_reveals_are_pinned():
@@ -383,7 +383,7 @@ def test_running_sum_dropout_run_is_pinned():
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 73, schedule).reveals)
     assert sum(d is not None for d in diag.deficits.values()) >= 3
-    want = "5ffdd7d3212ffa4942f67758086d96d3baab71b7bb21d9cda2126240efdaf511"
+    want = "c2326dc34a6dd60f8610b6ec481fd7652a0ae10099a75d3f588b3fc8f5c35b45"
     assert run_digest(res, diag) == want
 
 
@@ -474,7 +474,7 @@ def test_dropout_run_invariants_are_pinned(monkeypatch, case):
 # run_digest of the consecutive-drops run with seed pieces: key shares,
 # deficits (corrections and recovered pieces), reveals and traffic.
 SEED_RESHARING_DIGESTS = {
-    "consecutive": "7239856eaf4427c7f7792ed92ee6bf29bb4ee0790fb39798c9be83cca29199ef",
+    "consecutive": "5646e97a35adbd019b0c292d454170b5998bb7dda745e7ba0e0fe6762c1e8c02",
 }
 
 
@@ -495,25 +495,37 @@ def test_seed_resharing_dropout_runs_match_survivor_reference(case):
 
 def test_seed_resharing_dropout_run_expands_each_routed_seed_once(monkeypatch):
     # A survivor's backups share the expansions its step made: a run makes
-    # one expansion per routed seed, none for recovery.
+    # one expansion per routed piece seed, none for recovery.  Apart from
+    # those, each sharing expands its t-1 share seeds once, for the G
+    # pieces and the mask secret of every survivor.
     p, pset, data, schedule, seed = _consecutive_case()
     pset = replace(pset, seed_resharing=True)
-    seeds = []
-    expand = sharing.expand_seed
+    expanded, share_seeds = [], []
+    expand, tshare_many = sharing.expand_seed, sharing.tshare_many
 
     def counted(s, params):
-        seeds.append(s)
+        expanded.append(s)
         return expand(s, params)
 
+    def recorded(*args):
+        shared = tshare_many(*args)
+        share_seeds.extend(s for ts in shared for s in ts.seeds)
+        return shared
+
     monkeypatch.setattr(sharing, "expand_seed", counted)
+    monkeypatch.setattr(sharing, "tshare_many", recorded)
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
     assert sum(diag.recovered_pieces.values()) > 0
-    routed = sum(
+    fanouts = [
         len(routed_receivers(seed, pset, i, j))
         for i in range(1, p.r + 1) for j in range(pset.n) if j not in schedule.get(i, ())
-    )
-    assert len(seeds) == len(set(seeds)) == routed
+    ]
+    shares = set(share_seeds)
+    pieces = [s for s in expanded if s not in shares]
+    assert len(pieces) == len(set(pieces)) == sum(fanouts)
+    assert sorted(s for s in expanded if s in shares) == sorted(share_seeds)
+    assert len(share_seeds) == len(shares) == (pset.t - 1) * sum(g + 1 for g in fanouts)
 
 
 def _senders(seed, pset, recv):
@@ -548,13 +560,19 @@ def _expected_rows(p, pset, schedule, seed):
     A survivor uploads packed_coeffs coefficients, plus a correction
     element with seed resharing, and sends one piece (an element, or a seed
     of SEED_BITS) to each of its G distinct receivers, plus h shares of
-    each piece and h shares of its mask secret.  Round k's repair, counted in
+    each piece and h shares of its mask secret.  Of each h, the shares at
+    points 1..t-1 travel as a seed of SEED_BITS, or as the value where that
+    is shorter (a mask share of logq bits below 128), and the other h-t+1
+    as values: N*logq bits for a piece, logq for a mask secret.  Round k's
+    repair, counted in
     round k+1's row (round r's in row r), releases t elements for each
     dropped client of round k that a survivor of round k-1 sent pieces to,
     and t scalars for each survivor's mask."""
     n, N, logq, h, t = pset.n, pset.N, pset.logq, pset.h, pset.t
     upload = (pset.packed_coeffs + (N if pset.seed_resharing else 0)) * logq
     piece = sharing.SEED_BITS if pset.seed_resharing else N * logq
+    backup = (t - 1) * min(sharing.SEED_BITS, N * logq) + (h - t + 1) * N * logq
+    mask = (t - 1) * min(sharing.SEED_BITS, logq) + (h - t + 1) * logq
     survivors = {
         i: [j for j in range(n) if j not in schedule.get(i, ())] for i in range(1, p.r + 1)
     }
@@ -572,7 +590,7 @@ def _expected_rows(p, pset, schedule, seed):
         c2s = len(survivors[i]) * upload / 8
         c2s += (repair(i - 1) if i >= 2 else 0) + (repair(i) if i == p.r else 0)
         fanouts = [len(routed_receivers(seed, pset, i, j)) for j in survivors[i]]
-        c2c = sum(g * piece + h * (g * N + 1) * logq for g in fanouts) / 8
+        c2c = sum(g * (piece + backup) + mask for g in fanouts) / 8
         rows.append((c2s, c2c, sum(g + h * (g + 1) for g in fanouts)))
     return rows
 
@@ -599,6 +617,68 @@ def test_transcript_rows_match_closed_forms_with_seed_resharing():
     got = [(row.c2s_bytes, row.c2c_bytes, row.c2c_messages) for row in res.transcript.rows]
     assert got == _expected_rows(p, pset, schedule, seed)
     assert diag.recovered_pieces[4] > 0
+
+
+def _wire_bits(message, logq):
+    """Bits of one peer message: a seed (an int) is SEED_BITS, an element
+    N*logq."""
+    return sharing.SEED_BITS if isinstance(message, int) else message.params.N * logq
+
+
+@pytest.mark.parametrize("seed_resharing", [False, True])
+def test_peer_traffic_is_rebuilt_from_the_messages_sent(monkeypatch, seed_resharing):
+    # Each survivor's client-to-client bytes and messages, rebuilt from the
+    # pieces it routed and the sharings its backups and mask produced: a
+    # holder at a seeded point is sent the seed, or the value where that is
+    # shorter, and every other holder the value.
+    p, pset, schedule, seed = _shared_case(seed_resharing)
+    logq = pset.logq
+    sent, sender = {}, []
+    tshare, mask, backup = sharing.tshare, dropout.Recovery.mask, dropout.backup_shares
+
+    def mask_recorded(self, ctx, j):
+        sender.append((ctx.index, j))
+        return mask(self, ctx, j)
+
+    def tshare_recorded(*args):
+        ts = tshare(*args)
+        sent.setdefault(sender[-1], []).append(ts)
+        return ts
+
+    def backup_recorded(recovery, ctx, res):
+        shared = backup(recovery, ctx, res)
+        sent.setdefault((ctx.index, res.index), []).extend(
+            [piece for _, piece in res.reshares] + shared
+        )
+        return shared
+
+    monkeypatch.setattr(dropout.Recovery, "mask", mask_recorded)
+    monkeypatch.setattr(sharing, "tshare", tshare_recorded)
+    monkeypatch.setattr(dropout, "backup_shares", backup_recorded)
+    data = random_data(run_rng("doubled"), p, pset.n)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert diag.recovered_pieces[4] > 0
+    rows = {i: [0, 0] for i in range(1, p.r + 1)}
+    for (i, j), messages in sent.items():
+        assert j not in schedule.get(i, ())
+        for msg in messages:
+            if not isinstance(msg, sharing.ThresholdShares):
+                rows[i][0] += _wire_bits(msg, logq)
+                rows[i][1] += 1
+                continue
+            assert len(msg.seeds) == pset.t - 1 and len(msg.shares) == pset.h
+            for x, share in msg.shares:
+                if x <= len(msg.seeds):
+                    assert share == sharing.expand_seed(msg.seeds[x - 1], share.params)
+                    bits = min(_wire_bits(msg.seeds[x - 1], logq), _wire_bits(share, logq))
+                else:
+                    bits = _wire_bits(share, logq)
+                rows[i][0] += bits
+                rows[i][1] += 1
+    assert len(sent) == sum(pset.n - len(schedule.get(i, ())) for i in rows)
+    got = [(row.c2c_bytes, row.c2c_messages) for row in res.transcript.rows]
+    assert got == [(bits / 8, count) for bits, count in rows.values()]
 
 
 def test_final_flush_repair_is_counted_in_last_row():

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stateful_agg import ring, sharing
+from stateful_agg.prng import ctx_rng
 
 from helpers import run_rng
 
@@ -179,31 +182,42 @@ def test_seed_reshare_peer_bits():
     assert all(s < 2**sharing.SEED_BITS for s in sr.seeds)
 
 
+def _newton_horner(values, x, p):
+    """Value at x, mod p, of the polynomial through (k, values[k]) for
+    k = 0..len(values)-1, over Python ints: Newton's divided differences
+    (the points are k, so x_k - x_(k-j) = j), then Horner's rule on the
+    nested form c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...))."""
+    coef = [v % p for v in values]
+    for j in range(1, len(coef)):
+        for k in range(len(coef) - 1, j - 1, -1):
+            coef[k] = (coef[k] - coef[k - 1]) * pow(j, -1, p) % p
+    acc = 0
+    for k in reversed(range(len(coef))):
+        acc = (acc * (x - k) + coef[k]) % p
+    return acc
+
+
 def _horner_shares(secrets, h, t, rng, pr):
-    """Reference sharing: coefficients drawn secret by secret, then by power,
-    then by limb; each point and limb evaluated by Horner's rule over Python
-    ints.  Returns per secret the (L, W) residues of shares at points 1..h."""
+    """Reference seeded sharing.  Per secret, t-1 seeds of 16 bytes each,
+    drawn one by one; the shares at points 1..t-1 are the seeds' expansions
+    (a uniform element on a Philox keyed by the seed), and each limb and
+    coefficient of the share at x >= t is the value at x of the polynomial
+    through (0, secret) and those t-1 points.  Returns per secret its seeds
+    and the (L, W) residues of its shares at 1..h."""
     out = []
     for s in secrets:
-        res = [[int(v) for v in row] for row in s.res]
-        width = len(res[0])
-        coeffs = [
-            [rng.integers(0, p, size=width, dtype=np.uint64) for p in pr.limbs]
-            for _ in range(t - 1)
-        ]
-        shares = []
-        for x in range(1, h + 1):
-            val = []
-            for l, p in enumerate(pr.limbs):
-                row = []
-                for w in range(width):
-                    acc = 0
-                    for c in reversed(range(t - 1)):
-                        acc = (acc + int(coeffs[c][l][w])) * x % p
-                    row.append((acc + res[l][w]) % p)
-                val.append(row)
-            shares.append(val)
-        out.append(shares)
+        seeds = [int.from_bytes(rng.bytes(16), "big") for _ in range(t - 1)]
+        rows = [s.res] + [ring.sample_uniform(ctx_rng("seed-expand", sd), pr).res for sd in seeds]
+        shares = [[[int(v) for v in row] for row in res] for res in rows[1:]]
+        for x in range(t, h + 1):
+            shares.append([
+                [
+                    _newton_horner([int(res[l, w]) for res in rows], x, p)
+                    for w in range(s.res.shape[1])
+                ]
+                for l, p in enumerate(pr.limbs)
+            ])
+        out.append((seeds, shares))
     return out
 
 
@@ -211,8 +225,8 @@ def _share_residues(ts):
     return [[[int(v) for v in row] for row in value.res] for _, value in ts.shares]
 
 
-# A single 31-bit limb: with h = t = 20 the terms x^k mod p reach ~2^31, so
-# (t-1) * max(x^k mod p) * p exceeds 2^64 and the kernel must reduce early.
+# A single 31-bit limb: with h = t = 20 the Lagrange weights mod p reach
+# ~2^31, so t * max(weight) * p exceeds 2^64 and the kernel must reduce early.
 WIDE = ring.RingParams(8, 3, limbs=(ring.find_ntt_prime(16, 31),))
 
 
@@ -225,22 +239,60 @@ def test_tshare_matches_horner_reference(logq, limbs, h, t):
     assert len(pr.limbs) == limbs
     if pr is WIDE:
         p = pr.limbs[0]
-        vmax = max(pow(x, k, p) for x in range(1, h + 1) for k in range(1, t))
-        assert (t - 1) * vmax * (p - 1) >= 2**64
+        # The Lagrange weight of point i at x interpolates the indicator of i.
+        wmax = max(
+            _newton_horner([int(k == i) for k in range(t)], x, p)
+            for x in range(t, h + 1) for i in range(t)
+        )
+        assert t * wmax * (p - 1) >= 2**64
     elems = [ring.sample_uniform(run_rng("hr-e", h, t, k), pr) for k in range(3)]
     scalars = [
         scalar(int(run_rng("hr-s", h, t, k).integers(0, 2**62)) % pr.q, degree1(pr))
         for k in range(3)
     ]
     for secrets in (elems, scalars):
-        want = _horner_shares(secrets, h, t, run_rng("hr", h, t), pr)
+        want = _horner_shares(secrets, h, t, run_rng("hr", h, t), secrets[0].params)
         many = sharing.tshare_many(secrets, h, t, run_rng("hr", h, t))
         rng = run_rng("hr", h, t)
         single = [sharing.tshare(s, h, t, rng) for s in secrets]
-        for ref, a, b in zip(want, many, single):
-            assert _share_residues(a) == ref
-            assert _share_residues(b) == ref
+        for (seeds, ref), a, b in zip(want, many, single):
+            assert _share_residues(a) == _share_residues(b) == ref
+            assert list(a.seeds) == list(b.seeds) == seeds
             assert [x for x, _ in a.shares] == list(range(1, h + 1))
+
+
+def _property_params(limbs, N):
+    pr = ring.RingParams.from_bits(8, {1: 27, 2: 50, 3: 75, 4: 100}[limbs], 3)
+    return pr if N == 8 else degree1(pr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.integers(1, 12),
+    data=st.data(),
+    limbs=st.integers(1, 4),
+    N=st.sampled_from([1, 8]),
+    K=st.integers(1, 3),
+    key=st.integers(0, 2**32 - 1),
+)
+def test_seeded_sharing_properties(h, data, limbs, N, K, key):
+    # Every t-subset interpolates to its secret, the shares at 1..t-1 are the
+    # expansions of seeds drawn from the generator, and one tshare_many call
+    # shares as K tshare calls on one generator do.
+    t = data.draw(st.integers(1, h), label="t")
+    pr = _property_params(limbs, N)
+    secrets = [ring.sample_uniform(run_rng("prop-secret", key, k), pr) for k in range(K)]
+    many = sharing.tshare_many(secrets, h, t, run_rng("prop", key))
+    rng, draws = run_rng("prop", key), run_rng("prop", key)
+    single = [sharing.tshare(s, h, t, rng) for s in secrets]
+    for secret, a, b in zip(secrets, many, single):
+        seeds = tuple(int.from_bytes(draws.bytes(16), "big") for _ in range(t - 1))
+        assert a.seeds == b.seeds == seeds
+        assert _share_residues(a) == _share_residues(b)
+        for x, seed in enumerate(seeds, start=1):
+            assert a.shares[x - 1] == (x, sharing.expand_seed(seed, pr))
+        for subset in itertools.combinations(a.shares, t):
+            assert sharing.trec(list(subset), t) == secret
 
 
 def test_trec_every_t_subset_and_summed_bundles():
