@@ -20,6 +20,18 @@ Layers:
   shape (h = 6, t = 4, N = 2048, logq = 34 in two limbs), `sharing.tshare`
   of a degree-1 mask secret over the same limbs, and `sharing.trec` of t
   summed shares of an element.
+* ring: the forward and inverse transforms `ring._ntt` and `ring._intt`,
+  `ring.mul` of a fresh element by one whose transform is cached (one
+  forward and one inverse transform, as an upload's b*s), and a cold
+  build of the transform tables (`ring._NttTables`), at the `cohort`
+  ring (N = 2048, 17/18-bit limbs), two 22-bit limbs at N = 2048
+  (acceptance criterion 8), the `high-dim` ring (N = 4096, 26/27-bit
+  limbs) and seven 31-bit limbs at N = 16384.
+
+Next to each time the JSON holds the minor page faults per call (median
+over the turns, from getrusage around each turn): both trees share one
+process, so a kernel whose temporaries the allocator hands back to the
+system pays for fresh pages on every call.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -116,14 +129,68 @@ def sharing_cells():
     yield {"function": "trec", "shape": shape}, rec
 
 
-LAYERS = {"sampler": sampler_cells, "sharing": sharing_cells}
+def _widest_limbs(ring, N: int, count: int) -> tuple[int, ...]:
+    """The `count` largest primes 1 mod 2N below 2^31."""
+    limbs, k = [], (2**31 - 2) // (2 * N)
+    while len(limbs) < count:
+        if ring._is_prime(k * 2 * N + 1):
+            limbs.append(k * 2 * N + 1)
+        k -= 1
+    return tuple(sorted(limbs))
 
 
-def per_call_us(f, calls: int) -> float:
+# (name, N, logq or None, limb count for the widest 31-bit limbs)
+RING_SHAPES = (
+    ("cohort", 2048, 35, None),
+    ("criterion-8", 2048, 44, None),
+    ("high-dim", 4096, 106, None),
+    ("wide", 16384, None, 7),
+)
+
+
+def ring_cells():
+    for name, n, logq, count in RING_SHAPES:
+        def params(pkg, n=n, logq=logq, count=count):
+            ring = pkg.ring
+            limbs = ring.choose_limbs(n, logq) if logq else _widest_limbs(ring, n, count)
+            return ring.RingParams(n, 2**16, limbs=limbs)
+
+        shape = {"name": name, "N": n}
+        for fn in ("_ntt", "_intt"):
+            def transform(pkg, fn=fn, params=params):
+                pr = params(pkg)
+                f, tbl = getattr(pkg.ring, fn), pkg.ring._tables(pr.limbs, pr.N)
+                x = pkg.ring.sample_uniform(_rng(), pr).res
+                return lambda: f(x, tbl)
+
+            yield {"function": fn, "shape": shape}, transform
+
+        def mul(pkg, params=params):
+            ring, pr, rng = pkg.ring, params(pkg), _rng()
+            a, x = ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr).res
+            return lambda: ring.mul(a, ring.RingElement(x, pr))
+
+        yield {"function": "mul", "shape": shape}, mul
+
+        def build(pkg, params=params):
+            pr = params(pkg)
+            return lambda: pkg.ring._NttTables(pr.limbs, pr.N)
+
+        yield {"function": "_NttTables", "shape": shape}, build
+
+
+LAYERS = {"sampler": sampler_cells, "sharing": sharing_cells, "ring": ring_cells}
+
+
+def per_call(f, calls: int) -> tuple[float, float]:
+    """(microseconds, minor page faults) per call, over `calls` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     for _ in range(calls):
         f()
-    return (time.perf_counter() - t0) / calls * 1e6
+    elapsed = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return elapsed / calls * 1e6, faults / calls
 
 
 def summary(xs: list[float]) -> dict:
@@ -147,14 +214,21 @@ def main() -> None:
     for fields, make in LAYERS[args.layer]():
         fs = {side: make(pkg) for side, pkg in pkgs.items()}
         for f in fs.values():
-            per_call_us(f, 3)
+            per_call(f, 3)
         times = {side: [] for side in fs}
+        faults = {side: [] for side in fs}
         for r in range(ROUNDS):
             for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
-                times[side].append(per_call_us(fs[side], CALLS))
+                us, flt = per_call(fs[side], CALLS)
+                times[side].append(us)
+                faults[side].append(flt)
         base, new = summary(times["base"]), summary(times["new"])
         ratio = round(new["median"] / base["median"], 3)
-        cells.append({**fields, "base_us": base, "new_us": new, "new_over_base": ratio})
+        cells.append({
+            **fields, "base_us": base, "new_us": new, "new_over_base": ratio,
+            "base_faults_per_call": float(np.median(faults["base"])),
+            "new_faults_per_call": float(np.median(faults["new"])),
+        })
         print(f"{json.dumps(fields):60} base {base['median']:8.1f} us  "
               f"new {new['median']:8.1f} us  x{ratio}", file=sys.stderr)
     doc = {

@@ -12,8 +12,9 @@ appropriately weighted products of public elements and accumulated
 corrections.  The simulation delivers pieces through one residue inbox per
 round, (n, L, N) uint64: a sender adds each piece (an additive part, or a
 seed's expansion, made once for its correction, its receiver and its
-backup) into its receiver's row, and the receiver's key share is that row
-reduced once.
+backup) into its receiver's row as it is made, and the receiver's key
+share is that row reduced once.  Only a run with a recovery layer keeps a
+step's pieces, for the backups.
 
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
@@ -115,13 +116,14 @@ class ClientStepResult:
     message: tuple[ring.RingElement, ...]
     reshares: list[tuple[int, object]]
     correction: ring.RingElement | None
-    # The elements the reshares stand for, in order: the additive parts or
-    # the seeds' expansions.  The round loop drops them once backed up.
+    # The elements the reshares stand for, in order: the additive parts, or
+    # the seeds' expansions if the step keeps them (for backups; else
+    # empty).  The round loop drops them once backed up.
     pieces: tuple[ring.RingElement, ...]
 
 
 def client_step(
-    ctx: RoundContext, j: int, incoming, x_vec, mask=None, inbox=None
+    ctx: RoundContext, j: int, incoming, x_vec, mask=None, inbox=None, keep_pieces=True
 ) -> ClientStepResult:
     """Client j's round: derive key share, encrypt, reshare onward.
 
@@ -132,9 +134,9 @@ def client_step(
     to each distinct receiver: G <= min(d, n) pieces, sorted by receiver.
     Each piece, a seed's expansion or an additive part, is added into its
     receiver's row of `inbox`, this round's (n, L, N) uint64 array, if one
-    is given.  Returns the upload, the routed reshare pieces (seeds or
-    elements), the server-bound correction if any, and the pieces as
-    elements.
+    is given, as it is made.  Returns the upload, the routed reshare
+    pieces (seeds or elements), the server-bound correction if any, and
+    the pieces as elements; seed expansions only with `keep_pieces`.
     """
     pset = ctx.pset
     rp = pset.ring()
@@ -150,15 +152,19 @@ def client_step(
     )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = sorted({int(v) for v in share_rng.integers(0, pset.n, size=pset.d)})
+
+    def route(k: int, piece: ring.RingElement) -> None:
+        if inbox is not None:
+            inbox[receivers[k]] += piece.res
+
     if pset.seed_resharing:
-        sr = sharing.seed_reshare(key_share, len(receivers), share_rng)
+        sr = sharing.seed_reshare(key_share, len(receivers), share_rng, route, keep_pieces)
         sent, correction, pieces = sr.seeds, sr.correction, sr.expansions
     else:
         pieces = sharing.ashare(key_share, len(receivers), share_rng)
         sent, correction = pieces, None
-    if inbox is not None:
-        for recv, piece in zip(receivers, pieces):
-            inbox[recv] += piece.res
+        for k, piece in enumerate(pieces):
+            route(k, piece)
     reshares = list(zip(receivers, sent))
     return ClientStepResult(j, key_share, msg, reshares, correction, pieces)
 
@@ -355,7 +361,9 @@ def run_protocol(
             if j in dropped:
                 continue
             mask = recovery.mask(ctx, j) if recovery else None
-            res = client_step(ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox)
+            res = client_step(
+                ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox, keep_pieces=bool(recovery)
+            )
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
             res.pieces = ()  # a round's worth would be n*G elements
             rec.c2s_bytes += cost.client_server_bytes

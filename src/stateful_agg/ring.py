@@ -4,11 +4,14 @@ N is a power of two and q is a product of one or more distinct odd primes,
 each congruent to 1 mod 2N so that a negacyclic NTT exists.  Coefficients
 are held in residue form, one uint64 row per prime limb; this keeps every
 multiplication inside native 64-bit words: limbs stay below 2^31, so a
-product of two residues fits uint64.  The NTT needs no division: its
-entries stay in [0, 2p), below 2^32, which is what a Shoup product with a
-32-bit precomputed quotient accepts, and each sum is brought back into
-that range with one conditional subtract.  Values are lifted back to Z_q
-via the CRT only where an integer answer is needed.
+product of two residues fits uint64.  The NTT is Bailey's four-step
+transform as three stages per direction, two float64 matrix products
+(np.matmul) around a pointwise twiddle product, on every limb at once.
+Each table is split into as few narrow parts as keep every product and
+partial sum an integer below 2^52, which float64 holds exactly in any
+summation order, and each stage's result is brought back to a residue by
+subtracting a rounded float quotient times p (see _NttTables).  Values are
+lifted back to Z_q via the CRT only where an integer answer is needed.
 
 Also provides the uniform and discrete-Gaussian samplers and the slot
 packing used to encode input vectors into plaintext coefficients.  Packing
@@ -48,8 +51,9 @@ __all__ = [
 # quadratic path doubles as the independent reference in tests.
 NTT_MIN_DEGREE = 128
 
-# Limbs are capped below 2^31: a*b < 2^62 fits uint64, and the NTT's lazy
-# entries in [0, 2p) stay below 2^32 (see _NttTables).
+# Limbs are capped below 2^31: a*b < 2^62 fits uint64, and the NTT's
+# float64 sums stay exact with tables split into a few parts (see
+# _NttTables).
 LIMB_MAX_BITS = 30
 
 
@@ -238,58 +242,158 @@ def _powers(roots: list[int], limbs: tuple[int, ...], n: int) -> np.ndarray:
     return pows
 
 
-def _shoup(w: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Shoup's precomputed quotients floor(w * 2^32 / p) for w < p < 2^31."""
-    return (w << np.uint64(32)) // ps
+# Float64 holds every integer up to 2^53 exactly.  Every value the
+# transforms form stays below _EXACT (see _NttTables), so that q*p and the
+# rounding of x/p in _reduce are exact too.
+_EXACT = 2**52
 
 
-# Stages whose twiddle run is shorter than this get their twiddles tiled to
-# a full (L, N/2) row; longer runs are broadcast.  A tiled stage costs two
-# (L, N/2) arrays per direction, so the bound keeps the tables a small
-# multiple of the two plain twiddle tables.
-_TILE_BELOW = 16
+def _split(c: np.ndarray, limbs: tuple[int, ...], inner: int, first: bool):
+    """A stage's table c, (L, rows, cols) float64 residues centered into
+    |c| <= (p-1)/2, as (parts, s): parts (L, k, rows, cols) float64 with
+    c = sum_i parts[:, i] * 2^(s*i), for the fewest k that keep the stage's
+    values below 2^52 (see _NttTables).
+
+    The stage sums `inner` products of a part with inputs of magnitude at
+    most x = p-1 (`first`: residues in [0, p)) or (p+1)/2 (reduced).  The
+    parts below the top are balanced s-bit digits, |d| <= 2^(s-1) with
+    s = ceil(bits/k), and the top part is what remains: |rest| <= R after
+    one more digit gives |rest| <= floor((R + 2^(s-1)) / 2^s).  k must
+    keep, on every limb, inner*x*|top| < 2^52 and, for each lower part,
+    (p+1)/2 * 2^s + inner*x*2^(s-1) < 2^52 (Horner's step).
+    """
+    bits = max((p - 1) // 2 for p in limbs).bit_length()
+    k = 0
+    while True:
+        k += 1
+        s = -(-bits // k)
+        fits = True
+        for p in limbs:
+            x, top = (p - 1 if first else (p + 1) // 2), (p - 1) // 2
+            for _ in range(k - 1):
+                top = (top + 2 ** (s - 1)) >> s
+            fits &= inner * x * top < _EXACT
+            fits &= k == 1 or (p + 1) // 2 * 2**s + inner * x * 2 ** (s - 1) < _EXACT
+        if fits:
+            break
+    if k == 1:
+        return c[:, None], s
+    parts = np.empty((c.shape[0], k, *c.shape[1:]))
+    for i in range(k - 1):
+        # Balanced digits: c - rint(c / 2^s) * 2^s, exact on these integers.
+        q = np.rint(c * 2.0**-s)
+        np.subtract(c, q * 2.0**s, out=parts[:, i])
+        c = q
+    parts[:, k - 1] = c
+    return parts, s
+
+
+def _left(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(m, x, out=out)
+
+
+def _right(x: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(x, m, out=out)
 
 
 class _NttTables:
-    """Twiddle tables for the negacyclic transform, stacked across limbs so
-    one numpy pass per butterfly stage covers the whole residue matrix.
+    """Four-step tables (Bailey, J. Supercomputing 1990) of the negacyclic
+    transform, as float64 matrices on which np.matmul is exact.
 
-    Both transforms run in constant geometry (Pease): each stage pairs the
-    entries k and k + N/2 of one buffer with the entries 2k and 2k + 1 of
-    the other, and the twiddle of pair k at a stage whose run is t is
-    psi[t + k mod t] (powers in bit-reversed order).  `fwd` and `inv` hold
-    per stage the pair (w, wq), wq = floor(w * 2^32 / p), shaped
-    (L, 1, run): a run below _TILE_BELOW is tiled to run = N/2, a longer
-    one is psi[:, t:2t] itself, broadcast over the stage.  `p` and `two_p`
-    are p and 2p repeated over a flattened (L, N/2) half.
+    Layout.  N = N1*N2 with N1 = 2^floor(log2(N)/2), and a coefficient
+    vector is the (N2, N1) matrix A[j2, j1] = a[j1 + N1*j2].  With psi of
+    order 2N, the forward transform puts a(psi^(2k+1)) at position
+    brv_N(k), brv being bit reversal.  For k = k2 + N2*k1 and
+    j = j1 + N1*j2, psi^(j(2k+1)) factors, since psi^(2N) = 1, as
+    psi^(N1*j2*(2k2+1)) * psi^(j1*(2k2+1)) * psi^(2*N2*j1*k1): the twist
+    psi^j = psi^(N1*j2) * psi^j1 folds into the first two factors.  And
+    brv_N(k) = brv_N2(k2)*N1 + brv_N1(k1), so indexing rows by
+    r = brv_N2(k2) and columns by c = brv_N1(k1) makes the (N2, N1)
+    result, row-major, the bit-reversed output itself:
 
-    Entries stay in [0, 2p) between stages, below 2^32 for every limb up to
-    LIMB_MAX_BITS + 1 bits.  That is the precondition v < 2^32 of the Shoup
-    product v*w - ((v*wq) >> 32)*p, which lands in [0, 2p).
+        forward  ((F2 @ A) * T) @ F1      F2[r, j2] = psi^(N1*j2*(2k2+1))
+                                          T[r, j1]  = psi^(j1*(2k2+1))
+                                          F1[j1, c] = psi^(2*N2*j1*k1)
+        inverse  G2 @ ((Y @ G1) * U)      G1 = F1^T, U = T, G2 = F2^T / N,
+                                          each at psi^-1
+
+    Each table is gathered from one row of psi powers by its exponents
+    mod 2N.  `fwd` and `inv` hold the three stages in order as
+    (op, parts, s), parts (L, k, rows, cols) from _split.
+
+    Exactness.  Values are integers held in float64.  A stage sums `inner`
+    products (N2, 1, N1 forward; N1, 1, N2 inverse) of a part with an
+    input below x = p-1 in the first stage, whose input is the residues in
+    [0, p), and x = (p+1)/2 after that.  _split picks the parts so that
+    inner*x*|part| < 2^52: every product and every partial sum, in any
+    order BLAS adds them and on any number of threads, is an integer
+    below 2^52, hence exact.  _reduce maps such a value v to v - q*p with
+    q = rint(v * fl(1/p)).  The float quotient is within
+    |v|/p * 2^-52 < 1/p of v/p, so q is the integer nearest v/p, or the
+    next one when v = +-(p-1)/2 mod p; q*p < 2^53 is exact, and so is the
+    difference, which lies in [-(p+1)/2, (p+1)/2].  With k > 1 parts the
+    top part's product is reduced, then Horner's rule takes acc * 2^s plus
+    the next part's product, below (p+1)/2 * 2^s + inner*x*|part| < 2^52,
+    and reduces again.  The last reduction floors instead: the float
+    quotient being within 1/p of v/p, the result lies in [0, p], equal to
+    p only for a zero residue, which the uint64 result maps to 0.
+
+    Parts per stage, (F2 or G1, T or U, F1 or G2): one each for limbs up
+    to 23 bits at N = 2048; (2, 1, 2) for the 26/27-bit limbs at
+    N = 4096; (3, 2, 2) for 31-bit limbs at N = 16384.  Every limb is
+    below 2^31 and 2N divides p - 1, so N2 <= 2^15 and a split exists for
+    every ring the library builds.
     """
 
     def __init__(self, limbs: tuple[int, ...], n: int):
-        self.n = n
-        h = n // 2
-        brv = _bit_reverse(n)
-        roots = [_primitive_2n_root(p, 2 * n) for p in limbs]
-        self.p_col = np.array(limbs, dtype=np.uint64).reshape(-1, 1)
-        self.p = np.repeat(self.p_col, h, axis=1).reshape(-1)
-        self.two_p = 2 * self.p
-        psi = _powers(roots, limbs, n)[:, brv]
-        psi_inv = _powers([pow(r, -1, p) for r, p in zip(roots, limbs)], limbs, n)[:, brv]
-        runs = [2**s for s in range(n.bit_length() - 1)]
-        self.fwd = [self._stage(psi, t) for t in runs]
-        self.inv = [self._stage(psi_inv, t) for t in reversed(runs)]
-        self.n_inv = np.array([pow(n, -1, p) for p in limbs], dtype=np.uint64).reshape(-1, 1)
-        self.n_inv_q = _shoup(self.n_inv, self.p_col)
+        n1 = 1 << (n.bit_length() - 1) // 2
+        n2 = n // n1
+        two_n = 2 * n
+        ps = np.array(limbs, dtype=np.uint64).reshape(-1, 1)
+        pows = _powers([_primitive_2n_root(p, two_n) for p in limbs], limbs, n)
+        n_inv = np.array([pow(n, -1, p) for p in limbs], dtype=np.uint64).reshape(-1, 1)
 
-    def _stage(self, table: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        w = table[:, t : 2 * t]
-        if t < _TILE_BELOW:
-            w = np.tile(w, self.n // 2 // t)
-        w = w.reshape(len(w), 1, -1)
-        return w, _shoup(w, self.p_col.reshape(-1, 1, 1))
+        pf = ps.astype(np.float64)
+
+        def centered(w: np.ndarray) -> np.ndarray:
+            """Residues w of psi^e for e < N, centered, extended by
+            psi^(e+N) = -psi^e to every exponent mod 2N."""
+            row = np.empty((len(limbs), two_n))
+            c = row[:, :n]
+            np.copyto(c, w.view(np.int64))
+            c -= (c > pf // 2) * pf
+            np.negative(c, out=row[:, n:])
+            return row
+
+        psi = centered(pows)
+        psi_n = centered(pows * n_inv % ps)  # psi^e / N
+        # Exponents mod 2N, a power of two: & (2N - 1), negatives included.
+        mask = two_n - 1
+        odd = (2 * _bit_reverse(n2) + 1)[:, None]
+        j1, j2 = np.arange(n1), np.arange(n2)
+        f2 = odd * (n1 * j2) & mask
+        tw = odd * j1 & mask
+        f1 = j1[:, None] * (2 * n2 * _bit_reverse(n1)) & mask
+
+        def stage(op, row, exps, inner, first):
+            return op, *_split(np.take(row, exps, axis=1), limbs, inner, first)
+
+        # The inverse reads psi^-e = psi^(2N - e).
+        self.n1, self.n2 = n1, n2
+        self.fwd = (
+            stage(_left, psi, f2, n2, True),
+            stage(np.multiply, psi, tw, 1, False),
+            stage(_right, psi, f1, n1, False),
+        )
+        self.inv = (
+            stage(_right, psi, -f1.T & mask, n1, True),
+            stage(np.multiply, psi, -tw & mask, 1, False),
+            stage(_left, psi_n, -f2.T & mask, n2, False),
+        )
+        # p per entry: same-shape operands take numpy's fastest loops.
+        self.p_int = np.repeat(ps, n, axis=1)
+        self.p = self.p_int.astype(np.float64).reshape(-1, n2, n1)
+        self.p_inv = 1.0 / self.p
 
 
 @lru_cache(maxsize=None)
@@ -297,90 +401,60 @@ def _tables(limbs: tuple[int, ...], n: int) -> _NttTables:
     return _NttTables(limbs, n)
 
 
-def _shoup_mul(v, w, wq, p, out, prod, tmp) -> None:
-    """out = v * w mod p, in [0, 2p), for v < 2^32 (see _NttTables).
+def _reduce(x: np.ndarray, tbl: _NttTables, tmp: np.ndarray, rounding=np.rint) -> None:
+    """x -= rounding(x * (1/p)) * p in place, for integers |x| < 2^52 (see
+    _NttTables): into [-(p+1)/2, (p+1)/2] with np.rint, [0, p] with np.floor."""
+    np.multiply(x, tbl.p_inv, out=tmp)
+    rounding(tmp, out=tmp)
+    np.multiply(tmp, tbl.p, out=tmp)
+    np.subtract(x, tmp, out=x)
 
-    v, prod and tmp are flat contiguous (L * N/2) arrays, out is any
-    (L, N/2) array and may be prod; w, wq are a stage's twiddle pair,
-    broadcast over v seen as (L, N/2 / run, run)."""
-    shape = w.shape[0], -1, w.shape[2]
-    np.multiply(v.reshape(shape), wq, out=tmp.reshape(shape))
-    np.right_shift(tmp, 32, out=tmp)
-    np.multiply(tmp, p, out=tmp)
-    np.multiply(v.reshape(shape), w, out=prod.reshape(shape))
-    np.subtract(prod.reshape(out.shape), tmp.reshape(out.shape), out=out)
+
+def _transform(res: np.ndarray, stages, tbl: _NttTables) -> np.ndarray:
+    """The three stages on an (L, N) residue stack in [0, p), into [0, p).
+
+    One scratch allocation holds two sets of k (L, N2, N1) slots, which
+    take turns as a stage's input and output, and one slot for the
+    reductions' quotients.  A stage's product with part i lands in output
+    slot i, and Horner's rule folds the slots down into slot 0.  The result
+    is allocated before the scratch, so freeing the scratch frees the top
+    of the heap rather than a hole below the result: in the other order,
+    each `mul` at N = 4096 took about 250 page faults."""
+    L, n = res.shape
+    k_max = max(parts.shape[1] for _, parts, _ in stages)
+    out = np.empty((L, n), dtype=np.uint64)
+    scratch = np.empty((2 * k_max + 1, L, tbl.n2, tbl.n1))
+    src = scratch[:k_max].transpose(1, 0, 2, 3)
+    dst = scratch[k_max : 2 * k_max].transpose(1, 0, 2, 3)
+    tmp = scratch[2 * k_max]
+    np.copyto(src[:, 0], res.reshape(L, tbl.n2, tbl.n1))
+    for at, (op, parts, s) in enumerate(stages, start=1):
+        k = parts.shape[1]
+        op(src[:, :1], parts, dst[:, :k])
+        for i in range(k - 1, -1, -1):
+            if i < k - 1:
+                np.multiply(dst[:, i + 1], float(2**s), out=tmp)
+                dst[:, i] += tmp
+            last = at == len(stages) and i == 0
+            _reduce(dst[:, i], tbl, tmp, np.floor if last else np.rint)
+        src, dst = dst, src
+    np.copyto(out.view(np.int64), src[:, 0].reshape(L, n), casting="unsafe")
+    wrapped = tmp.view(np.uint64).reshape(L, n)  # out - p wraps unless out == p
+    np.subtract(out, tbl.p_int, out=wrapped)
+    np.minimum(out, wrapped, out=out)
+    return out
 
 
 def _ntt(res: np.ndarray, tbl: _NttTables) -> np.ndarray:
-    """Forward transform of an (L, N) residue stack, bit-reversed output.
-
-    Cooley-Tukey butterflies (u + v*w, u - v*w) in constant geometry, with
-    Shoup twiddle products and lazy reduction (Harvey, JSC 2014): entries
-    stay in [0, 2p), each sum takes one conditional subtract of 2p
-    (np.minimum(x, x - 2p) in wrapping uint64), and one of p at the end
-    gives [0, p).  Input residues must lie in [0, 2p).
-
-    Each stage copies the halves into flat scratch rows and writes the
-    outputs through flat stride-2 views: numpy runs a flat array as one
-    loop, where a 2-D view of an (L, N) half takes its slower general path.
-    """
-    L, n = res.shape
-    h = n // 2
-    src, dst, spare = res, np.empty((L, n), dtype=np.uint64), np.empty((L, n), dtype=np.uint64)
-    u, v, vw, tmp = np.empty((4, L * h), dtype=np.uint64)
-    for w, wq in tbl.fwd:
-        np.copyto(u.reshape(L, h), src[:, :h])
-        np.copyto(v.reshape(L, h), src[:, h:])
-        _shoup_mul(v, w, wq, tbl.p, vw, vw, tmp)
-        out = dst.reshape(-1)
-        lo, hi = out[0::2], out[1::2]
-        np.add(u, vw, out=tmp)
-        np.subtract(tmp, tbl.two_p, out=lo)
-        np.minimum(tmp, lo, out=lo)
-        np.subtract(u, vw, out=tmp)
-        np.add(tmp, tbl.two_p, out=hi)
-        np.minimum(tmp, hi, out=hi)
-        src, dst = dst, (spare if src is res else src)
-    np.subtract(src, tbl.p_col, out=dst)
-    np.minimum(src, dst, out=dst)
-    return dst
+    """Forward transform of an (L, N) residue stack in [0, p), bit-reversed
+    output in [0, p)."""
+    return _transform(res, tbl.fwd, tbl)
 
 
 def _intt(res: np.ndarray, tbl: _NttTables) -> np.ndarray:
-    """Inverse transform, bit-reversed input, normal-order output.
-
-    Gentleman-Sande butterflies (u + v, (u - v)*w), the mirror image of
-    _ntt's stages: pairs are read at 2k, 2k + 1 through flat stride-2
-    views and written at k, k + N/2.  Entries stay in [0, 2p): u + v takes
-    one conditional subtract of 2p, and u - v one conditional add of 2p
-    before its Shoup product.  n^-1 is applied with the same Shoup step,
-    then one conditional subtract of p gives [0, p).  Input residues must
-    lie in [0, 2p).
-    """
-    L, n = res.shape
-    h = n // 2
-    src, dst, spare = res, np.empty((L, n), dtype=np.uint64), np.empty((L, n), dtype=np.uint64)
-    diff, prod, tmp = np.empty((3, L * h), dtype=np.uint64)
-    for w, wq in tbl.inv:
-        flat = src.reshape(-1)
-        u, v = flat[0::2], flat[1::2]
-        np.add(u, v, out=tmp)
-        np.subtract(tmp, tbl.two_p, out=prod)
-        np.minimum(tmp.reshape(L, h), prod.reshape(L, h), out=dst[:, :h])
-        np.subtract(u, v, out=diff)
-        np.add(diff, tbl.two_p, out=tmp)
-        np.minimum(diff, tmp, out=diff)
-        _shoup_mul(diff, w, wq, tbl.p, dst[:, h:], prod, tmp)
-        src, dst = dst, (spare if src is res else src)
-    tmp = np.empty((L, n), dtype=np.uint64)
-    np.multiply(src, tbl.n_inv_q, out=tmp)
-    np.right_shift(tmp, 32, out=tmp)
-    np.multiply(tmp, tbl.p_col, out=tmp)
-    np.multiply(src, tbl.n_inv, out=dst)
-    np.subtract(dst, tmp, out=dst)
-    np.subtract(dst, tbl.p_col, out=tmp)
-    np.minimum(dst, tmp, out=dst)
-    return dst
+    """Inverse transform, bit-reversed input in [0, p), normal-order output
+    in [0, p)."""
+    return _transform(res, tbl.inv, tbl)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +847,9 @@ def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingEle
     neighbouring slot before the headroom is exhausted.
 
     Limb p of a coefficient holding slots v_s is built directly as
-    sum_s (v_s mod p) * (2^(s * slot_width) mod p) mod p.  The values stay
+    sum_s v_s * (2^(s * slot_width) mod p) mod p, reduced once where that
+    sum fits uint64 (pf * 2^(slot_width + 31) < 2^64, or pf == 1), and
+    term by term otherwise.  The values stay
     in int64 unless one cannot: T > 2^62 with pf == 1, slot_width > 62, or
     an input too wide for int64; those go through Python ints.
     """
@@ -796,14 +872,23 @@ def encode(values, pf: int, slot_width: int, params: RingParams) -> list[RingEle
     slots = np.zeros(total * n * pf, dtype=object if vals.dtype == object else np.uint64)
     slots[: len(vals)] = vals
     ps = params._ps
-    res = np.zeros((len(params.limbs), total * n), dtype=np.uint64)
-    for s, lane in enumerate(np.ascontiguousarray(slots.reshape(total * n, pf).T)):
-        if lane.dtype == object:
-            r = np.stack([(lane % p).astype(np.uint64) for p in params.limbs])
-        else:
-            r = lane % ps
-        res += r * _limb_col(1 << (s * slot_width), params.limbs) % ps if s else r
-    res %= ps
+    lanes = np.ascontiguousarray(slots.reshape(total * n, pf).T)
+    if lanes.dtype != object and (pf == 1 or pf << (slot_width + 31) < 2**64):
+        # A lane times 2^(s*w) mod p is below 2^(w+31): the pf of them sum
+        # without wrapping, and one reduction serves them all.
+        res = lanes[0]
+        for s, lane in enumerate(lanes[1:], start=1):
+            res = res + lane * _limb_col(1 << (s * slot_width), params.limbs)
+        res = res % ps
+    else:
+        res = np.zeros((len(params.limbs), total * n), dtype=np.uint64)
+        for s, lane in enumerate(lanes):
+            if lane.dtype == object:
+                r = np.stack([(lane % p).astype(np.uint64) for p in params.limbs])
+            else:
+                r = lane % ps
+            res += r * _limb_col(1 << (s * slot_width), params.limbs) % ps if s else r
+        res %= ps
     per_elem = res.reshape(len(params.limbs), total, n).transpose(1, 0, 2).copy()
     return [RingElement(per_elem[k], params) for k in range(total)]
 

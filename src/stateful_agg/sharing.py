@@ -218,7 +218,8 @@ class SeedReshare:
     """d short seeds for the peers plus one correction element for the server.
 
     expand(seed_1) + ... + expand(seed_d) + correction == secret; the
-    expansions, made once, are kept in seed order for the sender's backups.
+    expansions, made once, are kept in seed order for the sender's backups
+    (empty when `seed_reshare` was asked not to keep them).
     """
 
     seeds: tuple[int, ...]
@@ -244,15 +245,28 @@ def piece_sum(pieces, params: ring.RingParams) -> ring.RingElement:
     return ring.lincomb(((1, p) for p in pieces), params)
 
 
-def seed_reshare(secret: ring.RingElement, d: int, rng: np.random.Generator) -> SeedReshare:
+def seed_reshare(
+    secret: ring.RingElement, d: int, rng: np.random.Generator, route=None, keep: bool = True
+) -> SeedReshare:
     """Reshare via d fresh 128-bit seeds; peers get seeds, server gets y*.
 
-    Each seed is expanded once; the caller that routes the seeds can hand
-    the kept expansions on (to a round inbox, to backups), so no receiver
-    or backup expands a seed again.
+    Each seed is expanded once, handed as it is made to route(k, expansion)
+    for its seed index k, if a route is given, and kept (in seed order) only
+    with `keep`: a caller that routes the expansions to a round inbox and
+    backs none up holds one at a time, and no receiver or backup expands a
+    seed again.
     """
     if d < 1:
         raise ValueError("share count must be >= 1")
+    pr = secret.params
     seeds = _draw_seeds(rng, d)
-    expansions = tuple(expand_seed(seed, secret.params) for seed in seeds)
-    return SeedReshare(seeds, secret - piece_sum(expansions, secret.params), expansions)
+    acc = np.zeros_like(secret.res)  # as piece_sum: each expansion is below p < 2^31
+    kept = []
+    for k, seed in enumerate(seeds):
+        expansion = expand_seed(seed, pr)
+        acc += expansion.res
+        if route is not None:
+            route(k, expansion)
+        if keep:
+            kept.append(expansion)
+    return SeedReshare(seeds, secret - ring.RingElement(acc % pr._ps, pr), tuple(kept))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stateful_agg import ring
@@ -664,9 +664,9 @@ def test_centered_mod_t_falls_back_beyond_powers_of_two_up_to_2_64(T):
     assert list(ring.centered_mod_t(a)) == list(a.centered() % T)
 
 
-# Reference NTT: the in-place kernels and Python-loop tables the
-# constant-geometry, lazy-reduction kernels replaced.  Every butterfly
-# reduces with %, and the twiddles are powers built one multiply at a time.
+# Reference NTT: radix-2 in-place kernels and Python-loop tables.  Every
+# butterfly reduces with %, and the twiddles are powers built one multiply
+# at a time.
 
 
 def _reference_bit_reverse(n):
@@ -727,7 +727,7 @@ def _reference_intt(res, psi_inv, ps, n_inv):
 
 def _widest_limbs(N, count):
     """The `count` largest primes 1 mod 2N below 2^31: the tightest case
-    for the [0, 2p) < 2^32 bound of the lazy butterflies."""
+    for the transforms' 2^52 bound."""
     limbs, k = [], (2**31 - 2) // (2 * N)
     while len(limbs) < count:
         if ring._is_prime(k * 2 * N + 1):
@@ -774,18 +774,125 @@ def test_ntt_kernels_match_reference_kernels(N, limbs):
         assert np.array_equal(ring._intt(fwd, tbl), x)
 
 
+def _python_int_tables(p, N):
+    """The six four-step tables of ring._NttTables for one limb, as lists of
+    rows of Python-int residues: forward F2, T, F1 and inverse G1, U, G2."""
+    n1 = 2 ** ((N.bit_length() - 1) // 2)
+    n2 = N // n1
+    psi = ring._primitive_2n_root(p, 2 * N)
+    psi_inv, n_inv = pow(psi, -1, p), pow(N, -1, p)
+    brv1, brv2 = _reference_bit_reverse(n1), _reference_bit_reverse(n2)
+    odd = [2 * brv2[r] + 1 for r in range(n2)]
+    f2 = [[pow(psi, n1 * j2 * odd[r], p) for j2 in range(n2)] for r in range(n2)]
+    tw = [[pow(psi, j1 * odd[r], p) for j1 in range(n1)] for r in range(n2)]
+    f1 = [[pow(psi, 2 * n2 * j1 * brv1[c], p) for c in range(n1)] for j1 in range(n1)]
+    g1 = [[pow(psi_inv, 2 * n2 * j1 * brv1[c], p) for j1 in range(n1)] for c in range(n1)]
+    u = [[pow(psi_inv, j1 * odd[r], p) for j1 in range(n1)] for r in range(n2)]
+    g2 = [[n_inv * pow(psi_inv, n1 * j2 * odd[r], p) % p for r in range(n2)] for j2 in range(n2)]
+    return f2, tw, f1, g1, u, g2
+
+
+def _stage_bound_holds(stage, p, limb, first):
+    """The analytic bound of one stage's table on one limb: inner*x*|top
+    part| < 2^52 and, below the top part, Horner's
+    (p+1)/2 * 2^s + inner*x*|part| < 2^52, with x = p-1 for the first
+    stage's residues in [0, p) and (p+1)/2 after a reduction."""
+    op, parts, s = stage
+    inner = {ring._left: parts.shape[-1], ring._right: parts.shape[-2], np.multiply: 1}[op]
+    x = p - 1 if first else (p + 1) // 2
+    tops = [int(np.abs(parts[limb, i]).max()) for i in range(parts.shape[1])]
+    horner = [(p + 1) // 2 * 2**s + inner * x * top for top in tops[:-1]]
+    return inner * x * tops[-1] < 2**52 and all(h < 2**52 for h in horner)
+
+
 @pytest.mark.parametrize("N,limbs", NTT_CASES[:4], ids=NTT_IDS[:4])
 def test_ntt_tables_match_python_int_powers(N, limbs):
+    # Each table's parts recombine, sum_i part_i * 2^(s*i), to the Python-int
+    # power of psi at its entry's exponent, per limb.
     tbl = ring._tables(limbs, N)
-    psi, psi_inv, n_inv = _reference_tables(limbs, N)
-    runs = [2**s for s in range(N.bit_length() - 1)]
-    for stages, table in ((tbl.fwd, psi), (tbl.inv[::-1], psi_inv)):
-        for (w, wq), t in zip(stages, runs):
-            assert np.array_equal(w[:, 0], np.tile(table[:, t : 2 * t], w.shape[2] // t))
-            shoup = [[(int(x) << 32) // p for x in row] for row, p in zip(w[:, 0], limbs)]
-            assert wq[:, 0].tolist() == shoup
-    assert np.array_equal(tbl.n_inv, n_inv)
+    assert (tbl.n1, tbl.n2) == (2 ** ((N.bit_length() - 1) // 2), N // tbl.n1)
+    stages = tbl.fwd + tbl.inv
+    ops = [ring._left, np.multiply, ring._right, ring._right, np.multiply, ring._left]
+    assert [op for op, _, _ in stages] == ops
+    for l, p in enumerate(limbs):
+        for (op, parts, s), want in zip(stages, _python_int_tables(p, N)):
+            assert np.array_equal(parts[l], np.rint(parts[l]))
+            got = sum(
+                parts[l, i].astype(np.int64).astype(object) * 2 ** (s * i)
+                for i in range(parts.shape[1])
+            )
+            assert (got % p).tolist() == want
     assert ring._bit_reverse(N).tolist() == _reference_bit_reverse(N)
+
+
+@pytest.mark.parametrize(
+    "N,logq,parts",
+    [
+        (2048, 35, (1, 1, 1)),  # cohort: 17/18-bit limbs
+        (2048, 34, (1, 1, 1)),  # dropout
+        (2048, 44, (1, 1, 1)),  # acceptance criterion 8: two 22-bit limbs
+        (4096, 106, (2, 1, 2)),  # high-dim: 26/27-bit limbs
+    ],
+)
+def test_ntt_splits_of_the_workload_rings(N, logq, parts):
+    tbl = ring._tables(ring.choose_limbs(N, logq), N)
+    for stages in (tbl.fwd, tbl.inv):
+        assert tuple(st[1].shape[1] for st in stages) == parts
+
+
+def test_ntt_splits_of_the_widest_limbs_at_16384():
+    limbs = _widest_limbs(16384, 2)
+    tbl = ring._tables(limbs, 16384)
+    for stages in (tbl.fwd, tbl.inv):
+        assert tuple(st[1].shape[1] for st in stages) == (3, 2, 2)
+        for at, stage in enumerate(stages):
+            for l, p in enumerate(limbs):
+                assert _stage_bound_holds(stage, p, l, at == 0)
+
+
+def _ntt_limbs(N, bits, count):
+    """Up to `count` distinct primes 1 mod 2N, the largest below 2^bits."""
+    limbs, k = [], (2**bits - 2) // (2 * N)
+    while len(limbs) < count and k > 0:
+        p = k * 2 * N + 1
+        if ring._is_prime(p):
+            limbs.append(p)
+        k -= 1
+    return tuple(limbs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n=st.integers(7, 14),
+    bits=st.integers(12, 31),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ntt_split_bound_and_kernels_property(log_n, bits, count, seed):
+    # Every stage's parts keep the analytic partial-sum bound below 2^52 on
+    # every limb, and the transforms equal the radix-2 reference on
+    # all-(p-1), spike and random inputs.
+    N = 2**log_n
+    limbs = _ntt_limbs(N, max(bits, log_n + 2), count)
+    assume(len(limbs) == count)
+    tbl = ring._NttTables(limbs, N)
+    for stages in (tbl.fwd, tbl.inv):
+        for at, stage in enumerate(stages):
+            for l, p in enumerate(limbs):
+                assert _stage_bound_holds(stage, p, l, at == 0)
+    psi, psi_inv, n_inv = _reference_tables(limbs, N)
+    ps = np.array(limbs, dtype=np.uint64).reshape(-1, 1, 1)
+    top = ps.reshape(-1, 1) - np.uint64(1)
+    rng = np.random.default_rng(seed)
+    spike = np.zeros((len(limbs), N), dtype=np.uint64)
+    spike[:, rng.integers(N)] = top[:, 0]
+    for x in (
+        np.repeat(top, N, axis=1),
+        spike,
+        rng.integers(0, 2**63, (len(limbs), N), dtype=np.uint64) % ps.reshape(-1, 1),
+    ):
+        assert np.array_equal(ring._ntt(x, tbl), _reference_ntt(x, psi, ps))
+        assert np.array_equal(ring._intt(x, tbl), _reference_intt(x, psi_inv, ps, n_inv))
 
 
 def test_ntt_matches_schoolbook_on_widest_limbs():
