@@ -27,6 +27,10 @@ Layers:
   ring (N = 2048, 17/18-bit limbs), two 22-bit limbs at N = 2048
   (acceptance criterion 8), the `high-dim` ring (N = 4096, 26/27-bit
   limbs) and seven 31-bit limbs at N = 16384.
+* program: `program.compose_all(p, q)` and `program.reveal_stats(p)` of
+  the four perfbench workloads' programs, each with its workload's q, of
+  `dp.tree_program(10)` (r = 2048) and of a 256-round running sum; each
+  tree builds the programs with its own `dp` and `program` modules.
 
 Next to each time the JSON holds the minor page faults per call (median
 over the turns, from getrusage around each turn): both trees share one
@@ -39,6 +43,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import platform
 import resource
@@ -179,7 +184,46 @@ def ring_cells():
         yield {"function": "_NttTables", "shape": shape}, build
 
 
-LAYERS = {"sampler": sampler_cells, "sharing": sharing_cells, "ring": ring_cells}
+def _running_sum(pkg, r: int, ell: int):
+    prog = pkg.program
+    return prog.Program(ell=ell, rounds=[
+        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {i - 1: 1} if i > 1 else {})
+        for i in range(1, r + 1)
+    ])
+
+
+# (name, program builder, N, logq): the perfbench workloads with the ring
+# their set-up picks, then two long programs with a 36-bit q at N = 2048.
+PROGRAM_SHAPES = (
+    ("cohort", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64), 2048, 35),
+    ("dropout", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64), 2048, 34),
+    ("long-horizon", lambda pkg: _running_sum(pkg, 48, 8), 2048, 29),
+    ("high-dim", lambda pkg: pkg.dp.mf_program(
+        pkg.dp.random_banded(4, 3, 16, _rng()), 0.0, ell=65536), 4096, 106),
+    ("tree-10", lambda pkg: pkg.dp.tree_program(10, 1.0), 2048, 36),
+    ("running-sum-256", lambda pkg: _running_sum(pkg, 256, 1), 2048, 36),
+)
+
+
+def program_cells():
+    for name, build, n, logq in PROGRAM_SHAPES:
+        def compose(pkg, build=build, n=n, logq=logq):
+            p, q = build(pkg), math.prod(pkg.ring.choose_limbs(n, logq))
+            return lambda: pkg.program.compose_all(p, q)
+
+        def stats(pkg, build=build):
+            p = build(pkg)
+            return lambda: pkg.program.reveal_stats(p)
+
+        shape = {"name": name, "N": n, "logq": logq}
+        yield {"function": "compose_all", "shape": shape}, compose
+        yield {"function": "reveal_stats", "shape": shape}, stats
+
+
+LAYERS = {
+    "sampler": sampler_cells, "sharing": sharing_cells, "ring": ring_cells,
+    "program": program_cells,
+}
 
 
 def per_call(f, calls: int) -> tuple[float, float]:

@@ -53,14 +53,23 @@ def _synth_inputs(p: program.Program, n: int, input_bits: int, seed: int) -> np.
 
 
 def _load_inputs_csv(path: str, p: program.Program, n: int) -> np.ndarray:
-    """(r, n, ell) inputs from rows round,client,v0,...: int64 where every
-    value fits, Python ints otherwise."""
+    """(r, n, ell) inputs from rows round,client,v0,...,v(ell-1) with round
+    in 1..r and client in 0..n-1: int64 where every value fits, Python ints
+    otherwise.  Raises ValueError naming the first malformed line."""
+    rows = []
     with open(path, newline="") as fh:
         rdr = csv.reader(fh)
         header = next(rdr)
         if header[:2] != ["round", "client"]:
             raise ValueError("inputs csv must start with columns round,client")
-        rows = [(int(row[0]), int(row[1]), [int(v) for v in row[2 : 2 + p.ell]]) for row in rdr]
+        for row in rdr:
+            line = f"{path} line {rdr.line_num}"
+            if len(row) != 2 + p.ell:
+                raise ValueError(f"{line}: {len(row) - 2} values, expected {p.ell}")
+            i, j, *vals = (int(v) for v in row)
+            if not (1 <= i <= p.r and 0 <= j < n):
+                raise ValueError(f"{line}: round {i}, client {j} not in 1..{p.r}, 0..{n - 1}")
+            rows.append((i, j, vals))
     for dtype in (np.int64, object):
         data = np.zeros((p.r, n, p.ell), dtype=dtype)
         try:

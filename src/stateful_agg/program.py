@@ -5,16 +5,17 @@ Weights are kept as signed integers; they are reduced into Z_q only when a
 concrete modulus is supplied (protocol runs) and used exactly as integers
 otherwise (the reference evaluator and magnitude bookkeeping).
 
-compose_lambda flattens the recursive state definition
+compose_all flattens the recursive state definition
     v_i = sum_j x_{i,j} + sum_{k<i} w_{i,k} * v_k
-into a single weight vector over the raw per-round sums, so a lazy server
-can store unreduced aggregates and apply one linear function at reveal time.
+into one sparse table per round, {k: lam_k} over the earlier rounds with a
+nonzero flattened weight, so a lazy server can store unreduced aggregates
+and apply one linear function at reveal time.  compose_lambda is the same
+weights as a dense vector.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,7 +82,6 @@ class Instruction:
 class Program:
     ell: int
     rounds: list[Instruction] = field(default_factory=list)
-    modulus: int | None = None
 
     @property
     def r(self) -> int:
@@ -96,8 +96,6 @@ def validate(p: Program) -> list[str]:
     errs: list[str] = []
     if p.ell < 1:
         errs.append("vector length must be >= 1")
-    if p.modulus is not None and not (isinstance(p.modulus, numbers.Integral) and p.modulus > 0):
-        errs.append("modulus must be a positive integer")
     for i, instr in enumerate(p.rounds, start=1):
         if instr.mode not in (STORE, REVEAL):
             errs.append(f"round {i}: unknown mode {instr.mode!r}")
@@ -115,32 +113,34 @@ def validate(p: Program) -> list[str]:
     return errs
 
 
-def compose_all(p: Program, q: int | None = None) -> list[np.ndarray]:
-    """Flattened weights for every round, by forward accumulation.
+def compose_all(p: Program, q: int | None = None) -> list[dict[int, int]]:
+    """Flattened weights for every round, as sparse tables.
 
-    Entry i-1 is the length-i vector lam with lam[i-1] == 1 and
-    <lam, (x_1..x_i)> equal to the eager recursion's v_i.  Arithmetic is
-    over the integers, reduced mod q when given.
+    Entry i-1 is round i's table {k: lam_k} over the earlier rounds with a
+    nonzero weight, keys ascending, so that sum_k lam_k * x_k + x_i is the
+    eager recursion's v_i (the own weight 1 is implicit).  Round i adds
+    w * table_k for each of its weights (k, w), so no work is spent on zero
+    weights.  Arithmetic is over the integers, reduced mod q when given.
     """
-    bars: list[np.ndarray] = []
-    for i, instr in enumerate(p.rounds, start=1):
-        bar = np.zeros(i, dtype=object)
-        bar[i - 1] = 1
+    tables: list[dict[int, int]] = []
+    for instr in p.rounds:
+        acc: dict[int, int] = {}
         for k, w in instr.weights:
-            if q is not None:
-                w = w % q
-            bar[:k] += w * bars[k - 1]
-        if q is not None:
-            bar %= q
-        bars.append(bar)
-    return bars
+            for kk, v in tables[k - 1].items():
+                acc[kk] = acc.get(kk, 0) + w * v
+            acc[k] = acc.get(k, 0) + w
+        tables.append({k: v for k in sorted(acc) if (v := acc[k] if q is None else acc[k] % q)})
+    return tables
 
 
 def compose_lambda(p: Program, i: int, q: int | None = None) -> np.ndarray:
     """Flattened weight vector for round i (length i, own entry == 1)."""
     if not 1 <= i <= p.r:
         raise ValueError(f"round {i} out of range 1..{p.r}")
-    return compose_all(p, q)[i - 1]
+    lam = np.zeros(i, dtype=object)
+    for k, w in {**compose_all(p, q)[i - 1], i: 1}.items():
+        lam[k - 1] = w
+    return lam
 
 
 def reveal_stats(p: Program) -> tuple[float, float]:
@@ -149,16 +149,11 @@ def reveal_stats(p: Program) -> tuple[float, float]:
     Feeds the noise-budget check; (1, 1) for a program with no reveals, which
     is the profile of a plain one-shot aggregation.
     """
-    bars = compose_all(p)
     best_abs, best_sq = 1.0, 1.0
-    for i, instr in enumerate(p.rounds, start=1):
-        if instr.mode != REVEAL:
-            continue
-        bar = bars[i - 1]
-        s_abs = float(sum(abs(int(v)) for v in bar))
-        s_sq = float(sum(int(v) * int(v) for v in bar))
-        best_abs = max(best_abs, s_abs)
-        best_sq = max(best_sq, s_sq)
+    for instr, table in zip(p.rounds, compose_all(p)):
+        if instr.mode == REVEAL:
+            best_abs = max(best_abs, float(1 + sum(abs(v) for v in table.values())))
+            best_sq = max(best_sq, float(1 + sum(v * v for v in table.values())))
     return best_abs, best_sq
 
 
@@ -191,28 +186,25 @@ def _rule_from_json(obj) -> InputRule:
 
 
 def program_to_dict(p: Program) -> dict:
-    rounds = []
-    for instr in p.rounds:
-        rounds.append(
-            {
-                "mode": instr.mode,
-                "input": _rule_to_json(instr.rule),
-                "weights": {str(k): str(w) for k, w in instr.weights},
-            }
-        )
-    doc = {"l": p.ell, "rounds": rounds}
-    if p.modulus is not None:
-        doc["modulus"] = str(p.modulus)
-    return doc
+    rounds = [
+        {
+            "mode": instr.mode,
+            "input": _rule_to_json(instr.rule),
+            "weights": {str(k): str(w) for k, w in instr.weights},
+        }
+        for instr in p.rounds
+    ]
+    return {"l": p.ell, "rounds": rounds}
 
 
 def program_from_dict(doc: dict) -> Program:
+    if "modulus" in doc:
+        raise ValueError("unsupported program key 'modulus': a run's moduli come from its params")
     rounds = []
     for item in doc["rounds"]:
         weights = {int(k): int(v) for k, v in item.get("weights", {}).items()}
         rounds.append(Instruction.make(item["mode"], _rule_from_json(item["input"]), weights))
-    modulus = int(doc["modulus"]) if "modulus" in doc else None
-    return Program(ell=int(doc["l"]), rounds=rounds, modulus=modulus)
+    return Program(ell=int(doc["l"]), rounds=rounds)
 
 
 def save_program(p: Program, path: str | Path) -> None:

@@ -22,8 +22,9 @@ of noise, and the composed negative combination of the stored rounds'
 bases for a reveal, with one flooding Gaussian per weighted round.  The
 server is lazy: it never folds weights at store time.  It keeps the raw
 aggregate of each round's messages plus that round's basis and applies the
-flattened weight vector once, at reveal time.  The server originates no
-messages of its own; it only aggregates and forwards.
+round's sparse flattened weights (`program.compose_all`) once, at reveal
+time.  The server originates no messages of its own; it only aggregates
+and forwards.
 
 `run_protocol` is the one round loop.  Without a recovery layer no client
 drops; `dropout.run_dropout_protocol` hands it one, which the loop asks
@@ -177,7 +178,7 @@ class ServerState:
         self.pset = pset
         rp = pset.ring()
         self.ring_params = rp
-        self.bars = prog.compose_all(p, rp.q)
+        self.weights = prog.compose_all(p, rp.q)  # round i's at i-1, own 1 implicit
         self.stored: dict[int, tuple[ring.RingElement, ...]] = {}
         self.basis: dict[int, tuple[ring.RingElement, ...]] = {}
         # Key deficit of the cohort that produced round k's messages
@@ -185,14 +186,10 @@ class ServerState:
         self.deficit: dict[int, ring.RingElement | None] = {}
         self.drift: ring.RingElement | None = None
 
-    def weights_for(self, i: int) -> dict[int, int]:
-        bar = self.bars[i - 1]
-        return {k: int(bar[k - 1]) for k in range(1, i) if int(bar[k - 1])}
-
     def open_round(self, i: int) -> np.ndarray:
         """Decode the value revealed at round i (delivered one round later)."""
         pset = self.pset
-        weights = self.weights_for(i)
+        weights = self.weights[i - 1]
         return crypto.open(
             self.stored, self.stored[i], weights, pset.ell, pset.pf, pset.slot_width,
             corrections=self._corrections(i, weights),
@@ -280,7 +277,7 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
         basis = crypto.derive_public(global_seed, i, pset.m, rp)
         noise_weights = (1,)
     else:
-        weights = server.weights_for(i)
+        weights = server.weights[i - 1]
         basis = tuple(crypto.reveal_mask(server.basis, weights)) if weights else tuple(
             rp.zero() for _ in range(pset.m)
         )
@@ -381,7 +378,7 @@ def run_protocol(
         inbox = next_inbox
     # Flush round r+1: round r's repairs, counted in round r's row, then
     # its reveal.
-    if recovery:
+    if recovery and p.r:
         transcript.rows[-1].c2s_bytes += recovery.repair(server, p.r, frozenset())
     deliver(p.r)
     return RunResult(

@@ -78,12 +78,12 @@ def test_criterion_3_flattened_weights_match_eager_recursion():
         p, n = random_program(rng, r_max=8, n_max=4, ell_max=4)
         inputs = rng.integers(0, q, size=(p.r, n, p.ell)).astype(object)
         values, _ = eager_eval(p, inputs, q=q)
-        bars = prog.compose_all(p, q=q)
+        tables = prog.compose_all(p, q=q)
         sums = [inputs[i].sum(axis=0) % q for i in range(p.r)]
         for i in range(1, p.r + 1):
             lazy = np.zeros(p.ell, dtype=object)
-            for k in range(1, i + 1):
-                lazy = lazy + int(bars[i - 1][k - 1]) * sums[k - 1]
+            for k, w in {**tables[i - 1], i: 1}.items():
+                lazy = lazy + w * sums[k - 1]
             assert list(lazy % q) == list(values[i - 1]), f"trial {trial} round {i}"
     print("\n[PASS] criterion 3: lazy weights equal eager recursion on 500 programs")
 

@@ -313,6 +313,36 @@ def test_inputs_csv_beyond_int64_falls_back_to_python_ints(runner, tmp_path):
     assert _run_inputs(runner, ppath, big, 2, tmp_path / "big") == want
 
 
+@pytest.mark.parametrize("row, why", [
+    ("0,0,1,2", "round 0, client 0 not in 1..2, 0..1"),
+    ("1,-1,1,2", "round 1, client -1 not in 1..2, 0..1"),
+    ("3,0,1,2", "round 3, client 0 not in 1..2, 0..1"),
+    ("1,0,5", "1 values, expected 2"),
+    ("1,0,1,2,3", "3 values, expected 2"),
+], ids=["round-0", "client-minus-1", "round-above-r", "one-value", "values-beyond-ell"])
+def test_run_malformed_inputs_row_exits_2(runner, tmp_path, row, why):
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath, r=2, ell=2)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text(f"round,client,v0,v1\n1,1,3,4\n{row}\n")
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "2", "--seed", "6",
+        "--inputs", str(inputs), "--check-ideal", "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2, res.output
+    assert f"line 3: {why}" in res.output
+
+
+def test_run_program_with_modulus_key_exits_2(runner, tmp_path):
+    # The run would ignore it: moduli come from the parameter set.
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath, r=2, ell=2)
+    ppath.write_text(json.dumps({**json.loads(ppath.read_text()), "modulus": "97"}))
+    res = runner.invoke(main, ["run", "--program", str(ppath), "--seed", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "'modulus'" in res.output
+
+
 def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     prog_file = tmp_path / "t.json"
     res = runner.invoke(main, [

@@ -52,6 +52,14 @@ def test_empty_schedule_matches_synchronous_protocol():
     assert diag.recovered_pieces == {i: 0 for i in diag.recovered_pieces}
 
 
+def test_empty_program_reveals_nothing_under_dropout():
+    p = prog.Program(ell=1, rounds=[])
+    pset = _pset(p, 4, beta=0.0)
+    res, _diag = dropout.run_dropout_protocol(p, pset, {})
+    assert res.reveals == protocol.run_protocol(p, pset).reveals == []
+    assert res.transcript.rows == []
+
+
 def test_single_dropout_mid_run():
     p = _sum_program(4, 3)
     pset = _pset(p, 6)

@@ -47,12 +47,12 @@ def test_matches_flattened_weights_oracle():
         p, n = random_program(rng, r_max=6, n_max=4, ell_max=4)
         inputs = rng.integers(0, 50, size=(p.r, n, p.ell)).astype(object)
         res = ideal.evaluate_program(p, inputs, T)
-        bars = prog.compose_all(p)
+        tables = prog.compose_all(p)
         for rnd, vec in res.reveals:
-            lam = bars[rnd - 1]
+            lam = {**tables[rnd - 1], rnd: 1}
             want = np.zeros(p.ell, dtype=object)
-            for k in range(1, rnd + 1):
-                want = want + int(lam[k - 1]) * inputs[k - 1].sum(axis=0)
+            for k, w in lam.items():
+                want = want + w * inputs[k - 1].sum(axis=0)
             assert [int(v) for v in vec] == [int(v) % T for v in want]
 
 

@@ -65,14 +65,64 @@ def test_lazy_equals_eager_on_random_programs():
         p, n = random_program(rng, r_max=8, n_max=4, ell_max=3)
         inputs = rng.integers(0, q, size=(p.r, n, p.ell)).astype(object)
         values, _ = eager_eval(p, inputs, q=q)
-        bars = prog.compose_all(p, q=q)
+        tables = prog.compose_all(p, q=q)
         per_round = [inputs[i].sum(axis=0) % q for i in range(p.r)]
         for i in range(1, p.r + 1):
-            lam = bars[i - 1]
+            lam = {**tables[i - 1], i: 1}
             lazy = np.zeros(p.ell, dtype=object)
-            for k in range(1, i + 1):
-                lazy = lazy + int(lam[k - 1]) * per_round[k - 1]
+            for k, w in lam.items():
+                lazy = lazy + w * per_round[k - 1]
             assert list(lazy % q) == list(values[i - 1]), f"trial {trial} round {i}"
+
+
+def _dense(tables):
+    """The tables as dense vectors: round i's has length i, own entry 1."""
+    bars = []
+    for i, table in enumerate(tables, start=1):
+        bar = np.zeros(i, dtype=object)
+        bar[i - 1] = 1
+        for k, w in table.items():
+            bar[k - 1] = w
+        bars.append(bar)
+    return bars
+
+
+def _dense_compose(p, q=None):
+    """Reference: every round's flattened weights by dense accumulation."""
+    bars = []
+    for i, instr in enumerate(p.rounds, start=1):
+        bar = np.zeros(i, dtype=object)
+        bar[i - 1] = 1
+        for k, w in instr.weights:
+            bar[:k] += w * bars[k - 1]
+        if q is not None:
+            bar %= q
+        bars.append(bar)
+    return bars
+
+
+def _table_programs():
+    rng = run_rng("tables")
+    yield from (dp.tree_program(h, 1.0) for h in range(1, 6))
+    for rows, band in ((1, 1), (4, 2), (6, 3), (8, 8)):
+        yield dp.mf_program(dp.random_banded(rows, band, 12, rng), 1.0)
+    for _ in range(100):
+        yield random_program(rng, r_max=10, n_max=2, ell_max=1)[0]
+
+
+@pytest.mark.parametrize("q", [None, 97, 2**61 - 1])
+def test_tables_are_sparse_ascending_and_match_dense(q):
+    for p in _table_programs():
+        for i, (table, bar) in enumerate(zip(prog.compose_all(p, q), _dense_compose(p, q)), 1):
+            assert list(table) == sorted(table) and all(1 <= k < i for k in table)
+            assert all(w != 0 for w in table.values())
+            assert q is None or all(0 <= w < q for w in table.values())
+            assert table == {k: bar[k - 1] for k in range(1, i) if bar[k - 1]}
+
+
+def test_tree_tables_hold_one_entry_per_edge():
+    tables = prog.compose_all(dp.tree_program(10, 1.0))
+    assert len(tables) == 2048 and sum(map(len, tables)) == 2047
 
 
 def test_compose_edge_linearity():
@@ -81,7 +131,7 @@ def test_compose_edge_linearity():
     rng = run_rng("edge")
     for _ in range(30):
         p, _ = random_program(rng, r_max=5, n_max=2, ell_max=1)
-        bars = prog.compose_all(p)
+        bars = _dense(prog.compose_all(p))
         for i in range(1, p.r + 1):
             for k, w in p.rounds[i - 1].weights:
                 stripped = {kk: ww for kk, ww in p.rounds[i - 1].weights if kk != k}
@@ -89,7 +139,7 @@ def test_compose_edge_linearity():
                 rounds[i - 1] = prog.Instruction.make(
                     p.rounds[i - 1].mode, p.rounds[i - 1].rule, stripped
                 )
-                bars2 = prog.compose_all(prog.Program(ell=p.ell, rounds=rounds))
+                bars2 = _dense(prog.compose_all(prog.Program(ell=p.ell, rounds=rounds)))
                 diff = bars[i - 1] - bars2[i - 1]
                 expect = np.zeros(i, dtype=object)
                 expect[:k] = w * bars[k - 1]
@@ -145,10 +195,13 @@ def test_load_invalid_program(tmp_path):
         prog.load_program(path)
 
 
-@pytest.mark.parametrize("modulus", [0, -5])
-def test_validate_rejects_nonpositive_modulus(modulus):
-    p = prog.Program(ell=1, modulus=modulus, rounds=[
+@pytest.mark.parametrize("modulus", ["97", 0, -5])
+def test_program_from_dict_refuses_modulus(modulus):
+    # Moduli come from the parameter set; a program's own would be ignored.
+    doc = prog.program_to_dict(prog.Program(ell=1, rounds=[
         prog.Instruction.make(prog.STORE, prog.InputRule.data()),
         prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {1: 3}),
-    ])
-    assert prog.validate(p) == ["modulus must be a positive integer"]
+    ]))
+    assert "modulus" not in doc
+    with pytest.raises(ValueError, match="'modulus'"):
+        prog.program_from_dict({**doc, "modulus": modulus})
