@@ -27,10 +27,10 @@ Layers:
   ring (N = 2048, 17/18-bit limbs), two 22-bit limbs at N = 2048
   (acceptance criterion 8), the `high-dim` ring (N = 4096, 26/27-bit
   limbs) and seven 31-bit limbs at N = 16384.
-* program: `program.compose_all(p, q)` and `program.reveal_stats(p)` of
-  the four perfbench workloads' programs, each with its workload's q, of
-  `dp.tree_program(10)` (r = 2048) and of a 256-round running sum; each
-  tree builds the programs with its own `dp` and `program` modules.
+* program: `program.compose_all(p)` and `program.reveal_stats(p)` of the
+  four perfbench workloads' programs, of `dp.tree_program(10)` (r = 2048)
+  and of a 256-round running sum; each tree builds the programs with its
+  own `dp` and `program` modules.
 
 Next to each time the JSON holds the minor page faults per call (median
 over the turns, from getrusage around each turn): both trees share one
@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import math
 import os
 import platform
 import resource
@@ -192,30 +191,30 @@ def _running_sum(pkg, r: int, ell: int):
     ])
 
 
-# (name, program builder, N, logq): the perfbench workloads with the ring
-# their set-up picks, then two long programs with a 36-bit q at N = 2048.
+# (name, program builder): the perfbench workloads' programs, then two long
+# programs.
 PROGRAM_SHAPES = (
-    ("cohort", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64), 2048, 35),
-    ("dropout", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64), 2048, 34),
-    ("long-horizon", lambda pkg: _running_sum(pkg, 48, 8), 2048, 29),
+    ("cohort", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64)),
+    ("dropout", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64)),
+    ("long-horizon", lambda pkg: _running_sum(pkg, 48, 8)),
     ("high-dim", lambda pkg: pkg.dp.mf_program(
-        pkg.dp.random_banded(4, 3, 16, _rng()), 0.0, ell=65536), 4096, 106),
-    ("tree-10", lambda pkg: pkg.dp.tree_program(10, 1.0), 2048, 36),
-    ("running-sum-256", lambda pkg: _running_sum(pkg, 256, 1), 2048, 36),
+        pkg.dp.random_banded(4, 3, 16, _rng()), 0.0, ell=65536)),
+    ("tree-10", lambda pkg: pkg.dp.tree_program(10, 1.0)),
+    ("running-sum-256", lambda pkg: _running_sum(pkg, 256, 1)),
 )
 
 
 def program_cells():
-    for name, build, n, logq in PROGRAM_SHAPES:
-        def compose(pkg, build=build, n=n, logq=logq):
-            p, q = build(pkg), math.prod(pkg.ring.choose_limbs(n, logq))
-            return lambda: pkg.program.compose_all(p, q)
+    for name, build in PROGRAM_SHAPES:
+        def compose(pkg, build=build):
+            p = build(pkg)
+            return lambda: pkg.program.compose_all(p)
 
         def stats(pkg, build=build):
             p = build(pkg)
             return lambda: pkg.program.reveal_stats(p)
 
-        shape = {"name": name, "N": n, "logq": logq}
+        shape = {"name": name}
         yield {"function": "compose_all", "shape": shape}, compose
         yield {"function": "reveal_stats", "shape": shape}, stats
 

@@ -11,7 +11,7 @@ from .dp import BandedMatrix, PostProcessor, baseline_program, mf_program, tree_
 from .dropout import QuorumError, run_dropout_protocol
 from .ideal import run_ideal
 from .params import ParamSet, cost_model, grid_search, make_paramset
-from .program import Instruction, InputRule, Program, compose_lambda, validate
+from .program import Instruction, InputRule, Program, validate
 from .protocol import ProtocolError, run_protocol
 from .ring import RingElement, RingParams
 
@@ -31,7 +31,6 @@ __all__ = [
     "Instruction",
     "InputRule",
     "Program",
-    "compose_lambda",
     "validate",
     "ProtocolError",
     "run_protocol",

@@ -55,8 +55,9 @@ def _synth_inputs(p: program.Program, n: int, input_bits: int, seed: int) -> np.
 def _load_inputs_csv(path: str, p: program.Program, n: int) -> np.ndarray:
     """(r, n, ell) inputs from rows round,client,v0,...,v(ell-1) with round
     in 1..r and client in 0..n-1: int64 where every value fits, Python ints
-    otherwise.  Raises ValueError naming the first malformed line."""
-    rows = []
+    otherwise.  Raises ValueError naming the first malformed line, or both
+    lines of a (round, client) given twice."""
+    rows: dict[tuple[int, int], tuple[int, list[int]]] = {}  # (round, client) -> line, values
     with open(path, newline="") as fh:
         rdr = csv.reader(fh)
         header = next(rdr)
@@ -69,11 +70,13 @@ def _load_inputs_csv(path: str, p: program.Program, n: int) -> np.ndarray:
             i, j, *vals = (int(v) for v in row)
             if not (1 <= i <= p.r and 0 <= j < n):
                 raise ValueError(f"{line}: round {i}, client {j} not in 1..{p.r}, 0..{n - 1}")
-            rows.append((i, j, vals))
+            if (i, j) in rows:
+                raise ValueError(f"{line}: round {i}, client {j} already on line {rows[i, j][0]}")
+            rows[i, j] = rdr.line_num, vals
     for dtype in (np.int64, object):
         data = np.zeros((p.r, n, p.ell), dtype=dtype)
         try:
-            for i, j, vals in rows:
+            for (i, j), (_, vals) in rows.items():
                 data[i - 1, j] = vals
         except OverflowError:
             continue

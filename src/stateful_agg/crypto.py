@@ -124,7 +124,7 @@ def open(
     params = reveal_agg[0].params
     coeff_arrays = []
     for e, agg in enumerate(reveal_agg):
-        terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items() if w]
+        terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items()]
         if corrections is not None:
             terms.append((-1, corrections[e]))
         coeff_arrays.append(ring.centered_mod_t(ring.lincomb(terms, params)))

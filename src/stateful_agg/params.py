@@ -193,6 +193,8 @@ def committee_sizes(n: int, r: int, gamma: float, delta: float) -> int:
     replacement; the event depends only on the set of receivers, so a
     client sends one piece per distinct pick, G <= min(d, n) of them with
     E[G] = n * (1 - (1 - 1/n)^d)."""
+    if n < 1 or r < 1:
+        raise ValueError(f"cohort size n={n} and round count r={r} must be >= 1")
     if not 0 <= gamma < 1:
         raise ValueError("gamma must be in [0, 1)")
     if not 0 < delta < 1:

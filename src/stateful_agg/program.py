@@ -1,16 +1,13 @@
 """Aggregation programs: one store-or-reveal instruction per round, each
 carrying an input rule for the cohort and sparse weights over prior rounds.
 
-Weights are kept as signed integers; they are reduced into Z_q only when a
-concrete modulus is supplied (protocol runs) and used exactly as integers
-otherwise (the reference evaluator and magnitude bookkeeping).
-
-compose_all flattens the recursive state definition
+Weights are signed integers everywhere in this module.  compose_all
+flattens the recursive state definition
     v_i = sum_j x_{i,j} + sum_{k<i} w_{i,k} * v_k
 into one sparse table per round, {k: lam_k} over the earlier rounds with a
 nonzero flattened weight, so a lazy server can store unreduced aggregates
-and apply one linear function at reveal time.  compose_lambda is the same
-weights as a dense vector.
+and apply one linear function at reveal time.  A run composes the tables
+once; the ring reduces each weight mod q where it multiplies an element.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
     "STORE",
     "REVEAL",
@@ -28,7 +23,6 @@ __all__ = [
     "Instruction",
     "Program",
     "validate",
-    "compose_lambda",
     "compose_all",
     "reveal_stats",
     "program_to_dict",
@@ -113,14 +107,14 @@ def validate(p: Program) -> list[str]:
     return errs
 
 
-def compose_all(p: Program, q: int | None = None) -> list[dict[int, int]]:
+def compose_all(p: Program) -> list[dict[int, int]]:
     """Flattened weights for every round, as sparse tables.
 
     Entry i-1 is round i's table {k: lam_k} over the earlier rounds with a
     nonzero weight, keys ascending, so that sum_k lam_k * x_k + x_i is the
     eager recursion's v_i (the own weight 1 is implicit).  Round i adds
     w * table_k for each of its weights (k, w), so no work is spent on zero
-    weights.  Arithmetic is over the integers, reduced mod q when given.
+    weights.  Arithmetic is over the integers.
     """
     tables: list[dict[int, int]] = []
     for instr in p.rounds:
@@ -129,28 +123,20 @@ def compose_all(p: Program, q: int | None = None) -> list[dict[int, int]]:
             for kk, v in tables[k - 1].items():
                 acc[kk] = acc.get(kk, 0) + w * v
             acc[k] = acc.get(k, 0) + w
-        tables.append({k: v for k in sorted(acc) if (v := acc[k] if q is None else acc[k] % q)})
+        tables.append({k: v for k in sorted(acc) if (v := acc[k])})
     return tables
 
 
-def compose_lambda(p: Program, i: int, q: int | None = None) -> np.ndarray:
-    """Flattened weight vector for round i (length i, own entry == 1)."""
-    if not 1 <= i <= p.r:
-        raise ValueError(f"round {i} out of range 1..{p.r}")
-    lam = np.zeros(i, dtype=object)
-    for k, w in {**compose_all(p, q)[i - 1], i: 1}.items():
-        lam[k - 1] = w
-    return lam
-
-
-def reveal_stats(p: Program) -> tuple[float, float]:
+def reveal_stats(p: Program, tables: list[dict[int, int]] | None = None) -> tuple[float, float]:
     """Worst per-reveal (sum |lam|, sum lam^2) over signed flattened weights.
 
-    Feeds the noise-budget check; (1, 1) for a program with no reveals, which
-    is the profile of a plain one-shot aggregation.
+    Reads `tables`, the program's compose_all tables, when the caller has
+    them, and composes them otherwise.  Feeds the noise-budget check; (1, 1)
+    for a program with no reveals, which is the profile of a plain one-shot
+    aggregation.
     """
     best_abs, best_sq = 1.0, 1.0
-    for instr, table in zip(p.rounds, compose_all(p)):
+    for instr, table in zip(p.rounds, compose_all(p) if tables is None else tables):
         if instr.mode == REVEAL:
             best_abs = max(best_abs, float(1 + sum(abs(v) for v in table.values())))
             best_sq = max(best_sq, float(1 + sum(v * v for v in table.values())))

@@ -105,7 +105,7 @@ class RoundContext:
     index: int
     instr: prog.Instruction
     basis: tuple[ring.RingElement, ...]  # key mask: public elements, or reveal mask
-    noise_weights: tuple[int, ...]  # store (1,); reveal: flattened weights mod q
+    noise_weights: tuple[int, ...]  # store (1,); reveal: signed flattened weights
     pset: ParamSet
     run_seed: int
 
@@ -178,7 +178,7 @@ class ServerState:
         self.pset = pset
         rp = pset.ring()
         self.ring_params = rp
-        self.weights = prog.compose_all(p, rp.q)  # round i's at i-1, own 1 implicit
+        self.weights = prog.compose_all(p)  # round i's at i-1, own 1 implicit
         self.stored: dict[int, tuple[ring.RingElement, ...]] = {}
         self.basis: dict[int, tuple[ring.RingElement, ...]] = {}
         # Key deficit of the cohort that produced round k's messages
@@ -208,7 +208,7 @@ class ServerState:
         terms = [
             (w, k, self.deficit[k])
             for k, w in list(weights.items()) + [(i, 1)]
-            if w and self.deficit.get(k) is not None
+            if self.deficit.get(k) is not None
         ]
         per_elem = [
             [(w, self.basis[k][e], dk) for w, k, dk in terms if self.basis[k][e].res.any()]
@@ -324,7 +324,8 @@ def run_protocol(
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
     check_packing(p, pset.pf)
-    budget = noise_budget(pset, prog.reveal_stats(p))
+    server = ServerState(p, pset)
+    budget = noise_budget(pset, prog.reveal_stats(p, server.weights))
     if not budget.ok:
         raise ValueError(
             f"noise needs {budget.required_bits:.1f} bits, over the budget of "
@@ -333,7 +334,6 @@ def run_protocol(
     n = pset.n
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
     global_seed = hash_key(seed, "public-elements")
-    server = ServerState(p, pset)
     cost = pset.cost()  # every survivor's upload and peer traffic
     transcript = Transcript()
     reveals: list[tuple[int, np.ndarray]] = []

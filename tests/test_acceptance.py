@@ -78,7 +78,7 @@ def test_criterion_3_flattened_weights_match_eager_recursion():
         p, n = random_program(rng, r_max=8, n_max=4, ell_max=4)
         inputs = rng.integers(0, q, size=(p.r, n, p.ell)).astype(object)
         values, _ = eager_eval(p, inputs, q=q)
-        tables = prog.compose_all(p, q=q)
+        tables = prog.compose_all(p)
         sums = [inputs[i].sum(axis=0) % q for i in range(p.r)]
         for i in range(1, p.r + 1):
             lazy = np.zeros(p.ell, dtype=object)

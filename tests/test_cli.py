@@ -319,7 +319,10 @@ def test_inputs_csv_beyond_int64_falls_back_to_python_ints(runner, tmp_path):
     ("3,0,1,2", "round 3, client 0 not in 1..2, 0..1"),
     ("1,0,5", "1 values, expected 2"),
     ("1,0,1,2,3", "3 values, expected 2"),
-], ids=["round-0", "client-minus-1", "round-above-r", "one-value", "values-beyond-ell"])
+    ("1,1,5,6", "round 1, client 1 already on line 2"),
+], ids=[
+    "round-0", "client-minus-1", "round-above-r", "one-value", "values-beyond-ell", "duplicate",
+])
 def test_run_malformed_inputs_row_exits_2(runner, tmp_path, row, why):
     ppath = tmp_path / "sum.json"
     _write_sum_program(ppath, r=2, ell=2)
@@ -331,6 +334,20 @@ def test_run_malformed_inputs_row_exits_2(runner, tmp_path, row, why):
     ])
     assert res.exit_code == 2, res.output
     assert f"line 3: {why}" in res.output
+
+
+@pytest.mark.parametrize("rounds, n, why", [
+    ([], 2, "round count r=0"),
+    ([{"mode": "reveal", "input": "data"}], 0, "cohort size n=0"),
+], ids=["no-rounds", "no-clients"])
+def test_run_zero_count_exits_2_naming_it(runner, tmp_path, rounds, n, why):
+    ppath = tmp_path / "p.json"
+    ppath.write_text(json.dumps({"l": 1, "rounds": rounds}))
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", str(n), "--seed", "1", "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2
+    assert why in res.output
 
 
 def test_run_program_with_modulus_key_exits_2(runner, tmp_path):

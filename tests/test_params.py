@@ -160,6 +160,12 @@ def test_committee_sizes_examples():
         params.committee_sizes(10, 10, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("n, r, name", [(10, 0, "r=0"), (0, 10, "n=0")])
+def test_committee_sizes_names_a_zero_count(n, r, name):
+    with pytest.raises(ValueError, match=name):
+        params.committee_sizes(n, r, 0.0, 0.5)
+
+
 def test_committee_bound_arithmetic():
     n, r, gamma, delta = 100, 100, 0.2, 2.0**-20
     want = math.ceil((math.log(2 * n * r) + 20 * math.log(2)) / (1 - gamma))

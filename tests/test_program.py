@@ -36,18 +36,17 @@ def test_compose_unit_without_weights():
     p = prog.Program(ell=1, rounds=[
         prog.Instruction.make(prog.STORE, prog.InputRule.data()) for _ in range(4)
     ])
-    lam = prog.compose_lambda(p, 3, q=97)
-    assert list(lam) == [0, 0, 1]
+    assert prog.compose_all(p)[2] == {}  # round 3 reads only its own weight 1
 
 
 def test_compose_worked_example():
-    # w_21 = 2, w_31 = 1, w_32 = 3 over q=97: round-3 weights are (7, 3, 1)
+    # w_21 = 2, w_31 = 1, w_32 = 3: round-3 weights are (7, 3, 1)
     p = prog.Program(ell=1, rounds=[
         prog.Instruction.make(prog.STORE, prog.InputRule.data()),
         prog.Instruction.make(prog.STORE, prog.InputRule.data(), {1: 2}),
         prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {1: 1, 2: 3}),
     ])
-    assert list(prog.compose_lambda(p, 3, q=97)) == [7, 3, 1]
+    assert {**prog.compose_all(p)[2], 3: 1} == {1: 7, 2: 3, 3: 1}
 
 
 def test_compose_negative_weight_encoding():
@@ -55,7 +54,9 @@ def test_compose_negative_weight_encoding():
         prog.Instruction.make(prog.STORE, prog.InputRule.data()),
         prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {1: -1}),
     ])
-    assert list(prog.compose_lambda(p, 2, q=97)) == [96, 1]
+    table = prog.compose_all(p)[1]
+    assert table == {1: -1}
+    assert {k: w % 97 for k, w in table.items()} == {1: 96}
 
 
 def test_lazy_equals_eager_on_random_programs():
@@ -65,7 +66,7 @@ def test_lazy_equals_eager_on_random_programs():
         p, n = random_program(rng, r_max=8, n_max=4, ell_max=3)
         inputs = rng.integers(0, q, size=(p.r, n, p.ell)).astype(object)
         values, _ = eager_eval(p, inputs, q=q)
-        tables = prog.compose_all(p, q=q)
+        tables = prog.compose_all(p)
         per_round = [inputs[i].sum(axis=0) % q for i in range(p.r)]
         for i in range(1, p.r + 1):
             lam = {**tables[i - 1], i: 1}
@@ -113,10 +114,11 @@ def _table_programs():
 @pytest.mark.parametrize("q", [None, 97, 2**61 - 1])
 def test_tables_are_sparse_ascending_and_match_dense(q):
     for p in _table_programs():
-        for i, (table, bar) in enumerate(zip(prog.compose_all(p, q), _dense_compose(p, q)), 1):
+        for i, (table, bar) in enumerate(zip(prog.compose_all(p), _dense_compose(p, q)), 1):
             assert list(table) == sorted(table) and all(1 <= k < i for k in table)
             assert all(w != 0 for w in table.values())
-            assert q is None or all(0 <= w < q for w in table.values())
+            if q is not None:
+                table = {k: w % q for k, w in table.items() if w % q}
             assert table == {k: bar[k - 1] for k in range(1, i) if bar[k - 1]}
 
 

@@ -405,6 +405,24 @@ def test_seed_resharing_expands_each_seed_once(monkeypatch):
     assert reveals_equal(res.reveals, _reference(p, pset, data, 19).reveals)
 
 
+def test_run_composes_the_weights_once(monkeypatch):
+    # The noise-budget check and the server read the same signed tables.
+    p = running_sum_program(4, 2)
+    pset = desk_paramset(p, n=4)
+    calls = []
+    compose = prog.compose_all
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(prog, "compose_all", counted)
+    data = random_data(run_rng("compose-once"), p, 4)
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=3)
+    assert len(calls) == 1
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 3).reveals)
+
+
 def test_plain_resharing_with_empty_inboxes_is_pinned():
     # With d=2 picks per sender among n=4 receivers, some receivers get no
     # piece in a round and hold a zero key share; the digest was recorded
