@@ -31,6 +31,11 @@ Layers:
   four perfbench workloads' programs, of `dp.tree_program(10)` (r = 2048)
   and of a 256-round running sum; each tree builds the programs with its
   own `dp` and `program` modules.
+* step: the server's half of a run at the `cohort` and `high-dim`
+  workloads' shapes: `protocol.server_step` of every round into a fresh
+  `ServerState`, and `ServerState.open_round` of every reveal from a state
+  that has absorbed every round.  Each tree runs the client steps of its
+  own run (seed 0, 8-bit inputs) before timing starts.
 
 Next to each time the JSON holds the minor page faults per call (median
 over the turns, from getrusage around each turn): both trees share one
@@ -219,9 +224,65 @@ def program_cells():
         yield {"function": "reveal_stats", "shape": shape}, stats
 
 
+# name -> (n, N, make_paramset options) of the perfbench workload.
+STEP_SHAPES = {
+    "cohort": (32, 2048, {"dp_sigma": 2.0}),
+    "high-dim": (4, 4096, {"logq": 106, "pf": 2}),
+}
+
+
+def _absorbed(pkg, name: str):
+    """A workload's program and parameter set, each round's context and
+    client results, and a server that has absorbed every round."""
+    protocol = pkg.protocol
+    n, N, options = STEP_SHAPES[name]
+    p = dict(PROGRAM_SHAPES)[name](pkg)
+    pset = pkg.params.make_paramset(
+        n=n, r=p.r, ell=p.ell, input_bits=8, N=N, stats=pkg.program.reveal_stats(p), **options
+    )
+    data = _rng().integers(0, 2**8, size=(p.r, n, p.ell))
+    inputs = pkg.ideal.materialize_inputs(p, data, n, protocol.run_noise_seed(0), pset.gamma)
+    server = protocol.ServerState(p, pset)
+    shape = (n, len(server.ring_params.limbs), N)
+    inbox, rounds = np.zeros(shape, dtype=np.uint64), []
+    for i in range(1, p.r + 1):
+        ctx = protocol.build_context(server, "bench-step", i, 0)
+        routed = np.zeros(shape, dtype=np.uint64)
+        results = [
+            protocol.client_step(ctx, j, inbox[j], inputs[i - 1][j], None, routed, False)
+            for j in range(n)
+        ]
+        protocol.server_step(server, ctx, results)
+        rounds.append((ctx, results))
+        inbox = routed
+    return p, pset, rounds, server
+
+
+def step_cells():
+    for name in STEP_SHAPES:
+        def absorb(pkg, name=name):
+            p, pset, rounds, _ = _absorbed(pkg, name)
+
+            def call():
+                server = pkg.protocol.ServerState(p, pset)
+                for ctx, results in rounds:
+                    pkg.protocol.server_step(server, ctx, results)
+
+            return call
+
+        def reveal(pkg, name=name):
+            p, _, _, server = _absorbed(pkg, name)
+            reveals = [i for i in range(1, p.r + 1) if p.instruction(i).mode == pkg.program.REVEAL]
+            return lambda: [server.open_round(i) for i in reveals]
+
+        shape = {"name": name}
+        yield {"function": "server_step", "shape": shape}, absorb
+        yield {"function": "open_round", "shape": shape}, reveal
+
+
 LAYERS = {
     "sampler": sampler_cells, "sharing": sharing_cells, "ring": ring_cells,
-    "program": program_cells,
+    "program": program_cells, "step": step_cells,
 }
 
 

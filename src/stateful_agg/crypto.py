@@ -107,11 +107,11 @@ def open(
     ell: int,
     pf: int,
     slot_width: int,
-    corrections: Sequence[ring.RingElement] | None = None,
 ) -> np.ndarray:
     """Combine stored ciphertexts with the aggregated reveal and decode.
 
-    Computes reveal_agg + sum_k w_k * stored[k] - corrections, lifts each
+    Every ciphertext is under the one key s, so reveal_agg + sum_k w_k *
+    stored[k] cancels the key term.  Computes that sum, lifts each
     coefficient to its signed representative (noise is signed, so
     reduction mod T must happen on centered values), reduces mod T and
     unpacks the plaintext slots.  Valid in the noise regime where the total
@@ -125,7 +125,5 @@ def open(
     coeff_arrays = []
     for e, agg in enumerate(reveal_agg):
         terms = [(1, agg)] + [(w, stored[k][e]) for k, w in weights.items()]
-        if corrections is not None:
-            terms.append((-1, corrections[e]))
         coeff_arrays.append(ring.centered_mod_t(ring.lincomb(terms, params)))
     return ring.decode(coeff_arrays, ell, pf, slot_width)

@@ -19,9 +19,11 @@ keep the run correct:
   release them only for clients that completed their round, so the server
   can strip masks of survivors while a dropout's half-sent ciphertext
   stays blinded forever;
-* reveals subtract the weighted products of public round bases with each
-  round's accumulated key deficit, restoring what a full-key cohort would
-  have uploaded.
+* the pieces recovered for round i's dropped receivers are lost to the
+  key of cohort i and of every later one, so the server folds basis * lost
+  into the aggregates of rounds i and i+1, absorbed before the repair, and
+  into every later one through the key drift: each aggregate stays a
+  ciphertext under the full key.
 
 `Recovery` plugs these into `protocol.run_protocol`: the engine asks it
 which clients drop, for each survivor's self-mask (its secret is shared
@@ -138,10 +140,7 @@ def _scalar_ring(rp: ring.RingParams) -> ring.RingParams:
 
 
 def prg_mask(secret: int, m: int, params: ring.RingParams) -> list[ring.RingElement]:
-    """Expand a mask secret to message-shaped elements; secret 0 expands to
-    zeros (lets tests switch masking off without touching the flow)."""
-    if secret == 0:
-        return [params.zero() for _ in range(m)]
+    """Expand a mask secret to message-shaped elements."""
     rng = ctx_rng("self-mask-prg", secret)
     return [ring.sample_uniform(rng, params) for _ in range(m)]
 

@@ -7,37 +7,38 @@ cohort to cohort by additive resharing: each client makes d uniform picks
 distinct receiver, G <= min(d, n) ways with E[G] = n * (1 - (1 - 1/n)^d);
 the receivers sum what they get.  With seed resharing the pieces are
 128-bit PRG seeds and a per-client correction element goes to the server
-instead, shifting the effective key; the server repairs reveals with the
-appropriately weighted products of public elements and accumulated
-corrections.  The simulation delivers pieces through one residue inbox per
-round, (n, L, N) uint64: a sender adds each piece (an additive part, or a
-seed's expansion, made once for its correction, its receiver and its
-backup) into its receiver's row as it is made, and the receiver's key
-share is that row reduced once.  Only a run with a recovery layer keeps a
-step's pieces, for the backups.
+instead, so the cohorts' key falls short of s by the sum of the
+corrections, the drift; the server folds basis * drift into each aggregate
+it absorbs, so every stored aggregate is a ciphertext under s.  The
+simulation delivers pieces through one residue inbox per round, (n, L, N)
+uint64: a sender adds each piece (an additive part, or a seed's expansion,
+made once for its correction, its receiver and its backup) into its
+receiver's row as it is made, and the receiver's key share is that row
+reduced once.  Only a run with a recovery layer keeps a step's pieces, for
+the backups.
 
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
-of noise, and the composed negative combination of the stored rounds'
-bases for a reveal, with one flooding Gaussian per weighted round.  The
-server is lazy: it never folds weights at store time.  It keeps the raw
-aggregate of each round's messages plus that round's basis and applies the
-round's sparse flattened weights (`program.compose_all`) once, at reveal
-time.  The server originates no messages of its own; it only aggregates
-and forwards.
+of noise, and the composed negative combination of the stored rounds' bases
+for a reveal, with one flooding Gaussian per weighted round.  The server
+keeps one aggregate under s per round plus the round's basis, and a reveal
+is a linear function of them: the round's sparse flattened weights
+(`program.compose_all`), applied once, at reveal time.  The server
+originates no messages of its own; it only aggregates and forwards.
 
 `run_protocol` is the one round loop.  Without a recovery layer no client
 drops; `dropout.run_dropout_protocol` hands it one, which the loop asks
 which clients drop, for each survivor's self-mask and backups, and for the
-repairs of each round before its reveal.  A repair settles the round's key
-deficit and strips the survivors' self-masks from its stored aggregate, so
-every reveal reads mask-free aggregates.  Within a round, client steps are
-pure functions of (seed, round, index) apart from the pieces they add into
-the round's shared inbox.  That sum is exact and order-free, so the steps
-could run in any order, or in parallel processes (not threads: seed
-expansion re-keys one generator per process) with one inbox each, summed at
-the round barrier; the loop is sequential for reproducibility of the
-transcript row order.
+repairs of each round before its reveal.  A repair folds the key pieces
+lost with the round's dropped clients into the aggregates that miss them
+and strips the survivors' self-masks, so every reveal reads mask-free
+aggregates under s.  Within a round, client steps are pure functions of
+(seed, round, index) apart from the pieces they add into the round's
+shared inbox.  That sum is exact and order-free, so the steps could run in
+any order, or in parallel processes (not threads: seed expansion re-keys
+one generator per process) with one inbox each, summed at the round
+barrier; the loop is sequential for reproducibility of the transcript row
+order.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def client_step(
 
 
 class ServerState:
-    """Lazy server: raw per-round aggregates plus reveal bookkeeping."""
+    """Per-round aggregates under the full key s, plus reveal bookkeeping."""
 
     def __init__(self, p: prog.Program, pset: ParamSet):
         self.program = p
@@ -182,45 +183,35 @@ class ServerState:
         self.stored: dict[int, tuple[ring.RingElement, ...]] = {}
         self.basis: dict[int, tuple[ring.RingElement, ...]] = {}
         # Key deficit of the cohort that produced round k's messages
-        # (accumulated resharing corrections, None while zero).
+        # (accumulated resharing corrections and lost pieces, None while
+        # zero), already folded into stored[k].
         self.deficit: dict[int, ring.RingElement | None] = {}
         self.drift: ring.RingElement | None = None
 
     def open_round(self, i: int) -> np.ndarray:
         """Decode the value revealed at round i (delivered one round later)."""
         pset = self.pset
-        weights = self.weights[i - 1]
         return crypto.open(
-            self.stored, self.stored[i], weights, pset.ell, pset.pf, pset.slot_width,
-            corrections=self._corrections(i, weights),
+            self.stored, self.stored[i], self.weights[i - 1], pset.ell, pset.pf, pset.slot_width
         )
 
-    def _corrections(self, i: int, weights: dict[int, int]):
-        """Subtraction terms sum_k w_k * basis_k * deficit_k (w_i = 1).
-
-        Each stored round k was produced under the then-current key s minus
-        deficit_k; multiplying the public basis by the deficit restores what
-        a full-key run would have uploaded.  The products are recomputed at
-        every reveal because dropout recovery rewrites a round's deficit.  A
-        term whose basis element is all zero is known to be zero and is
-        dropped; None when no element keeps a term.
-        """
-        terms = [
-            (w, k, self.deficit[k])
-            for k, w in list(weights.items()) + [(i, 1)]
-            if self.deficit.get(k) is not None
-        ]
-        per_elem = [
-            [(w, self.basis[k][e], dk) for w, k, dk in terms if self.basis[k][e].res.any()]
-            for e in range(self.pset.m)
-        ]
-        if not any(per_elem):
-            return None
-        return [-ring.mul_sum(t) if t else self.ring_params.zero() for t in per_elem]
+    def _fold(self, rnd: int, parts, key: ring.RingElement | None) -> None:
+        """Set round rnd's stored aggregate to the weighted sum of `parts`,
+        (weight, m elements) pairs, plus basis_rnd * key: one lincomb per
+        element.  An all-zero basis element, or a key of None, forms no
+        product."""
+        self.stored[rnd] = tuple(
+            ring.lincomb(
+                [(w, part[e]) for w, part in parts]
+                + ([(1, ring.mul(b, key))] if key is not None and b.res.any() else []),
+                self.ring_params,
+            )
+            for e, b in enumerate(self.basis[rnd])
+        )
 
     def shift_drift(self, elems) -> None:
         """Add elements to the key drift (None while zero); with none it stays
-        the same object, whose cached transform the deficit snapshots share."""
+        the same object, whose cached transform the next fold reuses."""
         terms = [(1, e) for e in elems]
         if terms:
             if self.drift is not None:
@@ -232,40 +223,35 @@ class ServerState:
         clients' recovered key pieces are lost to round rnd's cohort and to
         every later one, so their sum joins the drift, round rnd's deficit
         and round rnd+1's (snapshot at its `server_step`, before this
-        repair).  Strips the survivors' self-masks (one list of m elements
-        each) from the round's stored aggregate.  Returns the deficit."""
-        if recovered:
-            lost = sharing.piece_sum(recovered, self.ring_params)
+        repair), and basis * lost is folded into both rounds' aggregates.
+        Strips the survivors' self-masks (one list of m elements each) from
+        round rnd's aggregate in the same fold.  Returns the deficit."""
+        lost = sharing.piece_sum(recovered, self.ring_params) if recovered else None
+        if lost is not None:
             self.shift_drift([lost])
             for k in (rnd, rnd + 1):
                 if k in self.deficit:
                     prior = self.deficit[k]
                     self.deficit[k] = lost if prior is None else prior + lost
-        if masks:
-            self.stored[rnd] = tuple(
-                ring.lincomb([(1, agg)] + [(-1, mk[e]) for mk in masks], self.ring_params)
-                for e, agg in enumerate(self.stored[rnd])
-            )
+            if rnd + 1 in self.stored:
+                self._fold(rnd + 1, [(1, self.stored[rnd + 1])], lost)
+        self._fold(rnd, [(1, self.stored[rnd])] + [(-1, mk) for mk in masks], lost)
         return self.deficit[rnd]
 
 
 def server_step(server: ServerState, ctx: RoundContext, messages, dropped=frozenset()) -> None:
     """Absorb a round's uploads, one from every client not in `dropped`;
-    any other count is a synchrony violation."""
-    rp = server.ring_params
+    any other count is a synchrony violation.  The uploads are under the
+    cohort's key, s minus the drift, so basis * drift joins their sum."""
     expected = server.pset.n - len(dropped)
     if len(messages) != expected:
         raise ProtocolError(
             f"round {ctx.index}: expected {expected} messages, got {len(messages)}"
         )
     i = ctx.index
-    server.stored[i] = tuple(
-        ring.lincomb(((1, res.message[e]) for res in messages), rp)
-        for e in range(server.pset.m)
-    )
     server.basis[i] = tuple(ctx.basis)
-    # Cohort i operated under the key as reshared so far.
     server.deficit[i] = server.drift
+    server._fold(i, [(1, res.message) for res in messages], server.drift)
     server.shift_drift(res.correction for res in messages if res.correction is not None)
 
 
@@ -307,8 +293,8 @@ def run_protocol(
 ) -> RunResult:
     """Simulate the whole program; reveals are exact mod T in the noise
     regime the parameter set was sized for.  Raises ValueError before round
-    1 when the parameter set fails the noise budget of the program's reveal
-    weights, since its reveals could wrap.
+    1 when the cohort is empty, or when the parameter set fails the noise
+    budget of the program's reveal weights, since its reveals could wrap.
 
     Runs every round, then flushes the last reveal.  Round i's reveal is
     opened after round i+1's uploads are absorbed.  A recovery layer (see
@@ -323,6 +309,8 @@ def run_protocol(
         raise ValueError("invalid program: " + "; ".join(errs))
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
+    if pset.n < 1:
+        raise ValueError(f"cohort size n={pset.n}: a run needs at least one client")
     check_packing(p, pset.pf)
     server = ServerState(p, pset)
     budget = noise_budget(pset, prog.reveal_stats(p, server.weights))

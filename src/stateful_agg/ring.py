@@ -32,7 +32,6 @@ __all__ = [
     "RingParams",
     "RingElement",
     "mul",
-    "mul_sum",
     "lincomb",
     "sample_uniform",
     "sample_gaussian",
@@ -44,7 +43,7 @@ __all__ = [
     "choose_limbs",
 ]
 
-# Smallest degree at which mul and mul_sum use the NTT.  Per mul, forward
+# Smallest degree at which mul uses the NTT.  Per mul, forward
 # transforms included (2-core VM, 1-3 limbs): at N=128 the NTT takes
 # 250-460 us against 1000-2300 us for schoolbook; at N=64 they tie on one
 # limb; at N=16 schoolbook takes 20-60 us against 140-170 us.  The
@@ -671,35 +670,6 @@ def lincomb(terms: Iterable[tuple[int, RingElement]], params: RingParams) -> Rin
         elif w:
             acc += a.res * _limb_col(w, params.limbs) % ps
     return RingElement(acc % ps, params)
-
-
-def mul_sum(terms: Iterable[tuple[int, RingElement, RingElement]]) -> RingElement:
-    """Sum of w * a * b over (w, a, b) terms, with one inverse NTT.
-
-    The pointwise products of the (cached) forward transforms are weighted
-    per limb and summed in residue form; the transform is linear, so one
-    inverse NTT of the sum equals the sum of the individual products.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("mul_sum needs at least one term")
-    first = terms[0][1]
-    for _w, a, b in terms:
-        _check_same_params(first, a)
-        _check_same_params(a, b)
-    pr = first.params
-    if pr.N < NTT_MIN_DEGREE:
-        return lincomb(((w, mul_schoolbook(a, b)) for w, a, b in terms), pr)
-    tbl = _tables(pr.limbs, pr.N)
-    ps = pr._ps
-    # As in lincomb: each term is below p < 2^31.
-    acc = np.zeros((len(pr.limbs), pr.N), dtype=np.uint64)
-    for w, a, b in terms:
-        prod = a._ntt() * b._ntt() % ps
-        if w != 1:
-            prod = prod * _limb_col(w, pr.limbs) % ps
-        acc += prod
-    return RingElement(_intt(acc % ps, tbl), pr)
 
 
 def mul_schoolbook(a: RingElement, b: RingElement) -> RingElement:

@@ -377,6 +377,21 @@ def test_run_packed_gaussian_program_exits_2(runner, tmp_path):
     assert "Gaussian rule of round 1" in res.output
 
 
+def test_run_empty_cohort_exits_2(runner, tmp_path):
+    # An explicit d skips the committee sizing that refuses n = 0 on its own.
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"d": 4}))
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "0", "--seed", "1",
+        "--params", str(pfile), "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "n=0" in res.output
+    assert not (tmp_path / "reveals.csv").exists()
+
+
 @pytest.mark.parametrize(
     "field", ["single_committee", "self_mask_reveal", "kappa", "sigma", "limbs", "delta_links"]
 )

@@ -114,14 +114,6 @@ def test_open_zero_state():
     assert [int(v) for v in out] == [0] * 8
 
 
-def test_open_applies_corrections_and_masks():
-    x = _encode([7, 0, 0, 0, 0, 0, 0, 0])
-    corr = _encode([5, 0, 0, 0, 0, 0, 0, 0])
-    mask = _encode([1, 0, 0, 0, 0, 0, 0, 0])
-    out = crypto.open({}, [x[0]], {}, 8, 1, 12, corrections=[corr[0] + mask[0]])
-    assert int(out[0]) == 1
-
-
 def test_open_centered_reduction_handles_negative_noise():
     # w = T*e + x with e = -1: plain mod-q reduction would give garbage.
     e = PR.from_coeffs([-1, 0, 0, 0, 0, 0, 0, 0])
@@ -205,15 +197,12 @@ def _reveal_mask_per_round(round_elems, weights):
     return acc
 
 
-def _open_per_round(stored, reveal_agg, weights, ell, corrections, masks_sum):
+def _open_per_round(stored, reveal_agg, weights, ell):
     acc = list(reveal_agg)
     for k, w in weights.items():
         if w:
             for e in range(len(acc)):
                 acc[e] = acc[e] + stored[k][e].scalar(w)
-    for sub in (corrections, masks_sum):
-        if sub is not None:
-            acc = [a - s for a, s in zip(acc, sub)]
     coeffs = [a.centered() % a.params.T for a in acc]
     return ring.decode(coeffs, ell, 1, 12)
 
@@ -240,16 +229,11 @@ def test_reveal_mask_and_open_match_per_round_scalars(m):
     rng = run_rng("accum", m)
     stored = {k: tuple(ring.sample_uniform(rng, PR) for _ in range(m)) for k in range(1, 48)}
     reveal_agg = [ring.sample_uniform(rng, PR) for _ in range(m)]
-    corr = [ring.sample_uniform(rng, PR) for _ in range(m)]
-    masks = [ring.sample_uniform(rng, PR) for _ in range(m)]
-    both = [c + s for c, s in zip(corr, masks)]
     for weights in _weight_sets(PR.q):
         assert crypto.reveal_mask(stored, weights) == _reveal_mask_per_round(stored, weights)
-        cases = ((None, None, None), (corr, None, corr), (None, masks, masks), (corr, masks, both))
-        for c, s, sub in cases:
-            got = crypto.open(stored, reveal_agg, weights, 8 * m, 1, 12, corrections=sub)
-            want = _open_per_round(stored, reveal_agg, weights, 8 * m, c, s)
-            assert [int(v) for v in got] == [int(v) for v in want]
+        got = crypto.open(stored, reveal_agg, weights, 8 * m, 1, 12)
+        want = _open_per_round(stored, reveal_agg, weights, 8 * m)
+        assert [int(v) for v in got] == [int(v) for v in want]
     with pytest.raises(ValueError, match="unknown round 48"):
         crypto.reveal_mask(stored, {1: 1, 48: 0})
 

@@ -232,11 +232,6 @@ def test_mask_secrets_match_uniform_zq_reference(logq, limbs):
         assert secret == _uniform_zq_reference(ctx_rng(41, "mask-secret", i, j), rp)
 
 
-def test_zero_mask_hook():
-    pr = ring.RingParams(8, 2, q=97)
-    assert all(e == pr.zero() for e in dropout.prg_mask(0, 3, pr))
-
-
 def test_key_recovery_invariant():
     # After recovery, surviving shares plus the recovery accumulator equal
     # the global key defined by the first cohort's senders.
@@ -443,12 +438,16 @@ def _perfbench_case():
 
 
 # Recorded when each sender began routing one piece per distinct receiver;
-# what recovery delivers does not depend on how the backups are cut.
+# what recovery delivers does not depend on how the backups are cut.  The
+# stored-aggregate digests of the runs that recover pieces were recorded
+# when repairs began folding the lost pieces into the aggregates, which
+# keeps them under the full key; the running sum's reveal bases are all
+# zero, so its aggregates form no product and kept their digest.
 INVARIANT_DIGESTS = {
     "consecutive": (
         _consecutive_case,
         "ce308e898ffbda20564c849db157ae708df3ee486354a7421cb9c191e30f4da2",
-        "437667fdadbd1841bd53d38a218262a481966fbb758e8830d80a797495de044f",
+        "fc8eefd7fda310bd9863fdc9a30533fe782414d650a5fea778738676827eafd5",
     ),
     "running-sum": (
         _running_sum_case,
@@ -458,7 +457,7 @@ INVARIANT_DIGESTS = {
     "perfbench": (
         _perfbench_case,
         "688ac75cc9fe00c7793388607e28effe2d423ffbef1b8a285938a0c01ad436b4",
-        "8d259e791848c9ef8e7b347466e251f3b0e6076f65dee909f566da6a6a2d2808",
+        "28e163a1d35da80e8c7539a7d6b1957dd25a20c482a6d1732e1e884d9701ec10",
     ),
 }
 
@@ -499,6 +498,35 @@ def test_seed_resharing_dropout_runs_match_survivor_reference(case):
     assert sum(diag.recovered_pieces.values()) > 0
     if case in SEED_RESHARING_DIGESTS:
         assert run_digest(res, diag) == SEED_RESHARING_DIGESTS[case]
+
+
+def test_stored_aggregates_are_under_the_full_key(monkeypatch):
+    # Seed pieces move the drift every round and recovery loses pieces in
+    # rounds 2, 3 and 5; still every stored aggregate, store or reveal, is
+    # basis_k * s plus the survivors' input sum plus a T-multiple of noise,
+    # with s the key the first cohort defined.
+    p, pset, data, schedule, seed = _consecutive_case()
+    pset = replace(pset, seed_resharing=True)
+    servers = capture_servers(monkeypatch)
+    res, diag = dropout.run_dropout_protocol(
+        p, pset, schedule, data_inputs=data, seed=seed, track_keys=True
+    )
+    assert sum(diag.recovered_pieces.values()) > 0
+    server, rp = servers[0], pset.ring()
+    assert not schedule.get(1)
+    s = sharing.piece_sum(res.key_history[0], rp)
+    inputs = dropout.survivor_inputs(
+        ideal.materialize_inputs(p, data, pset.n, protocol.run_noise_seed(seed), pset.gamma),
+        schedule,
+    )
+    assert sorted(server.stored) == list(range(1, p.r + 1))
+    for k, agg in server.stored.items():
+        plain = [
+            ring.centered_mod_t(c - ring.mul(b, s)) for c, b in zip(agg, server.basis[k])
+        ]
+        got = ring.decode(plain, p.ell, pset.pf, pset.slot_width)
+        want = inputs[k - 1].sum(axis=0) % pset.T
+        assert [int(v) for v in got] == [int(v) for v in want], k
 
 
 def test_seed_resharing_dropout_run_expands_each_routed_seed_once(monkeypatch):

@@ -268,8 +268,8 @@ def test_weights_on_reveal_rounds_supported():
 
 
 def test_running_sum_run_is_pinned():
-    # Every round reveals, so flooding noise, server corrections (seed
-    # resharing) and the two-limb NTT path all feed the digest.
+    # Every round reveals, so flooding noise, the key drift of seed
+    # resharing and the two-limb NTT path all feed the digest.
     p = running_sum_program(10, 8)
     pset = params.make_paramset(
         n=4, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(p)
@@ -350,6 +350,21 @@ def test_packed_gaussian_run_fails_closed_before_round_one(monkeypatch):
         protocol.run_protocol(p, pset, seed=1)
     with pytest.raises(ValueError, match=r"packing \(pf=2\)"):
         dropout.run_dropout_protocol(p, pset, {}, seed=1)
+
+
+def test_empty_cohort_fails_closed_before_round_one(monkeypatch):
+    # make_paramset with an explicit d builds a set with no clients; the run
+    # refuses it instead of revealing zeros from a cohort that does not exist.
+    p = running_sum_program(2, 1)
+    pset = params.make_paramset(n=0, r=p.r, ell=p.ell, input_bits=8, d=4, N=32)
+    assert pset.n == 0
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a client step ran")
+
+    monkeypatch.setattr(protocol, "client_step", no_step)
+    with pytest.raises(ValueError, match=r"cohort size n=0"):
+        protocol.run_protocol(p, pset, seed=1)
 
 
 def test_grid_search_pick_for_gaussian_program_runs():
@@ -439,48 +454,55 @@ def test_plain_resharing_with_empty_inboxes_is_pinned():
     assert run_digest(res) == "052b38fe741ebdc1d3fb501ac3a6079a8a87c43eada41ecb807685c716b11d8f"
 
 
-def test_corrections_drop_zero_basis_terms(monkeypatch):
-    # Each term sum_k w_k * basis_k[e] * deficit_k whose basis element is all
-    # zero is dropped: an element with no term left gets zero, and a reveal
-    # with none at all gets None and forms no product.
+def test_fold_forms_no_product_for_zero_basis_elements(monkeypatch):
+    # Absorb and repair fold basis_k[e] * key into each element of a stored
+    # aggregate; an all-zero basis element, or a zero drift (None), forms
+    # no ring.mul and leaves the element the plain sum.
     p = _sum_program(3, 40)
     pset = desk_paramset(p, n=3, N=16)
     assert pset.m == 3
     server = protocol.ServerState(p, pset)
     rp = server.ring_params
-    rng = run_rng("zero-corrections")
-    uniform = [ring.sample_uniform(rng, rp) for _ in range(6)]
-    server.basis = {
-        1: (uniform[0], rp.zero(), uniform[1]),
-        2: (rp.zero(), rp.zero(), uniform[2]),
-        3: (uniform[3], rp.zero(), rp.zero()),
-    }
-    server.deficit = {1: uniform[4], 2: None, 3: uniform[5]}
-    weights = {1: 5, 2: 7}
-    got = server._corrections(3, weights)
-    want = [
-        -ring.mul_sum(
-            (w, server.basis[k][e], server.deficit[k]) for k, w in [(1, 5), (3, 1)]
-        )
-        for e in range(pset.m)
+    rng = run_rng("zero-fold")
+    a, b, drift, lost = (ring.sample_uniform(rng, rp) for _ in range(4))
+    messages = [tuple(ring.sample_uniform(rng, rp) for _ in range(pset.m)) for _ in range(pset.n)]
+    uploads = [
+        protocol.ClientStepResult(j, rp.zero(), msg, [], None, ()) for j, msg in enumerate(messages)
     ]
-    assert got == want
-    assert got[1] == rp.zero()
+    sums = [sharing.piece_sum([msg[e] for msg in messages], rp) for e in range(pset.m)]
+    ctx = protocol.build_context(server, "gs", 1, 0)
+    products = []
+    mul = ring.mul
 
-    def no_mul_sum(terms):
-        raise AssertionError("ring.mul_sum called for zero bases")
+    def counted(x, y):
+        products.append((x, y))
+        return mul(x, y)
 
-    monkeypatch.setattr(ring, "mul_sum", no_mul_sum)
-    server.basis[1] = server.basis[3] = (rp.zero(),) * pset.m
-    assert server._corrections(3, weights) is None
-    # A running sum reveals under all-zero bases only: no server product.
+    monkeypatch.setattr(ring, "mul", counted)
+    server.drift = drift
+    protocol.server_step(server, replace(ctx, basis=(a, rp.zero(), b)), uploads)
+    assert products == [(a, drift), (b, drift)]
+    assert server.stored[1] == (sums[0] + mul(a, drift), sums[1], sums[2] + mul(b, drift))
+    server.drift = None
+    protocol.server_step(server, replace(ctx, index=2, basis=(a, b, rp.zero())), uploads)
+    assert server.stored[2] == tuple(sums)
+    products.clear()
+    # Round 1's lost piece reaches rounds 1 and 2: two products each.
+    server.repair(1, [lost], [])
+    assert products == [(a, lost), (b, lost), (a, lost), (b, lost)]
+    assert server.stored[2] == (sums[0] + mul(a, lost), sums[1] + mul(b, lost), sums[2])
+    # A running sum reveals under all-zero bases only: no product at all,
+    # though seed resharing moves the drift every round.
+    products.clear()
     q = running_sum_program(6, 8)
     qset = params.make_paramset(
         n=4, r=q.r, ell=q.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(q)
     )
-    data = random_data(run_rng("zero-corrections-run"), q, 4, input_bits=20)
+    assert qset.seed_resharing
+    data = random_data(run_rng("zero-fold-run"), q, 4, input_bits=20)
     res = protocol.run_protocol(q, qset, data_inputs=data, seed=72)
     assert reveals_equal(res.reveals, _reference(q, qset, data, 72).reveals)
+    assert products == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -88,9 +88,6 @@ def test_mul_paths_agree_at_the_ntt_threshold(logq):
         for _ in range(3):
             a, b = ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)
             assert ring.mul(a, b) == ring.mul_schoolbook(a, b) == ring.mul_ntt(a, b)
-            assert ring.mul_sum([(3, a, b), (-1, b, b)]) == ring.lincomb(
-                [(3, ring.mul_schoolbook(a, b)), (-1, ring.mul_schoolbook(b, b))], pr
-            )
 
 
 def test_distributivity():
@@ -391,37 +388,6 @@ def test_gaussian_ints_refuse_a_generator_whose_doubles_take_two_words():
     with pytest.raises(TypeError, match="MT19937"):
         ring.sample_gaussian(rng, 3.2, TINY)
     assert _same_state(rng.bit_generator.state, before)
-
-
-def _mul_sum_case(N, logq, seed):
-    pr = ring.RingParams(N, 2**8 + 1, limbs=ring.choose_limbs(N, logq))
-    rng = run_rng("mul-sum", N, logq, seed)
-    weights = [0, 1, pr.q - 1, 2**64 + 12345, 7]
-    return pr, [(w, ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)) for w in weights]
-
-
-@pytest.mark.parametrize(
-    "N,logq,limbs",
-    [(32, 40, 2), (2048, 30, 1), (2048, 54, 2), (4096, 109, 4)],
-)
-def test_mul_sum_matches_weighted_products(N, logq, limbs):
-    pr, terms = _mul_sum_case(N, logq, 0)
-    assert len(pr.limbs) == limbs
-    want = pr.zero()
-    for w, a, b in terms:
-        want = want + ring.mul(a, b).scalar(w)
-    assert ring.mul_sum(terms) == want
-    assert ring.mul_sum(terms[1:2]) == ring.mul(terms[1][1], terms[1][2])
-    assert ring.mul_sum(terms[:1]) == pr.zero()
-
-
-def test_mul_sum_rejects_mixed_params_and_no_terms():
-    pr, terms = _mul_sum_case(32, 40, 1)
-    other = ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 41))
-    with pytest.raises(ValueError, match="mismatch"):
-        ring.mul_sum(terms + [(1, other.one(), other.one())])
-    with pytest.raises(ValueError, match="at least one"):
-        ring.mul_sum([])
 
 
 def test_gaussian_ints_guide_never_starts_past_the_answer():
