@@ -35,7 +35,16 @@ Layers:
   workloads' shapes: `protocol.server_step` of every round into a fresh
   `ServerState`, and `ServerState.open_round` of every reveal from a state
   that has absorbed every round.  Each tree runs the client steps of its
-  own run (seed 0, 8-bit inputs) before timing starts.
+  own run (seed 0, 8-bit inputs) before timing starts.  The client's half:
+  `protocol.client_step` of client 0 in round 2, at the `cohort` shape
+  (seed pieces) and at the `dropout` shape (element pieces kept for the
+  backups, and a self-mask); `dropout.backup_shares` of every survivor of
+  round 2 into a fresh `Recovery`, so a call is one round's backups; and
+  `dropout.recover_round` of round 2, from the state its repair in a run
+  of the `dropout` workload's schedule found.  Each `recover_round` call
+  first puts back what the previous call popped or rewrote (the round's
+  backups and mask shares, and the server's aggregates, deficits and
+  drift), a few dictionary assignments that are timed with it.
 
 Next to each time the JSON holds the minor page faults per call (median
 over the turns, from getrusage around each turn): both trees share one
@@ -227,57 +236,137 @@ def program_cells():
 # name -> (n, N, make_paramset options) of the perfbench workload.
 STEP_SHAPES = {
     "cohort": (32, 2048, {"dp_sigma": 2.0}),
+    "dropout": (16, 2048, {
+        "dp_sigma": 2.0, "h": 6, "t": 4, "d": 8, "beta": 1 / 16, "seed_resharing": False,
+    }),
     "high-dim": (4, 4096, {"logq": 106, "pf": 2}),
 }
+STEP_ROUND = 2  # the round of the client-side cells
 
 
-def _absorbed(pkg, name: str):
-    """A workload's program and parameter set, each round's context and
-    client results, and a server that has absorbed every round."""
-    protocol = pkg.protocol
+def _workload(pkg, name: str):
+    """A workload's program, parameter set, 8-bit data and the inputs they
+    make."""
     n, N, options = STEP_SHAPES[name]
     p = dict(PROGRAM_SHAPES)[name](pkg)
     pset = pkg.params.make_paramset(
         n=n, r=p.r, ell=p.ell, input_bits=8, N=N, stats=pkg.program.reveal_stats(p), **options
     )
     data = _rng().integers(0, 2**8, size=(p.r, n, p.ell))
-    inputs = pkg.ideal.materialize_inputs(p, data, n, protocol.run_noise_seed(0), pset.gamma)
+    noise_seed = pkg.protocol.run_noise_seed(0)
+    return p, pset, data, pkg.ideal.materialize_inputs(p, data, n, noise_seed, pset.gamma)
+
+
+def _absorbed(pkg, name: str, keep_pieces=False):
+    """A workload's program and parameter set, each round's context,
+    incoming inbox and client results, and a server that has absorbed every
+    round."""
+    protocol = pkg.protocol
+    p, pset, _, inputs = _workload(pkg, name)
+    n = pset.n
     server = protocol.ServerState(p, pset)
-    shape = (n, len(server.ring_params.limbs), N)
+    shape = (n, len(server.ring_params.limbs), pset.N)
     inbox, rounds = np.zeros(shape, dtype=np.uint64), []
     for i in range(1, p.r + 1):
         ctx = protocol.build_context(server, "bench-step", i, 0)
         routed = np.zeros(shape, dtype=np.uint64)
         results = [
-            protocol.client_step(ctx, j, inbox[j], inputs[i - 1][j], None, routed, False)
+            protocol.client_step(ctx, j, inbox[j], inputs[i - 1][j], None, routed, keep_pieces)
             for j in range(n)
         ]
         protocol.server_step(server, ctx, results)
-        rounds.append((ctx, results))
+        rounds.append((ctx, inbox, results))
         inbox = routed
-    return p, pset, rounds, server
+    return p, pset, inputs, rounds, server
+
+
+def _repair_state(pkg, rnd: int):
+    """The recovery layer and server that round rnd's repair finds in a run
+    of the `dropout` workload's schedule, what that repair pops or
+    rewrites, and its arguments after the round."""
+    p, pset, data, _ = _workload(pkg, "dropout")
+    found = {}
+
+    # `rest` is what the tree's engine passes after the round: the next
+    # round's dropped clients, then the run seed where `recover_round`
+    # takes it, so the cell calls either tree's signature.
+    class Snapshot(pkg.dropout.Recovery):
+        def repair(self, server, i, *rest):
+            if i == rnd:
+                found.update(
+                    recovery=self, server=server, rest=rest,
+                    popped=(self.backups[i], self.mask_shares[i]),
+                    rewritten=(dict(server.stored), dict(server.deficit), server.drift),
+                )
+            return super().repair(server, i, *rest)
+
+    schedule = pkg.dropout.random_schedule(pset, p.r, 0)
+    pkg.protocol.run_protocol(p, pset, data, 0, recovery=Snapshot(schedule))
+    return found
 
 
 def step_cells():
-    for name in STEP_SHAPES:
+    for name in ("cohort", "high-dim"):
         def absorb(pkg, name=name):
-            p, pset, rounds, _ = _absorbed(pkg, name)
+            p, pset, _, rounds, _ = _absorbed(pkg, name)
 
             def call():
                 server = pkg.protocol.ServerState(p, pset)
-                for ctx, results in rounds:
+                for ctx, _, results in rounds:
                     pkg.protocol.server_step(server, ctx, results)
 
             return call
 
         def reveal(pkg, name=name):
-            p, _, _, server = _absorbed(pkg, name)
+            p, _, _, _, server = _absorbed(pkg, name)
             reveals = [i for i in range(1, p.r + 1) if p.instruction(i).mode == pkg.program.REVEAL]
             return lambda: [server.open_round(i) for i in reveals]
 
         shape = {"name": name}
         yield {"function": "server_step", "shape": shape}, absorb
         yield {"function": "open_round", "shape": shape}, reveal
+
+    for name in ("cohort", "dropout"):
+        def step(pkg, name=name):
+            kept = name == "dropout"
+            _, pset, inputs, rounds, _ = _absorbed(pkg, name)
+            ctx, inbox, _ = rounds[STEP_ROUND - 1]
+            mask = pkg.dropout.prg_mask(1, pset.m, pset.ring()) if kept else None
+            routed = np.zeros_like(inbox)
+            x = inputs[STEP_ROUND - 1][0]
+            return lambda: pkg.protocol.client_step(ctx, 0, inbox[0], x, mask, routed, kept)
+
+        yield {"function": "client_step", "shape": {"name": name}}, step
+
+    def backup(pkg):
+        p, pset, _, rounds, _ = _absorbed(pkg, "dropout", keep_pieces=True)
+        ctx, _, results = rounds[STEP_ROUND - 1]
+        dropped = pkg.dropout.random_schedule(pset, p.r, 0).get(STEP_ROUND, ())
+        survivors = [res for res in results if res.index not in dropped]
+
+        def call():
+            recovery = pkg.dropout.Recovery({})
+            for res in survivors:
+                pkg.dropout.backup_shares(recovery, ctx, res)
+
+        return call
+
+    yield {"function": "backup_shares", "shape": {"name": "dropout", "per": "round"}}, backup
+
+    def repair(pkg):
+        found = _repair_state(pkg, STEP_ROUND)
+        recovery, server = found["recovery"], found["server"]
+        record, masks = found["popped"]
+        stored, deficit, drift = found["rewritten"]
+
+        def call():
+            recovery.backups[STEP_ROUND], recovery.mask_shares[STEP_ROUND] = record, masks
+            server.stored, server.deficit, server.drift = dict(stored), dict(deficit), drift
+            return pkg.dropout.recover_round(server, recovery, STEP_ROUND, *found["rest"])
+
+        return call
+
+    yield {"function": "recover_round", "shape": {"name": "dropout"}}, repair
 
 
 LAYERS = {

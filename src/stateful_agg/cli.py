@@ -110,14 +110,15 @@ def cmd_run(program_path, n, gamma, beta, seed, schedule_path, check_ideal,
             schedule = {int(k): frozenset(int(x) for x in v) for k, v in doc["rounds"].items()}
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             _fail(2, f"cannot load dropout schedule: {exc}")
+    tables = program.compose_all(p)
     base = dict(
         n=n, r=p.r, ell=p.ell, input_bits=input_bits, gamma=gamma, beta=beta,
-        stats=program.reveal_stats(p),
+        stats=program.reveal_stats(p, tables),
         dp_sigma=max((ins.rule.variance for ins in p.rounds), default=0.0) ** 0.5,
     )
     base.update(overrides)
     try:
-        protocol.check_packing(p, base.get("pf", 1))  # names the Gaussian round
+        protocol.check_packing(p, base.get("pf", 1), tables)  # names the round
         pset = params.make_paramset(**base)
     except (TypeError, ValueError) as exc:
         _fail(2, f"bad parameters: {exc}")

@@ -1,38 +1,47 @@
-"""Dropout recovery: a layer on the round engine of `protocol`, with
-chaperone committees, threshold backups of key shares, and self-masked
-uploads.
+"""Dropout recovery: a layer on the round engine of `protocol`, with one
+chaperone committee per client, threshold backups of key shares, and
+self-masked uploads.
 
 A client that drops out of its round sends nothing at all.  Three repairs
 keep the run correct:
 
 * every sender threshold shares the one resharing piece it routes to each
-  distinct next-cohort receiver to the receiver's chaperone committee (h
-  clients one cohort later); the chaperones at points 1..t-1 get a 128-bit
-  seed whose expansion is their share, the other h-t+1 an element
+  distinct next-cohort receiver among the receiver's chaperones (h clients
+  one cohort later); the chaperones at points 1..t-1 get a 128-bit seed
+  whose expansion is their share, the other h-t+1 an element
   (`sharing.tshare_many`); Shamir sharing is linear, so if the receiver
   drops, each of a quorum of t chaperones releases the sum of its shares
   for it, and the server interpolates the receiver's incoming pieces' sum
   into the recovery element Z;
 * every upload is blinded by a self-mask expanded from a secret in Z_q (an
   element of the degree-1 ring over the run's limbs) whose threshold
-  shares, seeded alike, go to the sender's own chaperones; the chaperones
-  release them only for clients that completed their round, so the server
-  can strip masks of survivors while a dropout's half-sent ciphertext
-  stays blinded forever;
+  shares, seeded alike, go to the sender's own chaperones; they release
+  them only for clients that completed their round, so the server can
+  strip masks of survivors while a dropout's half-sent ciphertext stays
+  blinded forever;
 * the pieces recovered for round i's dropped receivers are lost to the
   key of cohort i and of every later one, so the server folds basis * lost
   into the aggregates of rounds i and i+1, absorbed before the repair, and
   into every later one through the key drift: each aggregate stays a
   ciphertext under the full key.
 
+Client j of round i has one committee in cohort i+1, public and fixed by
+the run seed, i and j (`chaperone_committee`).  Its member at point x holds
+j's shares at x of both secrets and releases exactly one: the key-piece
+sum's if j dropped, the mask secret's if j survived (as in Bonawitz et al.,
+CCS 2017).  A survivor's mask is released anyway, so only the key backups
+protect its input; a dropped client's key pieces are recovered anyway, so
+only its mask protects a half-sent upload.  An adversary who decides who
+counts as dropped could attack whichever of two committees is weaker, so
+one committee per client is never weaker than two, and it halves the
+number of committees that hold secrets.
+
 `Recovery` plugs these into `protocol.run_protocol`: the engine asks it
 which clients drop, for each survivor's self-mask (its secret is shared
 on the spot), to back up each survivor's pieces, and to repair each round
-before its reveal.  It alone holds the backups and mask shares, by round.
-A round's key backups are what its receivers' chaperones hold: per
-receiver and evaluation point, the running sum of the shares sent to that
-chaperone, and the number of pieces they stand for.  Round i's repair,
-run once round i+1 is in, hands the server the recovered pieces and
+before its reveal.  It alone holds the backups and mask shares, by round
+and evaluation point.  Round i's repair, run once round i+1 is in, draws
+each client's committee, hands the server the recovered pieces and
 survivors' masks in one call and frees round i's state.  With seed
 resharing, a sender backs up the expansions its step made of its seeds.
 
@@ -124,12 +133,14 @@ def survivor_inputs(inputs: np.ndarray, schedule: DropoutSchedule) -> np.ndarray
     return out
 
 
-def chaperone_committee(run_seed, pset: ParamSet, cohort: int, index: int, kind: str) -> tuple[int, ...]:
-    """Committee (h member indices in cohort+1) guarding one client's
-    backups ("key") or mask secret ("mask"); deterministic in the run seed."""
+def chaperone_committee(run_seed, pset: ParamSet, cohort: int, index: int) -> tuple[int, ...]:
+    """The one committee of client `index` of round `cohort`: h distinct
+    members of cohort+1, public as it derives from the run seed.  Member
+    committee[x-1] holds the client's shares at point x of both secrets."""
     if pset.h > pset.n:
         raise ValueError("committee size h cannot exceed cohort size n")
-    rng = ctx_rng(run_seed, "committee", kind, cohort, index)
+    # The tag the key committees had while masks had committees of their own.
+    rng = ctx_rng(run_seed, "committee", "key", cohort, index)
     return tuple(int(v) for v in rng.choice(pset.n, size=pset.h, replace=False))
 
 
@@ -162,35 +173,34 @@ class Diagnostics:
             raise ProtocolError(f"mask secrets of dropped clients released: {sorted(leaked)}")
 
 
-def _quorum(holders: dict, next_dropped: frozenset[int], t: int, msg: str) -> list[int]:
-    """The first t chaperones among `holders` that are still alive one
-    round later; QuorumError(msg) if fewer than t are.  msg may name the
-    live count as {alive}."""
-    alive = [chap for chap in sorted(holders) if chap not in next_dropped]
+def _quorum(committee, next_dropped: frozenset[int], t: int, held, msg: str) -> ring.RingElement:
+    """Interpolate what the first t members of `committee`, by client
+    index, still alive one round later release: committee[x-1] releases
+    held[x-1], its share at point x.  QuorumError(msg) if fewer than t are
+    alive; msg may name the live count as {alive}."""
+    alive = sorted((c, x) for x, c in enumerate(committee, start=1) if c not in next_dropped)
     if len(alive) < t:
         raise QuorumError(msg.format(alive=len(alive)))
-    return alive[:t]
+    return sharing.trec([(x, held[x - 1]) for _, x in alive[:t]], t)
 
 
 @dataclass
 class KeyBackups:
-    """What the key chaperones of one round's receivers hold.
+    """What the chaperones of one round's receivers hold of their key pieces.
 
     sums[R, x-1] is the unreduced residue sum, (L, N) uint64, of the shares
     that R's chaperone at point x was sent; every share is below its limb
     p < 2^31, so up to 2^33 of them add without overflow.  pieces[R] counts
-    the senders that routed a piece to R, and committees[R] is R's
-    key committee (chaperone at point x is committees[R][x-1])."""
+    the senders that routed a piece to R."""
 
     sums: np.ndarray
     pieces: np.ndarray
-    committees: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 def backup_shares(
     recovery: Recovery, ctx: RoundContext, res: ClientStepResult
 ) -> list[sharing.ThresholdShares]:
-    """Threshold-share each of a sender's pieces to its receiver's key committee.
+    """Threshold-share each of a sender's pieces among its receiver's chaperones.
 
     A sender routes one piece to each of its G distinct receivers in
     cohort i+1, so a piece is all that recovery needs of the sender if its
@@ -198,7 +208,8 @@ def backup_shares(
     The G pieces are shared in one call; R's chaperones at points 1..t-1
     are sent a seed, the others an element.  Each chaperone adds the value
     of its share (a seed's expansion, for a seeded one) into its running
-    sum in round i+1's `KeyBackups`.  Returns the G sharings sent."""
+    sum in round i+1's `KeyBackups`, kept by point: who the chaperones are
+    matters only when they release.  Returns the G sharings sent."""
     pset = ctx.pset
     rp = pset.ring()
     record = recovery.backups.get(ctx.index + 1)
@@ -210,10 +221,6 @@ def backup_shares(
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, res.index)
     shared = sharing.tshare_many(res.pieces, pset.h, pset.t, rng)
     for (recv, _), tsh in zip(res.reshares, shared):
-        if recv not in record.committees:
-            record.committees[recv] = chaperone_committee(
-                ctx.run_seed, pset, ctx.index + 1, recv, "key"
-            )
         for x, share in tsh.shares:
             record.sums[recv, x - 1] += share.res
         record.pieces[recv] += 1
@@ -221,20 +228,17 @@ def backup_shares(
 
 
 def recover_round(
-    server: ServerState,
-    recovery: Recovery,
-    rnd: int,
-    next_dropped: frozenset[int],
+    server: ServerState, recovery: Recovery, rnd: int, next_dropped: frozenset[int], run_seed
 ) -> tuple[int, int]:
     """Round-boundary repairs for `rnd`, executed one round later.
 
-    Recovers the incoming pieces of rnd's dropped clients and reconstructs
-    the self-masks of its survivors (interpolating their degree-1 mask
-    shares), then hands both to the server's repair.  Returns released
-    item counts (key elements, mask scalars) for cost accounting: t key
-    elements per dropped client that was sent pieces, one summed share
-    from each chaperone of the quorum.  Frees the round's backups and mask
-    shares.
+    Walks rnd's clients once, drawing each one's committee from the run
+    seed; a quorum of its members releases one sharing per client: a
+    dropped client's summed key shares, if it was sent pieces, which
+    interpolate to their sum (Shamir sharing is linear), or a survivor's
+    mask shares.  Hands both to the server's repair.  Returns released item
+    counts (key elements, mask scalars) for cost accounting, t per release.
+    Frees the round's backups and mask shares.
     """
     pset = server.pset
     rp = server.ring_params
@@ -242,83 +246,65 @@ def recover_round(
     dropped = recovery.dropped(rnd)
     record = recovery.backups.pop(rnd, None)
     mask_shares = recovery.mask_shares.pop(rnd, {})
-    recovered = []
+    recovered, masks = [], []
     pieces_recovered = 0
-    for j in sorted(dropped):
-        if record is None or not record.pieces[j]:
-            continue
-        # Shamir sharing is linear: each chaperone of the quorum releases the
-        # sum of its shares for j, and interpolating those sums recovers the
-        # sum of j's incoming pieces.
-        points = {chap: x for x, chap in enumerate(record.committees[j], start=1)}
-        chaps = _quorum(
-            points, next_dropped, pset.t,
-            f"round {rnd}: only {{alive}} of {pset.t} committee shares "
-            f"available for dropped client {j}",
-        )
-        summed = [
-            (points[chap], ring.RingElement(record.sums[j, points[chap] - 1] % rp._ps, rp))
-            for chap in chaps
-        ]
-        recovered.append(sharing.trec(summed, pset.t))
-        pieces_recovered += int(record.pieces[j])
-
-    # Survivor masks: chaperones release only for clients that completed.
-    masks = []
-    mask_scalars = 0
     for j in range(pset.n):
-        if j in dropped:
-            continue
-        shares = mask_shares[j]
-        chaps = _quorum(
-            shares, next_dropped, pset.t,
-            f"round {rnd}: cannot reconstruct mask of surviving client {j}",
-        )
-        secret = sharing.trec([shares[chap] for chap in chaps], pset.t)
-        mask_scalars += pset.t
-        diagnostics.masks_reconstructed[(rnd, j)] = True
-        masks.append(prg_mask(int(secret.coeffs[0]), pset.m, rp))
+        committee = chaperone_committee(run_seed, pset, rnd, j)
+        if j not in dropped:
+            secret = _quorum(
+                committee, next_dropped, pset.t, mask_shares[j],
+                f"round {rnd}: cannot reconstruct mask of surviving client {j}",
+            )
+            diagnostics.masks_reconstructed[(rnd, j)] = True
+            masks.append(prg_mask(int(secret.coeffs[0]), pset.m, rp))
+        elif record is not None and record.pieces[j]:
+            held = [ring.RingElement(sums % rp._ps, rp) for sums in record.sums[j]]
+            recovered.append(_quorum(
+                committee, next_dropped, pset.t, held,
+                f"round {rnd}: only {{alive}} of {pset.t} committee shares "
+                f"available for dropped client {j}",
+            ))
+            pieces_recovered += int(record.pieces[j])
     diagnostics.recovered_pieces[rnd] = pieces_recovered
     diagnostics.deficits[rnd] = server.repair(rnd, recovered, masks)
-    return pset.t * len(recovered), mask_scalars
+    return pset.t * len(recovered), pset.t * len(masks)
 
 
 class Recovery:
     """The dropout layer `protocol.run_protocol` calls at four points of a
     run, and the one holder of its recovery state: the schedule, the
     diagnostics, and the key backups and mask-secret shares (degree-1
-    elements) of rounds not yet repaired, each keyed by round and popped at
-    the round's repair."""
+    elements) of rounds not yet repaired, each kept by round and evaluation
+    point and popped at the round's repair."""
 
     def __init__(self, schedule: DropoutSchedule):
         self.schedule = schedule
         self.diagnostics = Diagnostics()
-        # Round -> its receivers' key chaperones' running sums.
+        # Round -> its receivers' chaperones' running sums.
         self.backups: dict[int, KeyBackups] = {}
-        # Round -> sender -> chaperone -> (point, share) of its mask secret.
-        self.mask_shares: dict[int, dict[int, dict[int, tuple[int, ring.RingElement]]]] = {}
+        # Round -> survivor -> its mask secret's shares at points 1..h.
+        self.mask_shares: dict[int, dict[int, tuple[ring.RingElement, ...]]] = {}
 
     def dropped(self, i: int) -> frozenset[int]:
         return self.schedule.get(i, frozenset())
 
     def mask(self, ctx: RoundContext, j: int) -> list[ring.RingElement]:
         """Survivor j's self-mask for round ctx.index, from a fresh secret
-        that is Shamir-shared to j's mask committee on the spot."""
+        that is Shamir-shared among j's chaperones on the spot."""
         pset, i = ctx.pset, ctx.index
         rp = pset.ring()
         rng = ctx_rng(ctx.run_seed, "mask-secret", i, j)
         # Uniform in Z_q: one uniform residue per limb, a degree-1 element.
         res = np.array([[rng.integers(0, p)] for p in rp.limbs], dtype=np.uint64)
         secret = ring.RingElement(res, _scalar_ring(rp))
-        committee = chaperone_committee(ctx.run_seed, pset, i, j, "mask")
         tsh = sharing.tshare(secret, pset.h, pset.t, ctx_rng(ctx.run_seed, "mask-share", i, j))
-        self.mask_shares.setdefault(i, {})[j] = dict(zip(committee, tsh.shares))
+        self.mask_shares.setdefault(i, {})[j] = tuple(share for _, share in tsh.shares)
         value = self.diagnostics.mask_secrets[(i, j)] = int(secret.coeffs[0])
         return prg_mask(value, pset.m, rp)
 
     def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
         """Share a survivor's pieces (with seeds, the expansions its step
-        made) to their receivers' key committees; returns the extra
+        made) among their receivers' chaperones; returns the extra
         client-to-client bits and messages, the h mask shares `mask` sent
         included."""
         pset = ctx.pset
@@ -327,10 +313,11 @@ class Recovery:
         bits = g * sharing.share_bits(pset.h, pset.t, pset.N * pset.logq)
         return bits + sharing.share_bits(pset.h, pset.t, pset.logq), pset.h * (g + 1)
 
-    def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int]) -> float:
-        """Repairs of round rnd before its reveal; returns the bytes the
-        chaperones release to the server."""
-        elems, scalars = recover_round(server, self, rnd, next_dropped)
+    def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int], run_seed) -> float:
+        """Repairs of round rnd before its reveal, with the committees of the
+        run seeded `run_seed`; returns the bytes the chaperones release to
+        the server."""
+        elems, scalars = recover_round(server, self, rnd, next_dropped, run_seed)
         return (elems * server.pset.N + scalars) * server.pset.logq / 8.0
 
 
@@ -347,8 +334,6 @@ def run_dropout_protocol(
     Reveals equal the reference run on inputs with dropped submissions
     zeroed.  Raises QuorumError when a committee cannot reach quorum.
     """
-    if not 1 <= pset.t <= pset.h:
-        raise ValueError("need 1 <= t <= h")
     recovery = Recovery(normalize_schedule(schedule, pset, p.r))
     result = run_protocol(p, pset, data_inputs, seed, track_keys, recovery=recovery)
     recovery.diagnostics.assert_dropped_masks_private(recovery.schedule)

@@ -50,7 +50,7 @@ import numpy as np
 from . import crypto, ring, sharing
 from . import program as prog
 from .ideal import materialize_inputs
-from .params import ParamSet, noise_budget
+from .params import ParamSet, noise_budget, slot_width_for
 from .prng import ctx_rng, hash_key
 
 __all__ = [
@@ -271,15 +271,59 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     return RoundContext(i, instr, basis, noise_weights, pset, run_seed)
 
 
-def check_packing(p: prog.Program, pf: int) -> None:
-    """Packed slots (pf >= 2) hold nonnegative values; a Gaussian input rule
-    draws signed noise, so its program must run unpacked."""
+def check_packing(p: prog.Program, pf: int, tables) -> None:
+    """Packed slots (pf >= 2) hold nonnegative values, and a reveal's lanes
+    must not borrow from each other.  A Gaussian input rule draws signed
+    noise, and a negative flattened weight (`tables`, the program's
+    compose_all tables) on a data round subtracts across lanes, so either
+    program must run unpacked.  Zero rounds carry no lanes."""
+    if pf < 2:
+        return
     noisy = [i for i, ins in enumerate(p.rounds, start=1) if ins.rule.variance > 0]
-    if pf >= 2 and noisy:
+    if noisy:
         raise ValueError(
             f"packing (pf={pf}) needs nonnegative inputs, but the Gaussian rule of "
             f"round {noisy[0]} draws signed noise; use pf=1"
         )
+    for i, table in _reveal_tables(p, tables):
+        for k, w in table.items():
+            if w < 0 and p.instruction(k).rule.kind == prog.DATA:
+                raise ValueError(
+                    f"packing (pf={pf}) needs nonnegative weights on data rounds, but "
+                    f"round {i} reads data round {k} with weight {w}; use pf=1"
+                )
+
+
+def _check_packed_lanes(p: prog.Program, pset: ParamSet, tables, inputs) -> None:
+    """Packed lanes (pf >= 2) must hold every reveal's sum without carrying:
+    the slot width must cover each reveal's weights over n inputs of
+    input_bits, and every submitted value must fit input_bits."""
+    if pset.pf < 2:
+        return
+    for i, table in _reveal_tables(p, tables):
+        weight_sum = 1 + sum(abs(w) for w in table.values())
+        need = slot_width_for(pset.input_bits, pset.n, 0.0, weight_sum)
+        if pset.slot_width < need:
+            raise ValueError(
+                f"slot_width={pset.slot_width} is below the {need} bits that round {i}'s "
+                f"reveal needs (weight sum {weight_sum} over n={pset.n} inputs of "
+                f"{pset.input_bits} bits); its packed lanes would carry"
+            )
+    top = 1 << pset.input_bits
+    if inputs.size and (inputs.min() < 0 or inputs.max() >= top):
+        i, j, k = np.argwhere((inputs < 0) | (inputs >= top))[0]
+        raise ValueError(
+            f"round {i + 1}, client {j}: data value {inputs[i, j, k]} is outside "
+            f"[0, 2^{pset.input_bits}) of input_bits={pset.input_bits}; its packed lane would carry"
+        )
+
+
+def _reveal_tables(p: prog.Program, tables):
+    """(round, flattened weights) of each reveal round."""
+    return [
+        (i, table) for i, (ins, table) in enumerate(zip(p.rounds, tables), start=1)
+        if ins.mode == prog.REVEAL
+    ]
 
 
 def run_protocol(
@@ -293,8 +337,11 @@ def run_protocol(
 ) -> RunResult:
     """Simulate the whole program; reveals are exact mod T in the noise
     regime the parameter set was sized for.  Raises ValueError before round
-    1 when the cohort is empty, or when the parameter set fails the noise
-    budget of the program's reveal weights, since its reveals could wrap.
+    1 when the cohort is empty, when a recovery layer's committees fail
+    1 <= t <= h, when the parameter set fails the noise budget of the
+    program's reveal weights, since its reveals could wrap, or when packed
+    lanes could carry (`check_packing`, and a slot width or an input too
+    narrow for the reveals).
 
     Runs every round, then flushes the last reveal.  Round i's reveal is
     opened after round i+1's uploads are absorbed.  A recovery layer (see
@@ -311,8 +358,10 @@ def run_protocol(
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
     if pset.n < 1:
         raise ValueError(f"cohort size n={pset.n}: a run needs at least one client")
-    check_packing(p, pset.pf)
+    if recovery is not None and not 1 <= pset.t <= pset.h:
+        raise ValueError(f"need 1 <= t <= h, got t={pset.t} and h={pset.h}")
     server = ServerState(p, pset)
+    check_packing(p, pset.pf, server.weights)
     budget = noise_budget(pset, prog.reveal_stats(p, server.weights))
     if not budget.ok:
         raise ValueError(
@@ -321,6 +370,7 @@ def run_protocol(
         )
     n = pset.n
     inputs = materialize_inputs(p, data_inputs, n, run_noise_seed(seed), pset.gamma)
+    _check_packed_lanes(p, pset, server.weights, inputs)
     global_seed = hash_key(seed, "public-elements")
     cost = pset.cost()  # every survivor's upload and peer traffic
     transcript = Transcript()
@@ -360,14 +410,14 @@ def run_protocol(
             key_history.append(keys)
         server_step(server, ctx, results, dropped)
         if recovery and i >= 2:
-            rec.c2s_bytes += recovery.repair(server, i - 1, dropped)
+            rec.c2s_bytes += recovery.repair(server, i - 1, dropped, seed)
         deliver(i - 1)
         transcript.rows.append(rec)
         inbox = next_inbox
     # Flush round r+1: round r's repairs, counted in round r's row, then
     # its reveal.
     if recovery and p.r:
-        transcript.rows[-1].c2s_bytes += recovery.repair(server, p.r, frozenset())
+        transcript.rows[-1].c2s_bytes += recovery.repair(server, p.r, frozenset(), seed)
     deliver(p.r)
     return RunResult(
         reveals=reveals,

@@ -87,19 +87,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def find_ntt_prime(two_n: int, bits: int, *, below: bool = True) -> int:
-    """Largest (or smallest) prime p = k*two_n + 1 with p < 2^bits (or >=)."""
-    if below:
-        k = (2**bits - 2) // two_n
-        step = -1
-    else:
-        k = (2 ** (bits - 1)) // two_n + 1
-        step = 1
+def find_ntt_prime(two_n: int, bits: int) -> int:
+    """Largest prime p = k*two_n + 1 with p < 2^bits."""
+    k = (2**bits - 2) // two_n
     while k > 0:
         p = k * two_n + 1
         if _is_prime(p):
             return p
-        k += step
+        k -= 1
     raise ValueError(f"no prime of form k*{two_n}+1 below 2^{bits}")
 
 

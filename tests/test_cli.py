@@ -392,6 +392,57 @@ def test_run_empty_cohort_exits_2(runner, tmp_path):
     assert not (tmp_path / "reveals.csv").exists()
 
 
+def test_run_empty_cohort_under_dropout_names_the_cohort(runner, tmp_path):
+    # With n = 0, d = 4 gives h = 0 and t = 1; the empty cohort is named
+    # before the committees.
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"d": 4}))
+    res = runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "0", "--beta", "0.5", "--seed", "1",
+        "--params", str(pfile), "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "n=0" in res.output and "t <= h" not in res.output
+
+
+def _packed_reveal_run(runner, tmp_path, params, rows):
+    """`run` of a one-round reveal of l = 4 by n = 4 clients of 4-bit
+    inputs, with the given params file and --inputs rows."""
+    ppath = tmp_path / "reveal.json"
+    ppath.write_text(json.dumps({"l": 4, "rounds": [{"mode": "reveal", "input": "data"}]}))
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(params))
+    ipath = tmp_path / "in.csv"
+    ipath.write_text("".join(row + "\n" for row in ["round,client,v0,v1,v2,v3", *rows]))
+    return runner.invoke(main, [
+        "run", "--program", str(ppath), "--n", "4", "--input-bits", "4", "--seed", "1",
+        "--params", str(pfile), "--inputs", str(ipath), "--check-ideal", "--out", str(tmp_path),
+    ])
+
+
+def test_run_packed_input_wider_than_input_bits_exits_2(runner, tmp_path):
+    # 63 does not fit 4 bits: its packed lane carried, and the run wrote
+    # 60, 7, 4, 4 where the reference reveals 252, 4, 4, 4.
+    rows = [f"1,{j},63,1,1,1" for j in range(4)]
+    res = _packed_reveal_run(runner, tmp_path, {"pf": 2}, rows)
+    assert res.exit_code == 2, res.output
+    assert "round 1, client 0: data value 63" in res.output
+    assert not (tmp_path / "reveals.csv").exists()
+    res = _packed_reveal_run(runner, tmp_path, {"pf": 2}, [f"1,{j},15,1,1,1" for j in range(4)])
+    assert res.exit_code == 0, res.output
+    assert _read_csv(tmp_path / "reveals.csv")[1] == ["1", "60", "4", "4", "4"]
+
+
+def test_run_packed_slot_width_override_below_need_exits_2(runner, tmp_path):
+    # Four 4-bit inputs need 4 + 2 bits per lane.
+    rows = [f"1,{j},15,1,1,1" for j in range(4)]
+    res = _packed_reveal_run(runner, tmp_path, {"pf": 2, "slot_width": 5}, rows)
+    assert res.exit_code == 2, res.output
+    assert "slot_width=5 is below the 6 bits" in res.output
+
+
 @pytest.mark.parametrize(
     "field", ["single_committee", "self_mask_reveal", "kappa", "sigma", "limbs", "delta_links"]
 )

@@ -100,8 +100,10 @@ def test_consecutive_round_dropouts():
 
 
 def test_dropout_in_reveal_round():
+    # Two of six clients drop in the last round; h - t = 2 chaperones of
+    # each client of round 2 may be among them.
     p = _sum_program(3, 2)
-    pset = _pset(p, 6)
+    pset = _pset(p, 6, h=4)
     data = random_data(run_rng("revdrop"), p, 6)
     schedule = {3: frozenset({0, 1})}
     res, _ = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=17)
@@ -151,11 +153,11 @@ def test_key_backups_released_only_for_dropped():
 
 def test_degenerate_committee_h1_t1():
     # With single-member committees, the dropped client must not itself sit
-    # on any round-1 mask committee, or that mask becomes unrecoverable.
+    # on any round-1 client's committee, or that mask becomes unrecoverable.
     p = _sum_program(3, 2)
     pset = _pset(p, 6, h=1, t=1)
     blocked = {
-        dropout.chaperone_committee(29, pset, 1, j, "mask")[0] for j in range(6)
+        dropout.chaperone_committee(29, pset, 1, j)[0] for j in range(6)
     }
     free = [j for j in range(6) if j not in blocked]
     assert free, "seed 29 leaves no drop candidate; pick another seed"
@@ -171,7 +173,7 @@ def test_quorum_failure_aborts():
     p = _sum_program(4, 1)
     pset = _pset(p, 4, h=2, t=2, beta=0.5)
     victim = 1
-    committee = dropout.chaperone_committee(31, pset, 2, victim, "key")
+    committee = dropout.chaperone_committee(31, pset, 2, victim)
     schedule = {2: frozenset({victim}), 3: frozenset({committee[0]})}
     with pytest.raises(dropout.QuorumError, match="round"):
         dropout.run_dropout_protocol(p, pset, schedule, seed=31)
@@ -182,7 +184,7 @@ def test_chaperones_that_drop_are_just_missing():
     p = _sum_program(4, 1)
     pset = _pset(p, 6, h=3, t=2, beta=0.34)
     victim = 0
-    committee = dropout.chaperone_committee(37, pset, 2, victim, "key")
+    committee = dropout.chaperone_committee(37, pset, 2, victim)
     schedule = {2: frozenset({victim}), 3: frozenset({committee[0]})}
     data = random_data(run_rng("chapdrop"), p, 6)
     res, _ = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=37)
@@ -263,6 +265,13 @@ def test_schedule_validation():
         dropout.run_dropout_protocol(p, pset, {9: frozenset({0})}, seed=1)
 
 
+def test_committee_threshold_is_checked_before_round_one():
+    p = _sum_program(3, 1)
+    pset = _pset(p, 6)
+    with pytest.raises(ValueError, match="need 1 <= t <= h"):
+        dropout.run_dropout_protocol(p, replace(pset, t=pset.h + 1), {}, seed=1)
+
+
 def _run_digest(res, diag) -> str:
     h = hashlib.sha256()
     for rnd, vec in res.reveals:
@@ -296,11 +305,11 @@ def test_key_history_and_reveals_are_pinned():
 
 
 def _mask_quorum_case(alive, seed_resharing):
-    # Client 0 survives round 2; all but `alive` of its mask chaperones drop
-    # in round 3, when the chaperones must release its mask shares.
+    # Client 0 survives round 2; all but `alive` of its chaperones drop in
+    # round 3, when the chaperones must release its mask shares.
     p = _sum_program(4, 2)
     pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
-    committee = dropout.chaperone_committee(59, pset, 2, 0, "mask")
+    committee = dropout.chaperone_committee(59, pset, 2, 0)
     schedule = {3: frozenset(committee[alive:])}
     return p, pset, schedule
 
@@ -323,11 +332,11 @@ def test_mask_quorum_t_minus_one_alive_aborts():
 
 
 def _key_quorum_case(alive, seed_resharing):
-    # Client 0 drops in round 2; all but `alive` of its key chaperones drop
-    # in round 3, when they must release its incoming pieces.
+    # Client 0 drops in round 2; all but `alive` of its chaperones drop in
+    # round 3, when they must release its incoming pieces.
     p = _sum_program(4, 2)
     pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
-    committee = dropout.chaperone_committee(61, pset, 2, 0, "key")
+    committee = dropout.chaperone_committee(61, pset, 2, 0)
     schedule = {2: frozenset({0}), 3: frozenset(committee[alive:])}
     return p, pset, schedule
 
@@ -343,8 +352,8 @@ def test_key_quorum_exactly_t_alive():
 
 
 def test_key_quorum_t_minus_one_alive_aborts():
-    # Key recovery runs before mask release, so the key committee's error
-    # comes first even though round 3's drops also thin mask committees.
+    # Recovery walks the clients in index order, so client 0's error comes
+    # first even though round 3's drops also thin other clients' committees.
     for seed_resharing in (False, True):
         p, pset, schedule = _key_quorum_case(alive=2, seed_resharing=seed_resharing)
         with pytest.raises(
@@ -745,11 +754,11 @@ class _CheckedRecovery(dropout.Recovery):
         self.seen = {}
         self.mask_seen = {}
 
-    def repair(self, server, rnd, next_dropped):
+    def repair(self, server, rnd, next_dropped, run_seed):
         record = self.backups[rnd + 1]
-        self.seen[rnd + 1] = (record.sums.copy(), record.pieces.copy(), dict(record.committees))
-        self.mask_seen[rnd] = {j: dict(held) for j, held in self.mask_shares[rnd].items()}
-        out = super().repair(server, rnd, next_dropped)
+        self.seen[rnd + 1] = (record.sums.copy(), record.pieces.copy())
+        self.mask_seen[rnd] = dict(self.mask_shares[rnd])
+        out = super().repair(server, rnd, next_dropped, run_seed)
         assert all(k > rnd for k in self.backups)
         return out
 
@@ -775,11 +784,8 @@ def test_backup_records_count_pieces_per_receiver():
             recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
             for recv in routed_receivers(seed, pset, i - 1, j)
         ]
-        _sums, pieces, committees = recovery.seen[i]
+        _sums, pieces = recovery.seen[i]
         assert list(pieces) == [routed.count(recv) for recv in range(pset.n)]
-        assert set(committees) == set(routed)
-        for recv, committee in committees.items():
-            assert committee == dropout.chaperone_committee(seed, pset, i, recv, "key")
     # R got one piece from each of several round-1 senders; each counts.
     recv = _shared_receiver(seed, pset)
     senders = len(_senders(seed, pset, recv))
@@ -795,7 +801,7 @@ def test_backup_sums_interpolate_to_key_shares(make):
     res, recovery = _checked_run(p, pset, data, schedule, seed)
     rp = pset.ring()
     for i in range(2, p.r + 1):
-        sums, _pieces, _committees = recovery.seen[i]
+        sums, _pieces = recovery.seen[i]
         for recv, key in enumerate(res.key_history[i - 1]):
             if key is None:
                 continue
@@ -806,8 +812,9 @@ def test_backup_sums_interpolate_to_key_shares(make):
 
 @pytest.mark.parametrize("make", [_consecutive_case, _running_sum_case])
 def test_mask_shares_interpolate_to_mask_secrets(make):
-    # Before repair(i), survivor j's mask committee holds its mask secret's
-    # shares, and any t of them interpolate to the secret recorded for (i, j).
+    # Before repair(i), survivor j's mask secret is held as its shares at
+    # points 1..h, and any t of them interpolate to the secret recorded for
+    # (i, j).
     p, pset, data, schedule, seed = make()
     _res, recovery = _checked_run(p, pset, data, schedule, seed)
     secrets = recovery.diagnostics.mask_secrets
@@ -815,21 +822,72 @@ def test_mask_shares_interpolate_to_mask_secrets(make):
         survivors = {j for j in range(pset.n) if j not in schedule.get(i, ())}
         assert set(recovery.mask_seen[i]) == survivors
         for j, held in recovery.mask_seen[i].items():
-            assert set(held) == set(dropout.chaperone_committee(seed, pset, i, j, "mask"))
-            for subset in itertools.combinations(held.values(), pset.t):
-                rec = sharing.trec(list(subset), pset.t)
-                assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j)
+            assert len(held) == pset.h
+            for xs in itertools.combinations(range(1, pset.h + 1), pset.t):
+                rec = sharing.trec([(x, held[x - 1]) for x in xs], pset.t)
+                assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j, xs)
+
+
+def test_each_committee_is_drawn_once_at_its_rounds_repair(monkeypatch):
+    # Drops in rounds 2, 3 and 5, with chaperones among round 3's.  Client
+    # j of round i has one committee, drawn once, during round i's repair,
+    # and its first t members alive in round i+1 release from it: the key
+    # shares (elements) of a dropped client that was sent pieces, the mask
+    # shares (degree-1) of a survivor.
+    p, pset, data, schedule, seed = _consecutive_case()
+    draw, trec, repair = dropout.chaperone_committee, sharing.trec, dropout.Recovery.repair
+    draws, releases, repairing = {}, [], []
+
+    def recorded_draw(*args):
+        draws.setdefault(args[2:4], []).append((repairing[-1] if repairing else None, draw(*args)))
+        return draws[args[2:4]][-1][1]
+
+    def recorded_trec(shares, t=None):
+        rec = trec(shares, t)
+        releases.append((repairing[-1], rec.params.N, [x for x, _ in shares]))
+        return rec
+
+    def recorded_repair(self, server, rnd, *rest):
+        repairing.append(rnd)
+        out = repair(self, server, rnd, *rest)
+        repairing.pop()
+        return out
+
+    monkeypatch.setattr(dropout, "chaperone_committee", recorded_draw)
+    monkeypatch.setattr(sharing, "trec", recorded_trec)
+    monkeypatch.setattr(dropout.Recovery, "repair", recorded_repair)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert sorted(draws) == [(i, j) for i in range(1, p.r + 1) for j in range(pset.n)]
+    assert all(len(d) == 1 and d[0][0] == i for (i, _), d in draws.items())
+    want, stepped_over = [], 0
+    for i in range(1, p.r + 1):
+        gone = schedule.get(i + 1, frozenset())
+        sent_to = set() if i == 1 else {
+            recv for j in range(pset.n) if j not in schedule.get(i - 1, ())
+            for recv in routed_receivers(seed, pset, i - 1, j)
+        }
+        for j in range(pset.n):
+            by_index = sorted((c, x) for x, c in enumerate(draws[(i, j)][0][1], start=1))
+            xs = [x for c, x in by_index if c not in gone][: pset.t]
+            stepped_over += xs != [x for _, x in by_index[: pset.t]]
+            if j not in schedule.get(i, ()):
+                want.append((i, 1, xs))
+            elif j in sent_to:
+                want.append((i, pset.N, xs))
+    assert releases == want
+    assert {n for _, n, _ in releases} == {1, pset.N} and stepped_over
 
 
 def _shared_key_quorum_case(alive, seed_resharing):
     # Receiver R, sent a piece by each of several round-1 senders, drops in
-    # round 2; all but `alive` of its key chaperones drop in round 3, when
-    # they must release its summed shares.
+    # round 2; all but `alive` of its chaperones drop in round 3, when they
+    # must release its summed shares.
     p = _sum_program(4, 2)
     pset = _pset(p, 8, h=5, t=3, beta=0.375, seed_resharing=seed_resharing)
     seed = 97
     recv = _shared_receiver(seed, pset)
-    committee = dropout.chaperone_committee(seed, pset, 2, recv, "key")
+    committee = dropout.chaperone_committee(seed, pset, 2, recv)
     schedule = {2: frozenset({recv}), 3: frozenset(committee[alive:])}
     return p, pset, schedule, seed, recv
 

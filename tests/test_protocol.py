@@ -367,6 +367,56 @@ def test_empty_cohort_fails_closed_before_round_one(monkeypatch):
         protocol.run_protocol(p, pset, seed=1)
 
 
+def _no_client_steps(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a client step ran")
+
+    monkeypatch.setattr(protocol, "client_step", no_step)
+
+
+def _difference_program():
+    # Round 2 reveals x2 - x1 over two data rounds.
+    return prog.Program(ell=4, rounds=[
+        prog.Instruction.make(prog.STORE, prog.InputRule.data()),
+        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {1: -1}),
+    ])
+
+
+def test_packed_negative_weight_on_a_data_round_fails_closed(monkeypatch):
+    # Both clients submit x1 = [5, 0, 0, 0], then x2 = [1, 0, 0, 0]: the
+    # reveal is -8 = 4088 mod T = 2^12, but packed lanes subtracted in place
+    # borrow from each other, and the run revealed [56, 63, 0, 0].
+    p = _difference_program()
+    pset = params.make_paramset(
+        n=2, r=2, ell=4, input_bits=4, N=16, pf=2, stats=prog.reveal_stats(p),
+    )
+    assert pset.T == 2**12
+    data = np.zeros((2, 2, 4), dtype=np.int64)
+    data[0, :, 0], data[1, :, 0] = 5, 1
+    assert ideal.run_ideal(p, data, pset.T, 2).reveals[0][1].tolist() == [4088, 0, 0, 0]
+    _no_client_steps(monkeypatch)
+    with pytest.raises(ValueError, match=r"packing \(pf=2\).*round 2 reads data round 1 with weight -1"):
+        protocol.run_protocol(p, pset, data, seed=1)
+    # Unpacked, the lanes are whole coefficients and the difference wraps mod T.
+    monkeypatch.undo()
+    unpacked = replace(pset, pf=1, slot_width=12)
+    res = protocol.run_protocol(p, unpacked, data, seed=1)
+    assert reveals_equal(res.reveals, _reference(p, unpacked, data, 1).reveals)
+
+
+def test_packed_slot_width_below_the_reveals_needs_fails_closed(monkeypatch):
+    # Four 6-bit inputs under a weight sum of 2 need 6 + 3 bits per lane.
+    p = _sum_program(2, 8)
+    pset = params.make_paramset(
+        n=4, r=2, ell=8, input_bits=6, N=16, pf=2, stats=prog.reveal_stats(p),
+    )
+    assert pset.slot_width == params.slot_width_for(6, 4, 0.0, 2.0) == 9
+    _no_client_steps(monkeypatch)
+    narrow = replace(pset, slot_width=8)
+    with pytest.raises(ValueError, match=r"slot_width=8 is below the 9 bits that round 2's reveal"):
+        protocol.run_protocol(p, narrow, seed=1)
+
+
 def test_grid_search_pick_for_gaussian_program_runs():
     p = tree_program(2, 2.0, ell=20000)
     pset = params.grid_search(4, 20000, p.r, 8, dp_sigma=2.0, stats=prog.reveal_stats(p))
