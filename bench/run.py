@@ -4,47 +4,53 @@ BENCH_<layer>.json at the repository root.
     python3 bench/run.py --layer sharing --base OTHER_CHECKOUT/src --new src
 
 Each tree's stateful_agg package is loaded as a package of its own, so
-the two never share a module.  For every cell of the layer the two trees
-take turns, the first alternating: one turn times CALLS back-to-back calls
-and records their mean.  Each tree's calls run on their own inputs and
-generators, built before timing starts, and a few warm-up calls fill the
-caches.  The JSON holds, per cell, the median and quartiles over ROUNDS
-turns of each tree, in microseconds per call, and new/base.
+the two never share a module, and perfbench/workloads.py is executed once
+against each, so each tree builds its own copy of the benchmark's
+workloads.  Every cell shaped by a workload takes its parameters, program
+or states from there, built from seed SEED; the step cells take their
+states from one captured run of the workload per tree.  For every cell of
+the layer the two trees take turns, the first alternating: one turn times
+CALLS[layer] back-to-back calls and records their mean.  Each tree's calls
+run on their own inputs and generators, built before timing starts, and a
+few warm-up calls fill the caches.  The JSON holds, per cell, the median
+and quartiles over ROUNDS turns of each tree, in microseconds per call,
+and new/base.
 
 Layers:
 
 * sampler: `ring.gaussian_ints` and `ring.sample_gaussian`, per sigma and
   shape; gaussian_ints draws the shape itself, sample_gaussian a (K, N)
   block for K unit weights in a ring of degree N (a 1-D shape is K = 1).
-* sharing: `sharing.tshare_many` of K elements at the `dropout` workload's
-  shape (h = 6, t = 4, N = 2048, logq = 34 in two limbs), `sharing.tshare`
-  of a degree-1 mask secret over the same limbs, and `sharing.trec` of t
-  summed shares of an element.
+* sharing: `sharing.tshare_many` of K elements with the `dropout`
+  workload's committees (h, t) and ring, `sharing.tshare` of a degree-1
+  secret over the same limbs, and `sharing.trec` of t summed shares of an
+  element.
 * ring: the forward and inverse transforms `ring._ntt` and `ring._intt`,
   `ring.mul` of a fresh element by one whose transform is cached (one
   forward and one inverse transform, as an upload's b*s), and a cold
   build of the transform tables (`ring._NttTables`), at the `cohort`
-  ring (N = 2048, 17/18-bit limbs), two 22-bit limbs at N = 2048
-  (acceptance criterion 8), the `high-dim` ring (N = 4096, 26/27-bit
-  limbs) and seven 31-bit limbs at N = 16384.
+  workload's ring, two 22-bit limbs at N = 2048 (acceptance criterion 8),
+  the `high-dim` workload's ring and seven 31-bit limbs at N = 16384.
 * program: `program.compose_all(p)` and `program.reveal_stats(p)` of the
-  four perfbench workloads' programs, of `dp.tree_program(10)` (r = 2048)
-  and of a 256-round running sum; each tree builds the programs with its
-  own `dp` and `program` modules.
-* step: the server's half of a run at the `cohort` and `high-dim`
-  workloads' shapes: `protocol.server_step` of every round into a fresh
-  `ServerState`, and `ServerState.open_round` of every reveal from a state
-  that has absorbed every round.  Each tree runs the client steps of its
-  own run (seed 0, 8-bit inputs) before timing starts.  The client's half:
-  `protocol.client_step` of client 0 in round 2, at the `cohort` shape
-  (seed pieces) and at the `dropout` shape (element pieces kept for the
-  backups, and a self-mask); `dropout.backup_shares` of every survivor of
-  round 2 into a fresh `Recovery`, so a call is one round's backups; and
-  `dropout.recover_round` of round 2, from the state its repair in a run
-  of the `dropout` workload's schedule found.  Each `recover_round` call
-  first puts back what the previous call popped or rewrote (the round's
-  backups and mask shares, and the server's aggregates, deficits and
-  drift), a few dictionary assignments that are timed with it.
+  four workloads' programs, of `dp.tree_program(10)` (r = 2048) and of the
+  `long-horizon` running sum at 256 rounds of one element.
+* step: both halves of a round, on what one run of a workload handed the
+  round engine's steps and the recovery layer, caught as the run made it:
+  `protocol.server_step` of every round of the `cohort` and `high-dim`
+  runs into a fresh `ServerState`, and `ServerState.open_round` of every
+  reveal from the run's server; `protocol.client_step` with the arguments
+  of client 0 in round 2 of the `cohort` run (seed pieces) and of the
+  `dropout` run (element pieces kept for the backups, and a self-mask);
+  `dropout.backup_shares` of round 2's survivors of the `dropout` run into
+  a fresh `Recovery`, so a call is one round's backups; and
+  `dropout.recover_round` of round 2, from the state its repair found in
+  the `dropout` run.  Each `recover_round` call first puts back what the
+  previous call popped or rewrote (the round's backups and mask shares,
+  and the server's aggregates, deficits and drift), a few dictionary
+  assignments that are timed with it.
+* run: `Workload.run(case, pset)` of each workload, one whole run per
+  turn.  The runs are warm: perfbench clears the package's caches before
+  each repetition, this layer does not.
 
 Next to each time the JSON holds the minor page faults per call (median
 over the turns, from getrusage around each turn): both trees share one
@@ -55,6 +61,9 @@ system pays for fresh pages on every call.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
+import functools
 import importlib.util
 import json
 import os
@@ -66,15 +75,14 @@ from pathlib import Path
 
 import numpy as np
 
-ROUNDS, CALLS = 21, 20
+ROUNDS = 21
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1  # the workloads' inputs
+STEP_ROUND = 2  # the round of the client-side step cells
 
 SIGMAS = (3.2, 44.8, 64.3, 250.0, 640.0)
 SHAPES = ((64,), (2048,), (24, 2048))
 SAMPLER_LOGQ = 54  # two limbs at N = 64 and N = 2048
-
-# The dropout workload's committees and ring.
-SHARING_H, SHARING_T, SHARING_N, SHARING_LOGQ = 6, 4, 2048, 34
 
 
 def load_package(src: Path, name: str):
@@ -89,13 +97,90 @@ def load_package(src: Path, name: str):
     return pkg
 
 
+@functools.cache
+def workloads(pkg) -> dict:
+    """perfbench's WORKLOADS, built on pkg: workloads.py executed with
+    `stateful_agg` bound to pkg."""
+    name = f"{pkg.__name__}_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses looks the module up
+    saved = sys.modules.get("stateful_agg")
+    sys.modules["stateful_agg"] = pkg
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["stateful_agg"]
+        else:
+            sys.modules["stateful_agg"] = saved
+    return module.WORKLOADS
+
+
+@functools.cache
+def built(pkg, name: str):
+    """(workload, case, parameter set) of the workload `name` on pkg."""
+    w = workloads(pkg)[name]
+    case = w.build(SEED)
+    return w, case, w.setup(case)
+
+
+@functools.cache
+def captured(pkg, name: str) -> dict:
+    """What one run of the workload `name` on pkg handed the round engine's
+    steps and its recovery layer: every round's `server_step` arguments
+    after the server, the server, client 0's `client_step` arguments in
+    STEP_ROUND, that round's backed-up survivors, and what its repair
+    found.  Extra arguments pass through as the tree's engine hands them
+    over, so a cell calls either tree's signature."""
+    protocol, dropout = pkg.protocol, pkg.dropout
+    server_step, client_step = protocol.server_step, protocol.client_step
+    backup, repair = dropout.Recovery.backup, dropout.Recovery.repair
+    found = {"rounds": [], "survivors": []}
+
+    def absorb(server, *args):
+        found["server"] = server
+        found["rounds"].append(args)
+        return server_step(server, *args)
+
+    def step(ctx, j, *args, **kwargs):
+        if (ctx.index, j) == (STEP_ROUND, 0):
+            found["client"] = (ctx, j, *args), kwargs
+        return client_step(ctx, j, *args, **kwargs)
+
+    def back(self, ctx, res):
+        if ctx.index == STEP_ROUND:  # the engine clears `pieces` once backed up
+            found["survivors"].append((ctx, copy.copy(res)))
+        return backup(self, ctx, res)
+
+    def rep(self, server, rnd, *rest):
+        if rnd == STEP_ROUND:
+            found.update(
+                recovery=self, rest=rest,
+                popped=(self.backups[rnd], self.mask_shares[rnd]),
+                rewritten=(dict(server.stored), dict(server.deficit), server.drift),
+            )
+        return repair(self, server, rnd, *rest)
+
+    w, case, pset = built(pkg, name)
+    protocol.server_step, protocol.client_step = absorb, step
+    dropout.Recovery.backup, dropout.Recovery.repair = back, rep
+    try:
+        w.run(case, pset)
+    finally:
+        protocol.server_step, protocol.client_step = server_step, client_step
+        dropout.Recovery.backup, dropout.Recovery.repair = backup, repair
+    return found
+
+
 def _rng() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(12345))
 
 
-def sampler_cells():
-    """(cell fields, factory) pairs; a factory takes a package and returns a
-    zero-argument closure making one call."""
+def sampler_cells(new):
+    """(cell fields, factory) pairs, the fields read from the tree `new`; a
+    factory takes a package and returns a zero-argument closure making one
+    call."""
     for fn in ("gaussian_ints", "sample_gaussian"):
         for sigma in SIGMAS:
             for shape in SHAPES:
@@ -111,38 +196,39 @@ def sampler_cells():
                 yield {"function": fn, "sigma": sigma, "shape": list(shape)}, make
 
 
-def sharing_cells():
-    h, t = SHARING_H, SHARING_T
-    shape = {"h": h, "t": t, "N": SHARING_N, "logq": SHARING_LOGQ}
+def sharing_cells(new):
+    def dropout_pset(pkg):
+        return built(pkg, "dropout")[2]
 
-    def params(pkg):
-        return pkg.ring.RingParams.from_bits(SHARING_N, SHARING_LOGQ, 2**16)
+    pset = dropout_pset(new)
+    shape = {"h": pset.h, "t": pset.t, "N": pset.N, "logq": pset.logq}
 
     for K in (6, 7):
         def many(pkg, K=K):
-            pr, rng = params(pkg), _rng()
-            secrets = [pkg.ring.sample_uniform(rng, pr) for _ in range(K)]
-            return lambda: pkg.sharing.tshare_many(secrets, h, t, rng)
+            pset, rng = dropout_pset(pkg), _rng()
+            secrets = [pkg.ring.sample_uniform(rng, pset.ring()) for _ in range(K)]
+            return lambda: pkg.sharing.tshare_many(secrets, pset.h, pset.t, rng)
 
         yield {"function": "tshare_many", "shape": {**shape, "K": K}}, many
 
-    def mask(pkg):
-        pr, rng = params(pkg), _rng()
-        scalar = pkg.ring.RingParams(1, pr.T, limbs=pr.limbs)
-        secret = pkg.ring.sample_uniform(rng, scalar)
-        return lambda: pkg.sharing.tshare(secret, h, t, rng)
+    def scalar(pkg):
+        pset, rng = dropout_pset(pkg), _rng()
+        pr = pset.ring()
+        secret = pkg.ring.sample_uniform(rng, pkg.ring.RingParams(1, pr.T, limbs=pr.limbs))
+        return lambda: pkg.sharing.tshare(secret, pset.h, pset.t, rng)
 
-    yield {"function": "tshare", "shape": {**shape, "N": 1}}, mask
+    yield {"function": "tshare", "shape": {**shape, "N": 1}}, scalar
 
     def rec(pkg):
-        pr, rng = params(pkg), _rng()
+        pset, rng = dropout_pset(pkg), _rng()
+        pr = pset.ring()
         secrets = [pkg.ring.sample_uniform(rng, pr) for _ in range(6)]
-        shared = pkg.sharing.tshare_many(secrets, h, t, rng)
+        shared = pkg.sharing.tshare_many(secrets, pset.h, pset.t, rng)
         summed = [
             (x, pkg.sharing.piece_sum([ts.shares[x - 1][1] for ts in shared], pr))
             for x in (1, 3, 4, 6)
         ]
-        return lambda: pkg.sharing.trec(summed, t)
+        return lambda: pkg.sharing.trec(summed, pset.t)
 
     yield {"function": "trec", "shape": shape}, rec
 
@@ -157,23 +243,16 @@ def _widest_limbs(ring, N: int, count: int) -> tuple[int, ...]:
     return tuple(sorted(limbs))
 
 
-# (name, N, logq or None, limb count for the widest 31-bit limbs)
-RING_SHAPES = (
-    ("cohort", 2048, 35, None),
-    ("criterion-8", 2048, 44, None),
-    ("high-dim", 4096, 106, None),
-    ("wide", 16384, None, 7),
-)
-
-
-def ring_cells():
-    for name, n, logq, count in RING_SHAPES:
-        def params(pkg, n=n, logq=logq, count=count):
-            ring = pkg.ring
-            limbs = ring.choose_limbs(n, logq) if logq else _widest_limbs(ring, n, count)
-            return ring.RingParams(n, 2**16, limbs=limbs)
-
-        shape = {"name": name, "N": n}
+def ring_cells(new):
+    rings = {
+        "cohort": lambda pkg: built(pkg, "cohort")[2].ring(),
+        "criterion-8": lambda pkg: pkg.ring.RingParams.from_bits(2048, 44, 2**16),
+        "high-dim": lambda pkg: built(pkg, "high-dim")[2].ring(),
+        "wide": lambda pkg: pkg.ring.RingParams(
+            16384, 2**16, limbs=_widest_limbs(pkg.ring, 16384, 7)),
+    }
+    for name, params in rings.items():
+        shape = {"name": name, "N": params(new).N}
         for fn in ("_ntt", "_intt"):
             def transform(pkg, fn=fn, params=params):
                 pr = params(pkg)
@@ -197,29 +276,12 @@ def ring_cells():
         yield {"function": "_NttTables", "shape": shape}, build
 
 
-def _running_sum(pkg, r: int, ell: int):
-    prog = pkg.program
-    return prog.Program(ell=ell, rounds=[
-        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {i - 1: 1} if i > 1 else {})
-        for i in range(1, r + 1)
-    ])
-
-
-# (name, program builder): the perfbench workloads' programs, then two long
-# programs.
-PROGRAM_SHAPES = (
-    ("cohort", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64)),
-    ("dropout", lambda pkg: pkg.dp.tree_program(2, 2.0, ell=64)),
-    ("long-horizon", lambda pkg: _running_sum(pkg, 48, 8)),
-    ("high-dim", lambda pkg: pkg.dp.mf_program(
-        pkg.dp.random_banded(4, 3, 16, _rng()), 0.0, ell=65536)),
-    ("tree-10", lambda pkg: pkg.dp.tree_program(10, 1.0)),
-    ("running-sum-256", lambda pkg: _running_sum(pkg, 256, 1)),
-)
-
-
-def program_cells():
-    for name, build in PROGRAM_SHAPES:
+def program_cells(new):
+    programs = {name: lambda pkg, name=name: built(pkg, name)[1].program for name in workloads(new)}
+    programs["tree-10"] = lambda pkg: pkg.dp.tree_program(10, 1.0)
+    programs["running-sum-256"] = lambda pkg: dataclasses.replace(
+        workloads(pkg)["long-horizon"], rounds=256, ell=1).program(None)[0]
+    for name, build in programs.items():
         def compose(pkg, build=build):
             p = build(pkg)
             return lambda: pkg.program.compose_all(p)
@@ -233,92 +295,22 @@ def program_cells():
         yield {"function": "reveal_stats", "shape": shape}, stats
 
 
-# name -> (n, N, make_paramset options) of the perfbench workload.
-STEP_SHAPES = {
-    "cohort": (32, 2048, {"dp_sigma": 2.0}),
-    "dropout": (16, 2048, {
-        "dp_sigma": 2.0, "h": 6, "t": 4, "d": 8, "beta": 1 / 16, "seed_resharing": False,
-    }),
-    "high-dim": (4, 4096, {"logq": 106, "pf": 2}),
-}
-STEP_ROUND = 2  # the round of the client-side cells
-
-
-def _workload(pkg, name: str):
-    """A workload's program, parameter set, 8-bit data and the inputs they
-    make."""
-    n, N, options = STEP_SHAPES[name]
-    p = dict(PROGRAM_SHAPES)[name](pkg)
-    pset = pkg.params.make_paramset(
-        n=n, r=p.r, ell=p.ell, input_bits=8, N=N, stats=pkg.program.reveal_stats(p), **options
-    )
-    data = _rng().integers(0, 2**8, size=(p.r, n, p.ell))
-    noise_seed = pkg.protocol.run_noise_seed(0)
-    return p, pset, data, pkg.ideal.materialize_inputs(p, data, n, noise_seed, pset.gamma)
-
-
-def _absorbed(pkg, name: str, keep_pieces=False):
-    """A workload's program and parameter set, each round's context,
-    incoming inbox and client results, and a server that has absorbed every
-    round."""
-    protocol = pkg.protocol
-    p, pset, _, inputs = _workload(pkg, name)
-    n = pset.n
-    server = protocol.ServerState(p, pset)
-    shape = (n, len(server.ring_params.limbs), pset.N)
-    inbox, rounds = np.zeros(shape, dtype=np.uint64), []
-    for i in range(1, p.r + 1):
-        ctx = protocol.build_context(server, "bench-step", i, 0)
-        routed = np.zeros(shape, dtype=np.uint64)
-        results = [
-            protocol.client_step(ctx, j, inbox[j], inputs[i - 1][j], None, routed, keep_pieces)
-            for j in range(n)
-        ]
-        protocol.server_step(server, ctx, results)
-        rounds.append((ctx, inbox, results))
-        inbox = routed
-    return p, pset, inputs, rounds, server
-
-
-def _repair_state(pkg, rnd: int):
-    """The recovery layer and server that round rnd's repair finds in a run
-    of the `dropout` workload's schedule, what that repair pops or
-    rewrites, and its arguments after the round."""
-    p, pset, data, _ = _workload(pkg, "dropout")
-    found = {}
-
-    # `rest` is what the tree's engine passes after the round: the next
-    # round's dropped clients, then the run seed where `recover_round`
-    # takes it, so the cell calls either tree's signature.
-    class Snapshot(pkg.dropout.Recovery):
-        def repair(self, server, i, *rest):
-            if i == rnd:
-                found.update(
-                    recovery=self, server=server, rest=rest,
-                    popped=(self.backups[i], self.mask_shares[i]),
-                    rewritten=(dict(server.stored), dict(server.deficit), server.drift),
-                )
-            return super().repair(server, i, *rest)
-
-    schedule = pkg.dropout.random_schedule(pset, p.r, 0)
-    pkg.protocol.run_protocol(p, pset, data, 0, recovery=Snapshot(schedule))
-    return found
-
-
-def step_cells():
+def step_cells(new):
     for name in ("cohort", "high-dim"):
         def absorb(pkg, name=name):
-            p, pset, _, rounds, _ = _absorbed(pkg, name)
+            found = captured(pkg, name)
+            p, pset = found["server"].program, found["server"].pset
 
             def call():
                 server = pkg.protocol.ServerState(p, pset)
-                for ctx, _, results in rounds:
-                    pkg.protocol.server_step(server, ctx, results)
+                for args in found["rounds"]:
+                    pkg.protocol.server_step(server, *args)
 
             return call
 
         def reveal(pkg, name=name):
-            p, _, _, _, server = _absorbed(pkg, name)
+            server = captured(pkg, name)["server"]
+            p = server.program
             reveals = [i for i in range(1, p.r + 1) if p.instruction(i).mode == pkg.program.REVEAL]
             return lambda: [server.open_round(i) for i in reveals]
 
@@ -328,25 +320,17 @@ def step_cells():
 
     for name in ("cohort", "dropout"):
         def step(pkg, name=name):
-            kept = name == "dropout"
-            _, pset, inputs, rounds, _ = _absorbed(pkg, name)
-            ctx, inbox, _ = rounds[STEP_ROUND - 1]
-            mask = pkg.dropout.prg_mask(1, pset.m, pset.ring()) if kept else None
-            routed = np.zeros_like(inbox)
-            x = inputs[STEP_ROUND - 1][0]
-            return lambda: pkg.protocol.client_step(ctx, 0, inbox[0], x, mask, routed, kept)
+            args, kwargs = captured(pkg, name)["client"]
+            return lambda: pkg.protocol.client_step(*args, **kwargs)
 
         yield {"function": "client_step", "shape": {"name": name}}, step
 
     def backup(pkg):
-        p, pset, _, rounds, _ = _absorbed(pkg, "dropout", keep_pieces=True)
-        ctx, _, results = rounds[STEP_ROUND - 1]
-        dropped = pkg.dropout.random_schedule(pset, p.r, 0).get(STEP_ROUND, ())
-        survivors = [res for res in results if res.index not in dropped]
+        survivors = captured(pkg, "dropout")["survivors"]
 
         def call():
             recovery = pkg.dropout.Recovery({})
-            for res in survivors:
+            for ctx, res in survivors:
                 pkg.dropout.backup_shares(recovery, ctx, res)
 
         return call
@@ -354,7 +338,7 @@ def step_cells():
     yield {"function": "backup_shares", "shape": {"name": "dropout", "per": "round"}}, backup
 
     def repair(pkg):
-        found = _repair_state(pkg, STEP_ROUND)
+        found = captured(pkg, "dropout")
         recovery, server = found["recovery"], found["server"]
         record, masks = found["popped"]
         stored, deficit, drift = found["rewritten"]
@@ -369,10 +353,21 @@ def step_cells():
     yield {"function": "recover_round", "shape": {"name": "dropout"}}, repair
 
 
+def run_cells(new):
+    for name in workloads(new):
+        def run(pkg, name=name):
+            w, case, pset = built(pkg, name)
+            return lambda: w.run(case, pset)
+
+        yield {"function": "run", "shape": {"name": name}}, run
+
+
 LAYERS = {
     "sampler": sampler_cells, "sharing": sharing_cells, "ring": ring_cells,
-    "program": program_cells, "step": step_cells,
+    "program": program_cells, "step": step_cells, "run": run_cells,
 }
+# Calls per turn; a whole run takes 0.2-0.6 s.
+CALLS = dict.fromkeys(LAYERS, 20) | {"run": 1}
 
 
 def per_call(f, calls: int) -> tuple[float, float]:
@@ -403,8 +398,9 @@ def main() -> None:
         "base": load_package(args.base, "stateful_agg_base"),
         "new": load_package(args.new, "stateful_agg_new"),
     }
+    calls = CALLS[args.layer]
     cells = []
-    for fields, make in LAYERS[args.layer]():
+    for fields, make in LAYERS[args.layer](pkgs["new"]):
         fs = {side: make(pkg) for side, pkg in pkgs.items()}
         for f in fs.values():
             per_call(f, 3)
@@ -412,7 +408,7 @@ def main() -> None:
         faults = {side: [] for side in fs}
         for r in range(ROUNDS):
             for side in ("base", "new") if r % 2 == 0 else ("new", "base"):
-                us, flt = per_call(fs[side], CALLS)
+                us, flt = per_call(fs[side], calls)
                 times[side].append(us)
                 faults[side].append(flt)
         base, new = summary(times["base"]), summary(times["new"])
@@ -429,7 +425,7 @@ def main() -> None:
         "base": args.base_name,
         "new": args.new_name,
         "rounds": ROUNDS,
-        "calls_per_turn": CALLS,
+        "calls_per_turn": calls,
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpu": platform.machine(), "cores": os.cpu_count()},
         "cells": cells,

@@ -13,12 +13,18 @@ keep the run correct:
   drops, each of a quorum of t chaperones releases the sum of its shares
   for it, and the server interpolates the receiver's incoming pieces' sum
   into the recovery element Z;
-* every upload is blinded by a self-mask expanded from a secret in Z_q (an
-  element of the degree-1 ring over the run's limbs) whose threshold
-  shares, seeded alike, go to the sender's own chaperones; they release
-  them only for clients that completed their round, so the server can
-  strip masks of survivors while a dropout's half-sent ciphertext stays
-  blinded forever;
+* every upload is blinded by a self-mask expanded from a uniform secret
+  of the degree-k ring over the run's limbs, k the least power of two
+  with k * log2(q) >= 128 (`mask_ring`), whose threshold shares, seeded
+  alike, go to the sender's own chaperones; they release them only for
+  clients that completed their round, so the server can strip masks of
+  survivors while a dropout's half-sent ciphertext stays blinded forever.
+  A server that holds a dropout's upload and its key share could find a
+  mask secret by trying each one until the upload minus b*s minus the
+  mask comes out small; at 128 bits that search is out of reach, where
+  one element of Z_q (about 2^33 at the `dropout` workload's shape) was not.
+  Masks in Bonawitz et al. (CCS 2017) have full seed entropy for the
+  same reason;
 * the pieces recovered for round i's dropped receivers are lost to the
   key of cohort i and of every later one, so the server folds basis * lost
   into the aggregates of rounds i and i+1, absorbed before the repair, and
@@ -52,6 +58,7 @@ needed committee falls below its threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -75,6 +82,7 @@ __all__ = [
     "DropoutSchedule",
     "Diagnostics",
     "chaperone_committee",
+    "mask_ring",
     "prg_mask",
     "Recovery",
     "backup_shares",
@@ -144,15 +152,28 @@ def chaperone_committee(run_seed, pset: ParamSet, cohort: int, index: int) -> tu
     return tuple(int(v) for v in rng.choice(pset.n, size=pset.h, replace=False))
 
 
+MASK_SECRET_BITS = 128
+
+
 @lru_cache(maxsize=64)
-def _scalar_ring(rp: ring.RingParams) -> ring.RingParams:
-    """Z_q as the degree-1 ring over rp's limbs: the mask secrets' ring."""
-    return ring.RingParams(1, rp.T, limbs=rp.limbs)
+def mask_ring(rp: ring.RingParams) -> ring.RingParams:
+    """The mask secrets' ring: degree k over rp's limbs, k the least power of
+    two with k * log2(q) >= MASK_SECRET_BITS.  ValueError if k exceeds N, so
+    a run fails before its first upload."""
+    k = 1
+    while k * math.log2(rp.q) < MASK_SECRET_BITS:
+        k *= 2
+    if k > rp.N:
+        raise ValueError(
+            f"a {MASK_SECRET_BITS}-bit mask secret needs degree {k} over q of "
+            f"{rp.logq} bits, above N={rp.N}"
+        )
+    return ring.RingParams(k, rp.T, limbs=rp.limbs)
 
 
-def prg_mask(secret: int, m: int, params: ring.RingParams) -> list[ring.RingElement]:
-    """Expand a mask secret to message-shaped elements."""
-    rng = ctx_rng("self-mask-prg", secret)
+def prg_mask(secret: ring.RingElement, m: int, params: ring.RingParams) -> list[ring.RingElement]:
+    """Expand a mask secret, keyed by its residues, to message-shaped elements."""
+    rng = ctx_rng("self-mask-prg", secret.res.tolist())
     return [ring.sample_uniform(rng, params) for _ in range(m)]
 
 
@@ -161,7 +182,7 @@ class Diagnostics:
     # Release log of survivors' mask secrets, by (round, client).
     masks_reconstructed: dict[tuple[int, int], bool] = field(default_factory=dict)
     recovered_pieces: dict[int, int] = field(default_factory=dict)
-    mask_secrets: dict[tuple[int, int], int] = field(default_factory=dict)
+    mask_secrets: dict[tuple[int, int], ring.RingElement] = field(default_factory=dict)
     # Cumulative key deficit (recovery accumulator) applicable to each round.
     deficits: dict[int, ring.RingElement | None] = field(default_factory=dict)
 
@@ -237,7 +258,8 @@ def recover_round(
     dropped client's summed key shares, if it was sent pieces, which
     interpolate to their sum (Shamir sharing is linear), or a survivor's
     mask shares.  Hands both to the server's repair.  Returns released item
-    counts (key elements, mask scalars) for cost accounting, t per release.
+    counts (key elements, mask scalars) for cost accounting: t per key
+    release, and t times the mask ring's degree per mask release.
     Frees the round's backups and mask shares.
     """
     pset = server.pset
@@ -256,7 +278,7 @@ def recover_round(
                 f"round {rnd}: cannot reconstruct mask of surviving client {j}",
             )
             diagnostics.masks_reconstructed[(rnd, j)] = True
-            masks.append(prg_mask(int(secret.coeffs[0]), pset.m, rp))
+            masks.append(prg_mask(secret, pset.m, rp))
         elif record is not None and record.pieces[j]:
             held = [ring.RingElement(sums % rp._ps, rp) for sums in record.sums[j]]
             recovered.append(_quorum(
@@ -267,13 +289,13 @@ def recover_round(
             pieces_recovered += int(record.pieces[j])
     diagnostics.recovered_pieces[rnd] = pieces_recovered
     diagnostics.deficits[rnd] = server.repair(rnd, recovered, masks)
-    return pset.t * len(recovered), pset.t * len(masks)
+    return pset.t * len(recovered), pset.t * mask_ring(rp).N * len(masks)
 
 
 class Recovery:
     """The dropout layer `protocol.run_protocol` calls at four points of a
     run, and the one holder of its recovery state: the schedule, the
-    diagnostics, and the key backups and mask-secret shares (degree-1
+    diagnostics, and the key backups and mask-secret shares (`mask_ring`
     elements) of rounds not yet repaired, each kept by round and evaluation
     point and popped at the round's repair."""
 
@@ -293,14 +315,11 @@ class Recovery:
         that is Shamir-shared among j's chaperones on the spot."""
         pset, i = ctx.pset, ctx.index
         rp = pset.ring()
-        rng = ctx_rng(ctx.run_seed, "mask-secret", i, j)
-        # Uniform in Z_q: one uniform residue per limb, a degree-1 element.
-        res = np.array([[rng.integers(0, p)] for p in rp.limbs], dtype=np.uint64)
-        secret = ring.RingElement(res, _scalar_ring(rp))
+        secret = ring.sample_uniform(ctx_rng(ctx.run_seed, "mask-secret", i, j), mask_ring(rp))
         tsh = sharing.tshare(secret, pset.h, pset.t, ctx_rng(ctx.run_seed, "mask-share", i, j))
         self.mask_shares.setdefault(i, {})[j] = tuple(share for _, share in tsh.shares)
-        value = self.diagnostics.mask_secrets[(i, j)] = int(secret.coeffs[0])
-        return prg_mask(value, pset.m, rp)
+        self.diagnostics.mask_secrets[(i, j)] = secret
+        return prg_mask(secret, pset.m, rp)
 
     def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
         """Share a survivor's pieces (with seeds, the expansions its step
@@ -311,7 +330,8 @@ class Recovery:
         g = len(backup_shares(self, ctx, res))
         # h shares of each piece and of the mask secret, t-1 of each seeded.
         bits = g * sharing.share_bits(pset.h, pset.t, pset.N * pset.logq)
-        return bits + sharing.share_bits(pset.h, pset.t, pset.logq), pset.h * (g + 1)
+        k = mask_ring(pset.ring()).N
+        return bits + sharing.share_bits(pset.h, pset.t, k * pset.logq), pset.h * (g + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int], run_seed) -> float:
         """Repairs of round rnd before its reveal, with the committees of the

@@ -338,7 +338,7 @@ def run_protocol(
     """Simulate the whole program; reveals are exact mod T in the noise
     regime the parameter set was sized for.  Raises ValueError before round
     1 when the cohort is empty, when a recovery layer's committees fail
-    1 <= t <= h, when the parameter set fails the noise budget of the
+    1 <= t <= h <= n, when the parameter set fails the noise budget of the
     program's reveal weights, since its reveals could wrap, or when packed
     lanes could carry (`check_packing`, and a slot width or an input too
     narrow for the reveals).
@@ -360,6 +360,8 @@ def run_protocol(
         raise ValueError(f"cohort size n={pset.n}: a run needs at least one client")
     if recovery is not None and not 1 <= pset.t <= pset.h:
         raise ValueError(f"need 1 <= t <= h, got t={pset.t} and h={pset.h}")
+    if recovery is not None and pset.h > pset.n:
+        raise ValueError(f"committee size h={pset.h} exceeds cohort size n={pset.n}")
     server = ServerState(p, pset)
     check_packing(p, pset.pf, server.weights)
     budget = noise_budget(pset, prog.reveal_stats(p, server.weights))

@@ -505,3 +505,36 @@ def test_synth_inputs_are_int64():
     data = _synth_inputs(p, 4, 20, seed=5)
     assert data.dtype == np.int64 and data.shape == (1, 4, 3)
     assert 0 <= data.min() and data.max() < 2**20
+
+
+def _bad_mf_matrix(tmp_path, ppath):
+    return ["gen", "mf", "--matrix", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "mf.json")]
+
+
+def _run_with(flag, value):
+    def args(tmp_path, ppath):
+        return ["run", "--program", str(ppath), "--n", "4", "--seed", "1",
+                "--out", str(tmp_path), flag, value(tmp_path)]
+    return args
+
+
+def _headerless_inputs(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("1,0,5,5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("args, why", [
+    (_run_with("--params", lambda tmp_path: str(tmp_path / "nope.json")), "cannot read params file"),
+    (_run_with("--inputs", _headerless_inputs), "must start with columns round,client"),
+    (_run_with("--dropout-schedule", lambda tmp_path: str(tmp_path / "nope.json")),
+     "cannot load dropout schedule"),
+    (_bad_mf_matrix, "cannot load matrix"),
+    (lambda tmp_path, ppath: ["bench", "--n-list", "8,x"], "comma-separated integers"),
+], ids=["params", "inputs-header", "dropout-schedule", "matrix", "n-list"])
+def test_unreadable_cli_inputs_exit_2(runner, tmp_path, args, why):
+    ppath = tmp_path / "sum.json"
+    _write_sum_program(ppath)
+    res = runner.invoke(main, args(tmp_path, ppath))
+    assert res.exit_code == 2, res.output
+    assert why in res.output

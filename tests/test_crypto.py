@@ -297,3 +297,13 @@ def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
     monkeypatch.setattr(ring, "mul", no_mul)
     got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), (1, 3), mask=mask)
     assert got == want
+
+
+@pytest.mark.parametrize("mask_len", [1, 3])
+def test_encrypt_refuses_a_mask_of_the_wrong_length(mask_len):
+    rng = run_rng("mask-length", mask_len)
+    basis = [ring.sample_uniform(rng, PR) for _ in range(2)]
+    x = [ring.sample_uniform(rng, PR) for _ in range(2)]
+    mask = [ring.sample_uniform(rng, PR) for _ in range(mask_len)]
+    with pytest.raises(ValueError, match="mask shape does not match message shape"):
+        crypto.encrypt(basis, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,), mask=mask)

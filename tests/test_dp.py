@@ -287,3 +287,28 @@ def test_factor_b_exact_identity():
 
 def test_center_mod():
     assert list(dp.center_mod([0, 1, T - 1, T // 2], T)) == [0, 1, -1, T // 2]
+
+
+def _headerless_matrix(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("2,1,4\n16\n16\n")
+    return dp.load_banded(path)
+
+
+def _overlong_stream():
+    post = dp.PostProcessor(dp.random_banded(2, 2, 8, run_rng("overlong")))
+    for _ in range(3):
+        post.push(np.zeros(1))
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda tmp_path: dp.baseline_program(0, 1.0), "need at least one round"),
+    (lambda tmp_path: dp.tree_program(-1, 1.0), "tree height must be >= 0"),
+    (lambda tmp_path: dp.BandedMatrix(np.ones((2, 3), dtype=np.int64), 2, 4),
+     "matrix must be square"),
+    (_headerless_matrix, "missing banded-matrix header"),
+    (lambda tmp_path: _overlong_stream(), "stream longer than the factor matrix"),
+], ids=["baseline-r0", "tree-h-1", "non-square", "no-header", "overlong-stream"])
+def test_malformed_dp_inputs_fail_closed(tmp_path, make, why):
+    with pytest.raises(ValueError, match=why):
+        make(tmp_path)

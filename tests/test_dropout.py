@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -192,26 +193,27 @@ def test_chaperones_that_drop_are_just_missing():
 
 
 def test_mask_reconstruction_matches_prg():
-    pr = ring.RingParams(8, 2, q=97)
+    pr = ring.RingParams.from_bits(32, 60, 2**16)
+    # The secret is shared as an element of the degree-4 ring over pr's
+    # limbs: two coefficients of 60 bits fall short of 128.
+    mr = dropout.mask_ring(pr)
+    assert (mr.N, mr.limbs) == (4, pr.limbs)
     rng = run_rng("maskrec")
-    secret = 55
-    # The secret is shared as an element of the degree-1 ring over pr's limbs.
-    shares = sharing.tshare(ring.RingParams(1, 2, q=97).from_coeffs([secret]), 5, 3, rng)
-    rec = int(sharing.trec(list(shares.shares[1:4]), 3).coeffs[0])
+    secret = ring.sample_uniform(rng, mr)
+    shares = sharing.tshare(secret, 5, 3, rng)
+    rec = sharing.trec(list(shares.shares[1:4]), 3)
     assert rec == secret
-    a = dropout.prg_mask(secret, 2, pr)
-    b = dropout.prg_mask(rec, 2, pr)
-    assert a == b
+    assert dropout.prg_mask(secret, 2, pr) == dropout.prg_mask(rec, 2, pr)
 
 
-def _uniform_zq_reference(rng, params):
-    """Reference mask-secret draw: one uniform residue per limb, CRT-lifted
-    through Python ints."""
-    residues = [int(rng.integers(0, p)) for p in params.limbs]
-    val = 0
-    for res, w in zip(residues, params._crt_weights):
-        val += res * w
-    return val % params.q
+def _uniform_zq_reference(rng, params, k):
+    """Reference mask-secret draw: k uniform residues per limb, CRT-lifted
+    through Python ints to k coefficients in Z_q."""
+    residues = [rng.integers(0, p, size=k, dtype=np.uint64).tolist() for p in params.limbs]
+    return [
+        sum(int(res[c]) * w for res, w in zip(residues, params._crt_weights)) % params.q
+        for c in range(k)
+    ]
 
 
 @pytest.mark.parametrize("logq, limbs", [(None, 1), (60, 2), (90, 3)])
@@ -230,8 +232,12 @@ def test_mask_secrets_match_uniform_zq_reference(logq, limbs):
         (i, j) for i in range(1, p.r + 1) for j in range(6) if j not in schedule.get(i, ())
     }
     assert set(diag.mask_secrets) == survivors
+    # k coefficients, k the least power of two with k * log2(q) >= 128.
+    k = dropout.mask_ring(rp).N
+    assert k * math.log2(rp.q) >= 128 > k / 2 * math.log2(rp.q)
     for (i, j), secret in diag.mask_secrets.items():
-        assert secret == _uniform_zq_reference(ctx_rng(41, "mask-secret", i, j), rp)
+        want = _uniform_zq_reference(ctx_rng(41, "mask-secret", i, j), rp, k)
+        assert secret.coeffs.tolist() == want
 
 
 def test_key_recovery_invariant():
@@ -265,11 +271,72 @@ def test_schedule_validation():
         dropout.run_dropout_protocol(p, pset, {9: frozenset({0})}, seed=1)
 
 
+@pytest.mark.parametrize("client", [-1, 6])
+def test_schedule_with_a_client_outside_the_cohort_fails_closed(client):
+    p = _sum_program(3, 1)
+    with pytest.raises(ValueError, match="dropout indices out of range in round 2"):
+        dropout.normalize_schedule({2: [client]}, _pset(p, 6), p.r)
+
+
 def test_committee_threshold_is_checked_before_round_one():
     p = _sum_program(3, 1)
     pset = _pset(p, 6)
     with pytest.raises(ValueError, match="need 1 <= t <= h"):
         dropout.run_dropout_protocol(p, replace(pset, t=pset.h + 1), {}, seed=1)
+
+
+def _client_steps(monkeypatch) -> list:
+    """Wrap `protocol.client_step` so that it records each call's (round,
+    client) in the returned list."""
+    steps, step = [], protocol.client_step
+
+    def recorded(ctx, j, *args, **kwargs):
+        steps.append((ctx.index, j))
+        return step(ctx, j, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "client_step", recorded)
+    return steps
+
+
+def test_committee_larger_than_cohort_fails_before_round_one(monkeypatch):
+    # A committee of h distinct members needs h <= n clients per cohort.
+    p = running_sum_program(4, 1)
+    pset = replace(_pset(p, 6), h=7)
+    steps = _client_steps(monkeypatch)
+    with pytest.raises(ValueError, match="committee size h=7 exceeds cohort size n=6"):
+        dropout.run_dropout_protocol(p, pset, {}, seed=1)
+    assert steps == []
+
+
+def test_mask_ring_wider_than_the_ring_fails_before_any_upload(monkeypatch):
+    # At N = 4 a 128-bit mask secret needs more coefficients than an
+    # element has.
+    p = _sum_program(3, 1)
+    pset = _pset(p, 6, N=4)
+    assert 4 * math.log2(pset.ring().q) < 128
+    steps = _client_steps(monkeypatch)
+    with pytest.raises(ValueError, match="128-bit mask secret needs degree .* above N=4"):
+        dropout.run_dropout_protocol(p, pset, {}, seed=1)
+    assert steps == []
+
+
+def test_mask_secret_carries_128_bits_and_each_coefficient_keys_the_mask():
+    # A server that holds a dropout's upload and key share could try every
+    # mask secret until the upload minus b*s minus the mask comes out
+    # small; every secret must carry at least 128 bits, and each of its
+    # coefficients must change the mask.
+    p, pset, data, schedule, seed = _consecutive_case()
+    _res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    rp = pset.ring()
+    assert diag.mask_secrets
+    for secret in diag.mask_secrets.values():
+        assert secret.params.limbs == rp.limbs
+        assert secret.params.N * math.log2(rp.q) >= 128
+    secret = diag.mask_secrets[(1, 0)]
+    mask = dropout.prg_mask(secret, pset.m, rp)
+    for c in range(secret.params.N):
+        unit = secret.params.from_coeffs([int(c == e) for e in range(secret.params.N)])
+        assert dropout.prg_mask(secret + unit, pset.m, rp) != mask, c
 
 
 def _run_digest(res, diag) -> str:
@@ -286,7 +353,7 @@ def _run_digest(res, diag) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "4cd9bfb6fe155c8634e270c852e54970ddc55b715c62a9bb79b0c2a897e389a8"
+PINNED_DIGEST = "8a0085fc92c2a887d95a4adb17f9b3fe9855ed61af1fbc3f2c079b1e9e5fcb57"
 
 
 def test_key_history_and_reveals_are_pinned():
@@ -395,7 +462,7 @@ def test_running_sum_dropout_run_is_pinned():
     )
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, 73, schedule).reveals)
     assert sum(d is not None for d in diag.deficits.values()) >= 3
-    want = "c2326dc34a6dd60f8610b6ec481fd7652a0ae10099a75d3f588b3fc8f5c35b45"
+    want = "d1e6efba9a4ea71db72a78d7404f3ac12d16031bf14f030f8d8d09f5ca70c9b1"
     assert run_digest(res, diag) == want
 
 
@@ -446,7 +513,9 @@ def _perfbench_case():
     return p, pset, data, dropout.random_schedule(pset, p.r, 0), 0
 
 
-# Recorded when each sender began routing one piece per distinct receiver;
+# The run digests were recorded when mask secrets became 128-bit elements
+# of the mask ring; before that, when each sender began routing one piece per
+# distinct receiver;
 # what recovery delivers does not depend on how the backups are cut.  The
 # stored-aggregate digests of the runs that recover pieces were recorded
 # when repairs began folding the lost pieces into the aggregates, which
@@ -455,17 +524,17 @@ def _perfbench_case():
 INVARIANT_DIGESTS = {
     "consecutive": (
         _consecutive_case,
-        "ce308e898ffbda20564c849db157ae708df3ee486354a7421cb9c191e30f4da2",
+        "1158063d4f6a4cfe9f0a56cd125eeedacef5aa1b279396ffea66afb980711170",
         "fc8eefd7fda310bd9863fdc9a30533fe782414d650a5fea778738676827eafd5",
     ),
     "running-sum": (
         _running_sum_case,
-        "5696a233fac288ed9222e95cef5a9801d54679e27756f5ffd222e9408e83e60b",
+        "58f7145a2bc2b2220f82cfa32eae35826df08de3186882f7dbb7b887394a1fbf",
         "cbc375d0772aecd07c8cb605cb068b587df1e647123174ff5170be2805c80259",
     ),
     "perfbench": (
         _perfbench_case,
-        "688ac75cc9fe00c7793388607e28effe2d423ffbef1b8a285938a0c01ad436b4",
+        "59dfa3bc4a67c713eb2cf398eaf124e5d7633e1c34847e063c4dd13c3ab5a92f",
         "28e163a1d35da80e8c7539a7d6b1957dd25a20c482a6d1732e1e884d9701ec10",
     ),
 }
@@ -490,7 +559,7 @@ def test_dropout_run_invariants_are_pinned(monkeypatch, case):
 # run_digest of the consecutive-drops run with seed pieces: key shares,
 # deficits (corrections and recovered pieces), reveals and traffic.
 SEED_RESHARING_DIGESTS = {
-    "consecutive": "5646e97a35adbd019b0c292d454170b5998bb7dda745e7ba0e0fe6762c1e8c02",
+    "consecutive": "e6014559d38e2dee91450e47bdb52d7f689eaac2a2c1dc65739792830748f588",
 }
 
 
@@ -605,30 +674,31 @@ def _expected_rows(p, pset, schedule, seed):
     A survivor uploads packed_coeffs coefficients, plus a correction
     element with seed resharing, and sends one piece (an element, or a seed
     of SEED_BITS) to each of its G distinct receivers, plus h shares of
-    each piece and h shares of its mask secret.  Of each h, the shares at
-    points 1..t-1 travel as a seed of SEED_BITS, or as the value where that
-    is shorter (a mask share of logq bits below 128), and the other h-t+1
-    as values: N*logq bits for a piece, logq for a mask secret.  Round k's
-    repair, counted in
-    round k+1's row (round r's in row r), releases t elements for each
-    dropped client of round k that a survivor of round k-1 sent pieces to,
-    and t scalars for each survivor's mask."""
+    each piece and h shares of its mask secret, an element of the mask
+    ring's degree k.  Of each h, the shares at points 1..t-1 travel as a
+    seed of SEED_BITS, or as the value where that is shorter, and the other
+    h-t+1 as values: N*logq bits for a piece, k*logq for a mask secret.
+    Round i's repair, counted in round i+1's row (round r's in row r),
+    releases t elements for each dropped client of round i that a survivor
+    of round i-1 sent pieces to, and t*k scalars for each survivor's
+    mask."""
     n, N, logq, h, t = pset.n, pset.N, pset.logq, pset.h, pset.t
+    k = dropout.mask_ring(pset.ring()).N
     upload = (pset.packed_coeffs + (N if pset.seed_resharing else 0)) * logq
     piece = sharing.SEED_BITS if pset.seed_resharing else N * logq
     backup = (t - 1) * min(sharing.SEED_BITS, N * logq) + (h - t + 1) * N * logq
-    mask = (t - 1) * min(sharing.SEED_BITS, logq) + (h - t + 1) * logq
+    mask = (t - 1) * min(sharing.SEED_BITS, k * logq) + (h - t + 1) * k * logq
     survivors = {
         i: [j for j in range(n) if j not in schedule.get(i, ())] for i in range(1, p.r + 1)
     }
 
-    def repair(k):
+    def repair(i):
         sent_to = {
-            recv for j in survivors.get(k - 1, ())
-            for recv in routed_receivers(seed, pset, k - 1, j)
+            recv for j in survivors.get(i - 1, ())
+            for recv in routed_receivers(seed, pset, i - 1, j)
         }
-        keyed = len(schedule.get(k, frozenset()) & sent_to)
-        return (t * keyed * N + t * len(survivors[k])) * logq / 8
+        keyed = len(schedule.get(i, frozenset()) & sent_to)
+        return (t * keyed * N + t * k * len(survivors[i])) * logq / 8
 
     rows = []
     for i in range(1, p.r + 1):
@@ -728,20 +798,21 @@ def test_peer_traffic_is_rebuilt_from_the_messages_sent(monkeypatch, seed_reshar
 
 def test_final_flush_repair_is_counted_in_last_row():
     # Client 0 drops in the last round, after round 3's cohort sent it three
-    # pieces.  Without the final flush the rows carry 432.0 client-to-server
-    # bytes: 23 uploads (310.5) and the mask releases of rounds 1 to 3 (40.5
+    # pieces.  Without the final flush the rows carry 1282.5 client-to-server
+    # bytes: 23 uploads (310.5) and the mask releases of rounds 1 to 3 (324
     # each).  Round r's repair, released at the flush, lands in row r: t=2
-    # scalars for each of the 5 survivors' masks (33.75 bytes at logq=27)
-    # and t=2 summed elements for client 0's pieces (216 bytes at N=32).
+    # times k=8 scalars for each of the 5 survivors' masks (270 bytes at
+    # logq=27) and t=2 summed elements for client 0's pieces (216 bytes at
+    # N=32).
     p = dp.tree_program(1, 0.0, ell=4)
     pset = _pset(p, 6, d=2, h=3, t=2, beta=0.2, input_bits=8)
-    assert (p.r, pset.logq) == (4, 27)
+    assert (p.r, pset.logq, dropout.mask_ring(pset.ring()).N) == (4, 27, 8)
     schedule = {4: frozenset({0})}
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, seed=89)
     assert diag.recovered_pieces[4] == 3
     rows = [row.c2s_bytes for row in res.transcript.rows]
     assert rows == [c2s for c2s, _, _ in _expected_rows(p, pset, schedule, 89)]
-    assert sum(rows) == 432.0 + 33.75 + 216.0
+    assert sum(rows) == 1282.5 + 270.0 + 216.0
 
 
 class _CheckedRecovery(dropout.Recovery):
@@ -818,6 +889,7 @@ def test_mask_shares_interpolate_to_mask_secrets(make):
     p, pset, data, schedule, seed = make()
     _res, recovery = _checked_run(p, pset, data, schedule, seed)
     secrets = recovery.diagnostics.mask_secrets
+    mr = dropout.mask_ring(pset.ring())
     for i in range(1, p.r + 1):
         survivors = {j for j in range(pset.n) if j not in schedule.get(i, ())}
         assert set(recovery.mask_seen[i]) == survivors
@@ -825,7 +897,7 @@ def test_mask_shares_interpolate_to_mask_secrets(make):
             assert len(held) == pset.h
             for xs in itertools.combinations(range(1, pset.h + 1), pset.t):
                 rec = sharing.trec([(x, held[x - 1]) for x in xs], pset.t)
-                assert rec.params.N == 1 and int(rec.coeffs[0]) == secrets[(i, j)], (i, j, xs)
+                assert rec.params == mr and rec == secrets[(i, j)], (i, j, xs)
 
 
 def test_each_committee_is_drawn_once_at_its_rounds_repair(monkeypatch):
@@ -833,8 +905,9 @@ def test_each_committee_is_drawn_once_at_its_rounds_repair(monkeypatch):
     # j of round i has one committee, drawn once, during round i's repair,
     # and its first t members alive in round i+1 release from it: the key
     # shares (elements) of a dropped client that was sent pieces, the mask
-    # shares (degree-1) of a survivor.
+    # shares (mask-ring elements, degree k) of a survivor.
     p, pset, data, schedule, seed = _consecutive_case()
+    k = dropout.mask_ring(pset.ring()).N
     draw, trec, repair = dropout.chaperone_committee, sharing.trec, dropout.Recovery.repair
     draws, releases, repairing = {}, [], []
 
@@ -872,11 +945,11 @@ def test_each_committee_is_drawn_once_at_its_rounds_repair(monkeypatch):
             xs = [x for c, x in by_index if c not in gone][: pset.t]
             stepped_over += xs != [x for _, x in by_index[: pset.t]]
             if j not in schedule.get(i, ()):
-                want.append((i, 1, xs))
+                want.append((i, k, xs))
             elif j in sent_to:
                 want.append((i, pset.N, xs))
     assert releases == want
-    assert {n for _, n, _ in releases} == {1, pset.N} and stepped_over
+    assert {n for _, n, _ in releases} == {k, pset.N} and stepped_over
 
 
 def _shared_key_quorum_case(alive, seed_resharing):

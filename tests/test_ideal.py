@@ -178,3 +178,10 @@ def test_materialize_falls_back_to_python_ints_beyond_2_62(big, noisy, dtype):
     got = ideal.materialize_inputs(p, data, n, noise_seed=1)
     assert got.dtype == dtype
     assert got.tolist() == _materialize_reference(p, data, n, noise_seed=1).tolist()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (3, 3, 1)], ids=["rounds", "length"])
+def test_evaluate_program_refuses_inputs_of_another_shape(shape):
+    p = dp.baseline_program(3, 0.0, ell=2)
+    with pytest.raises(ValueError, match="do not match program"):
+        ideal.evaluate_program(p, np.zeros(shape, dtype=np.int64), T)

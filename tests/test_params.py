@@ -309,3 +309,13 @@ def test_every_paramset_field_is_read():
                 read.add(node.attr)
     unread = [f.name for f in fields(params.ParamSet) if f.init and f.name not in read]
     assert unread == []
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: params.committee_sizes(8, 4, 0.0, 0.0), "delta must be in \\(0, 1\\)"),
+    (lambda: params.committee_sizes(8, 4, 0.0, 1.0), "delta must be in \\(0, 1\\)"),
+    (lambda: params.cost_model(2048, 34, 64, 0), "packing factor must be >= 1"),
+], ids=["delta-0", "delta-1", "pf-below-1"])
+def test_malformed_params_inputs_fail_closed(make, why):
+    with pytest.raises(ValueError, match=why):
+        make()

@@ -207,3 +207,21 @@ def test_program_from_dict_refuses_modulus(modulus):
     assert "modulus" not in doc
     with pytest.raises(ValueError, match="'modulus'"):
         prog.program_from_dict({**doc, "modulus": modulus})
+
+
+@pytest.mark.parametrize("instr, why", [
+    (prog.Instruction("publish", prog.InputRule.data()), "round 2: unknown mode 'publish'"),
+    (prog.Instruction(prog.STORE, prog.InputRule("laplace")), "round 2: unknown input rule 'laplace'"),
+    (prog.Instruction(prog.STORE, prog.InputRule.data(-1.0)), "round 2: negative variance"),
+    (prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {0: 1}),
+     "round 2: weight references round 0 (must be >= 1)"),
+], ids=["mode", "rule", "variance", "weight-index"])
+def test_validate_names_each_malformed_instruction(instr, why):
+    p = prog.Program(ell=1, rounds=[prog.Instruction.make(prog.STORE, prog.InputRule.data()), instr])
+    assert prog.validate(p) == [why]
+
+
+def test_program_file_with_unknown_input_rule_fails_closed():
+    doc = {"l": 1, "rounds": [{"mode": "store", "input": {"laplace": 1.0}}]}
+    with pytest.raises(ValueError, match="unrecognised input rule"):
+        prog.program_from_dict(doc)

@@ -869,3 +869,21 @@ def test_ntt_matches_schoolbook_on_widest_limbs():
         (ring.sample_uniform(rng, pr), ring.sample_uniform(rng, pr)) for _ in range(5)
     ]:
         assert ring.mul_ntt(a, b) == ring.mul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: ring.RingParams(4, 2, limbs=(57,)), "limb 57 is not prime"),
+    (lambda: ring.RingParams(4, 2, limbs=(ring.find_ntt_prime(8, 33),)), "exceeds 31 bits"),
+    (lambda: ring.RingParams(4, 2, limbs=(17, 17)), "limbs must be distinct"),
+    (lambda: ring.RingParams(4, 2, limbs=(17,), q=41), "q does not match limb product"),
+    (lambda: ring.RingParams(4, 1, limbs=(17,)), "T must be at least 2"),
+    (lambda: TINY.from_coeffs([1, 2, 3]), "need exactly 4 coefficients"),
+    (lambda: ring.encode([1], 0, 1, TINY), "packing factor must be >= 1"),
+    (lambda: ring.encode([1, 2], 2, 8, ring.RingParams(4, 2**12, q=17)),
+     "pf \\* slot_width exceeds plaintext modulus width"),
+    (lambda: ring.gaussian_ints(ctx_rng("sigma"), -1.0, (4,)), "sigma must be nonnegative"),
+], ids=["non-prime", "over-wide", "duplicate", "q-mismatch", "T-below-2", "coeff-count",
+        "pf-below-1", "slots-wider-than-T", "negative-sigma"])
+def test_malformed_ring_inputs_fail_closed(make, why):
+    with pytest.raises(ValueError, match=why):
+        make()

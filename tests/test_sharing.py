@@ -387,3 +387,14 @@ def test_ashare_and_reconstruct_match_elementwise_reference(pr, d):
         acc = acc + e
     assert sharing.piece_sum(got, pr) == acc == secret
     assert sharing.piece_sum(list(reversed(want)), pr) == secret
+
+
+@pytest.mark.parametrize("make, why", [
+    (lambda: sharing.trec([(1, SMALL.one()), (2, SMALL.one())]),
+     "threshold required when passing raw share pairs"),
+    (lambda: sharing.seed_reshare(SMALL.one(), 0, run_rng("seed-reshare-d0")),
+     "share count must be >= 1"),
+], ids=["trec-without-t", "seed-reshare-d0"])
+def test_malformed_sharing_inputs_fail_closed(make, why):
+    with pytest.raises(ValueError, match=why):
+        make()
