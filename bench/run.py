@@ -22,15 +22,17 @@ Layers:
   shape; gaussian_ints draws the shape itself, sample_gaussian a (K, N)
   block for K unit weights in a ring of degree N (a 1-D shape is K = 1).
 * sharing: `sharing.tshare_many` of K elements with the `dropout`
-  workload's committees (h, t) and ring, `sharing.tshare` of a degree-1
-  secret over the same limbs, and `sharing.trec` of t summed shares of an
-  element.
+  workload's committees (h, t) and ring, `sharing.tshare` of a mask secret
+  (an element of `dropout.mask_ring` of that ring, as a run shares one per
+  survivor) and `sharing.trec` of t summed shares of an element.
 * ring: the forward and inverse transforms `ring._ntt` and `ring._intt`,
   `ring.mul` of a fresh element by one whose transform is cached (one
-  forward and one inverse transform, as an upload's b*s), and a cold
-  build of the transform tables (`ring._NttTables`), at the `cohort`
-  workload's ring, two 22-bit limbs at N = 2048 (acceptance criterion 8),
-  the `high-dim` workload's ring and seven 31-bit limbs at N = 16384.
+  forward and one inverse transform, as an upload's b*s), a cold build of
+  the transform tables (`ring._NttTables`), `ring.centered_mod_t`, the
+  lift of one element of a reveal, and `ring.sample_uniform`, at the
+  `cohort` workload's ring, two 22-bit limbs at N = 2048 (acceptance
+  criterion 8), the `high-dim` workload's ring and seven 31-bit limbs at
+  N = 16384.
 * program: `program.compose_all(p)` and `program.reveal_stats(p)` of the
   four workloads' programs, of `dp.tree_program(10)` (r = 2048) and of the
   `long-horizon` running sum at 256 rounds of one element.
@@ -40,7 +42,7 @@ Layers:
   runs into a fresh `ServerState`, and `ServerState.open_round` of every
   reveal from the run's server; `protocol.client_step` with the arguments
   of client 0 in round 2 of the `cohort` run (seed pieces) and of the
-  `dropout` run (element pieces kept for the backups, and a self-mask);
+  `dropout` run (element pieces kept for the backups);
   `dropout.backup_shares` of round 2's survivors of the `dropout` run into
   a fresh `Recovery`, so a call is one round's backups; and
   `dropout.recover_round` of round 2, from the state its repair found in
@@ -149,7 +151,7 @@ def captured(pkg, name: str) -> dict:
         return client_step(ctx, j, *args, **kwargs)
 
     def back(self, ctx, res):
-        if ctx.index == STEP_ROUND:  # the engine clears `pieces` once backed up
+        if ctx.index == STEP_ROUND:  # backing up clears `pieces`
             found["survivors"].append((ctx, copy.copy(res)))
         return backup(self, ctx, res)
 
@@ -211,13 +213,13 @@ def sharing_cells(new):
 
         yield {"function": "tshare_many", "shape": {**shape, "K": K}}, many
 
-    def scalar(pkg):
+    def mask_secret(pkg):
         pset, rng = dropout_pset(pkg), _rng()
-        pr = pset.ring()
-        secret = pkg.ring.sample_uniform(rng, pkg.ring.RingParams(1, pr.T, limbs=pr.limbs))
+        secret = pkg.ring.sample_uniform(rng, pkg.dropout.mask_ring(pset.ring()))
         return lambda: pkg.sharing.tshare(secret, pset.h, pset.t, rng)
 
-    yield {"function": "tshare", "shape": {**shape, "N": 1}}, scalar
+    k = new.dropout.mask_ring(pset.ring()).N
+    yield {"function": "tshare", "shape": {**shape, "N": k}}, mask_secret
 
     def rec(pkg):
         pset, rng = dropout_pset(pkg), _rng()
@@ -274,6 +276,18 @@ def ring_cells(new):
             return lambda: pkg.ring._NttTables(pr.limbs, pr.N)
 
         yield {"function": "_NttTables", "shape": shape}, build
+
+        def lift(pkg, params=params):
+            a = pkg.ring.sample_uniform(_rng(), params(pkg))
+            return lambda: pkg.ring.centered_mod_t(a)
+
+        yield {"function": "centered_mod_t", "shape": shape}, lift
+
+        def uniform(pkg, params=params):
+            pr, rng = params(pkg), _rng()
+            return lambda: pkg.ring.sample_uniform(rng, pr)
+
+        yield {"function": "sample_uniform", "shape": shape}, uniform
 
 
 def program_cells(new):

@@ -2,8 +2,7 @@
 
 Every client upload has one form, linear in the client's key share s:
     w[e] = b[e]*s + x[e] + T * sum_k c_k * g_k
-with one fresh small Gaussian g_k per nonzero noise weight c_k (plus a
-self-mask under dropout recovery).  A store encrypts the encoded input
+with one fresh small Gaussian g_k per nonzero noise weight c_k.  A store encrypts the encoded input
 under the round's public elements (b = a, noise weights (1,)).  A reveal
 is a decryption share under the composed public basis b = -sum_k w_k * d_k
 of the stored rounds it releases, flooded with one Gaussian per weighted
@@ -46,9 +45,8 @@ def encrypt(
     sigma: float,
     rng: np.random.Generator,
     noise_weights: Sequence[int],
-    mask: Sequence[ring.RingElement] | None = None,
 ) -> tuple[ring.RingElement, ...]:
-    """One upload: basis[e]*s + x[e] (+ mask[e]) + T * sum_k c_k * g_k.
+    """One upload: basis[e]*s + x[e] + T * sum_k c_k * g_k.
 
     Draws one Gaussian per nonzero noise weight c_k, per element and in
     order; none when sigma is 0.  An element's draws are one block, which
@@ -58,8 +56,6 @@ def encrypt(
     """
     if len(x_elems) != len(basis):
         raise ValueError(f"{len(basis)} basis elements but {len(x_elems)} plaintext elements")
-    if mask is not None and len(mask) != len(basis):
-        raise ValueError("mask shape does not match message shape")
     params = key_share.params
     flood = [c * params.T for c in noise_weights if c] if sigma > 0 else []
     out = []
@@ -67,8 +63,6 @@ def encrypt(
         terms = [(1, x_elems[e])]
         if b.res.any():
             terms.append((1, ring.mul(b, key_share)))
-        if mask is not None:
-            terms.append((1, mask[e]))
         if flood:
             terms.append((1, ring.sample_gaussian(rng, sigma, params, flood)))
         out.append(ring.lincomb(terms, params))

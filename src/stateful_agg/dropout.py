@@ -27,9 +27,8 @@ keep the run correct:
   same reason;
 * the pieces recovered for round i's dropped receivers are lost to the
   key of cohort i and of every later one, so the server folds basis * lost
-  into the aggregates of rounds i and i+1, absorbed before the repair, and
-  into every later one through the key drift: each aggregate stays a
-  ciphertext under the full key.
+  into round i's aggregate, and into every later one through the key
+  drift: each aggregate stays a ciphertext under the full key.
 
 Client j of round i has one committee in cohort i+1, public and fixed by
 the run seed, i and j (`chaperone_committee`).  Its member at point x holds
@@ -42,14 +41,14 @@ counts as dropped could attack whichever of two committees is weaker, so
 one committee per client is never weaker than two, and it halves the
 number of committees that hold secrets.
 
-`Recovery` plugs these into `protocol.run_protocol`: the engine asks it
-which clients drop, for each survivor's self-mask (its secret is shared
-on the spot), to back up each survivor's pieces, and to repair each round
-before its reveal.  It alone holds the backups and mask shares, by round
-and evaluation point.  Round i's repair, run once round i+1 is in, draws
-each client's committee, hands the server the recovered pieces and
-survivors' masks in one call and frees round i's state.  With seed
-resharing, a sender backs up the expansions its step made of its seeds.
+`Recovery` plugs these into `protocol.run_protocol` at three points: the
+engine asks it which clients drop, to back up each survivor's step (share
+a mask secret, mask the upload, share the pieces, with seed resharing the
+expansions the step made, and free them), and to repair each round.  It
+alone holds the backups and mask shares, by round and evaluation point.
+Round i's repair, run before round i+1 is absorbed, draws each client's
+committee, hands the server the recovered pieces and survivors' masks in
+one call and frees round i's state.
 
 The schedule is the ground truth for who dropped: a dropped client's mask
 secret is never released, and the run aborts with QuorumError if any
@@ -241,7 +240,7 @@ def backup_shares(
         )
     rng = ctx_rng(ctx.run_seed, "backup", ctx.index, res.index)
     shared = sharing.tshare_many(res.pieces, pset.h, pset.t, rng)
-    for (recv, _), tsh in zip(res.reshares, shared):
+    for recv, tsh in zip(res.receivers, shared):
         for x, share in tsh.shares:
             record.sums[recv, x - 1] += share.res
         record.pieces[recv] += 1
@@ -293,7 +292,7 @@ def recover_round(
 
 
 class Recovery:
-    """The dropout layer `protocol.run_protocol` calls at four points of a
+    """The dropout layer `protocol.run_protocol` calls at three points of a
     run, and the one holder of its recovery state: the schedule, the
     diagnostics, and the key backups and mask-secret shares (`mask_ring`
     elements) of rounds not yet repaired, each kept by round and evaluation
@@ -310,33 +309,32 @@ class Recovery:
     def dropped(self, i: int) -> frozenset[int]:
         return self.schedule.get(i, frozenset())
 
-    def mask(self, ctx: RoundContext, j: int) -> list[ring.RingElement]:
-        """Survivor j's self-mask for round ctx.index, from a fresh secret
-        that is Shamir-shared among j's chaperones on the spot."""
-        pset, i = ctx.pset, ctx.index
+    def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
+        """Mask survivor res.index's upload and back up its step.  A fresh
+        mask secret is Shamir-shared among the survivor's chaperones and
+        its expansion added to res.message; the step's pieces (with seeds,
+        the expansions the step made) are shared among their receivers'
+        chaperones, then freed.  Returns the extra client-to-client bits
+        and messages."""
+        pset, i, j = ctx.pset, ctx.index, res.index
         rp = pset.ring()
-        secret = ring.sample_uniform(ctx_rng(ctx.run_seed, "mask-secret", i, j), mask_ring(rp))
+        mr = mask_ring(rp)
+        secret = ring.sample_uniform(ctx_rng(ctx.run_seed, "mask-secret", i, j), mr)
         tsh = sharing.tshare(secret, pset.h, pset.t, ctx_rng(ctx.run_seed, "mask-share", i, j))
         self.mask_shares.setdefault(i, {})[j] = tuple(share for _, share in tsh.shares)
         self.diagnostics.mask_secrets[(i, j)] = secret
-        return prg_mask(secret, pset.m, rp)
-
-    def backup(self, ctx: RoundContext, res: ClientStepResult) -> tuple[int, int]:
-        """Share a survivor's pieces (with seeds, the expansions its step
-        made) among their receivers' chaperones; returns the extra
-        client-to-client bits and messages, the h mask shares `mask` sent
-        included."""
-        pset = ctx.pset
+        mask = prg_mask(secret, pset.m, rp)
+        res.message = tuple(ring.lincomb([(1, w), (1, mk)], rp) for w, mk in zip(res.message, mask))
         g = len(backup_shares(self, ctx, res))
+        res.pieces = ()  # a round's worth would be n*G elements
         # h shares of each piece and of the mask secret, t-1 of each seeded.
         bits = g * sharing.share_bits(pset.h, pset.t, pset.N * pset.logq)
-        k = mask_ring(pset.ring()).N
-        return bits + sharing.share_bits(pset.h, pset.t, k * pset.logq), pset.h * (g + 1)
+        return bits + sharing.share_bits(pset.h, pset.t, mr.N * pset.logq), pset.h * (g + 1)
 
     def repair(self, server: ServerState, rnd: int, next_dropped: frozenset[int], run_seed) -> float:
-        """Repairs of round rnd before its reveal, with the committees of the
-        run seeded `run_seed`; returns the bytes the chaperones release to
-        the server."""
+        """Repairs of round rnd before round rnd+1 is absorbed, with the
+        committees of the run seeded `run_seed`; returns the bytes the
+        chaperones release to the server."""
         elems, scalars = recover_round(server, self, rnd, next_dropped, run_seed)
         return (elems * server.pset.N + scalars) * server.pset.logq / 8.0
 
@@ -355,6 +353,7 @@ def run_dropout_protocol(
     zeroed.  Raises QuorumError when a committee cannot reach quorum.
     """
     recovery = Recovery(normalize_schedule(schedule, pset, p.r))
+    mask_ring(pset.ring())  # fails a ring too small for the mask secret before round 1
     result = run_protocol(p, pset, data_inputs, seed, track_keys, recovery=recovery)
     recovery.diagnostics.assert_dropped_masks_private(recovery.schedule)
     return result, recovery.diagnostics

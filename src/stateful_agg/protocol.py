@@ -14,8 +14,8 @@ simulation delivers pieces through one residue inbox per round, (n, L, N)
 uint64: a sender adds each piece (an additive part, or a seed's expansion,
 made once for its correction, its receiver and its backup) into its
 receiver's row as it is made, and the receiver's key share is that row
-reduced once.  Only a run with a recovery layer keeps a step's pieces, for
-the backups.
+reduced once.  A step names its receivers; only a run with a recovery layer
+keeps the pieces as elements, for the backups, which free them.
 
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
@@ -28,17 +28,16 @@ originates no messages of its own; it only aggregates and forwards.
 
 `run_protocol` is the one round loop.  Without a recovery layer no client
 drops; `dropout.run_dropout_protocol` hands it one, which the loop asks
-which clients drop, for each survivor's self-mask and backups, and for the
-repairs of each round before its reveal.  A repair folds the key pieces
-lost with the round's dropped clients into the aggregates that miss them
-and strips the survivors' self-masks, so every reveal reads mask-free
-aggregates under s.  Within a round, client steps are pure functions of
-(seed, round, index) apart from the pieces they add into the round's
-shared inbox.  That sum is exact and order-free, so the steps could run in
-any order, or in parallel processes (not threads: seed expansion re-keys
-one generator per process) with one inbox each, summed at the round
-barrier; the loop is sequential for reproducibility of the transcript row
-order.
+which clients drop, to back up each survivor's step, and to repair round
+i-1 before round i is absorbed: a repair folds the key pieces lost with
+round i-1's dropped clients into its aggregate and the drift, and strips
+what the backups added to its uploads.  Within a round, client steps are
+pure functions of (seed, round, index) apart from the pieces they add into
+the round's shared inbox.  That sum is exact and order-free, so the steps
+could run in any order, or in parallel processes (not threads: seed
+expansion re-keys one generator per process) with one inbox each, summed
+at the round barrier; the loop is sequential for reproducibility of the
+transcript row order.
 """
 
 from __future__ import annotations
@@ -116,29 +115,27 @@ class ClientStepResult:
     index: int
     key_share: ring.RingElement
     message: tuple[ring.RingElement, ...]
-    reshares: list[tuple[int, object]]
+    receivers: list[int]  # distinct, sorted: one piece each
     correction: ring.RingElement | None
-    # The elements the reshares stand for, in order: the additive parts, or
-    # the seeds' expansions if the step keeps them (for backups; else
-    # empty).  The round loop drops them once backed up.
+    # The pieces as elements, in receiver order (additive parts, or seed
+    # expansions), if the step keeps them for backups; else empty.
     pieces: tuple[ring.RingElement, ...]
 
 
 def client_step(
-    ctx: RoundContext, j: int, incoming, x_vec, mask=None, inbox=None, keep_pieces=True
+    ctx: RoundContext, j: int, incoming, x_vec, inbox=None, keep_pieces=True
 ) -> ClientStepResult:
     """Client j's round: derive key share, encrypt, reshare onward.
 
     incoming is this client's row of the previous round's inbox: the
     unreduced residue sum of the pieces the previous cohort routed to it
-    (unused in round 1).  mask, if given, is added to the upload.  The
-    client makes d uniform picks from the next cohort and sends one piece
-    to each distinct receiver: G <= min(d, n) pieces, sorted by receiver.
-    Each piece, a seed's expansion or an additive part, is added into its
-    receiver's row of `inbox`, this round's (n, L, N) uint64 array, if one
-    is given, as it is made.  Returns the upload, the routed reshare
-    pieces (seeds or elements), the server-bound correction if any, and
-    the pieces as elements; seed expansions only with `keep_pieces`.
+    (unused in round 1).  The client makes d uniform picks from the next
+    cohort and sends one piece to each distinct receiver: G <= min(d, n)
+    pieces, sorted by receiver.  Each piece, a seed's expansion or an
+    additive part, is added into its receiver's row of `inbox`, this
+    round's (n, L, N) uint64 array, if one is given, as it is made.
+    Returns the upload, the receivers, the server-bound correction if any,
+    and, with `keep_pieces`, the pieces as elements.
     """
     pset = ctx.pset
     rp = pset.ring()
@@ -150,7 +147,7 @@ def client_step(
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
     msg = crypto.encrypt(
         ctx.basis, key_share, ring.encode(x_vec, pset.pf, pset.slot_width, rp),
-        pset.sigma_n, noise_rng, ctx.noise_weights, mask,
+        pset.sigma_n, noise_rng, ctx.noise_weights,
     )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = sorted({int(v) for v in share_rng.integers(0, pset.n, size=pset.d)})
@@ -161,14 +158,13 @@ def client_step(
 
     if pset.seed_resharing:
         sr = sharing.seed_reshare(key_share, len(receivers), share_rng, route, keep_pieces)
-        sent, correction, pieces = sr.seeds, sr.correction, sr.expansions
+        correction, pieces = sr.correction, sr.expansions
     else:
         pieces = sharing.ashare(key_share, len(receivers), share_rng)
-        sent, correction = pieces, None
         for k, piece in enumerate(pieces):
             route(k, piece)
-    reshares = list(zip(receivers, sent))
-    return ClientStepResult(j, key_share, msg, reshares, correction, pieces)
+        correction, pieces = None, pieces if keep_pieces else ()
+    return ClientStepResult(j, key_share, msg, receivers, correction, pieces)
 
 
 class ServerState:
@@ -219,22 +215,18 @@ class ServerState:
             self.drift = ring.lincomb(terms, self.ring_params)
 
     def repair(self, rnd: int, recovered, masks) -> ring.RingElement | None:
-        """Dropout repair of round rnd, before anything reads it: the dropped
-        clients' recovered key pieces are lost to round rnd's cohort and to
-        every later one, so their sum joins the drift, round rnd's deficit
-        and round rnd+1's (snapshot at its `server_step`, before this
-        repair), and basis * lost is folded into both rounds' aggregates.
-        Strips the survivors' self-masks (one list of m elements each) from
-        round rnd's aggregate in the same fold.  Returns the deficit."""
+        """Dropout repair of round rnd, before round rnd+1 is absorbed: the
+        dropped clients' recovered key pieces are lost to round rnd's cohort
+        and to every later one, so basis * lost is folded into round rnd's
+        aggregate and lost joins round rnd's deficit and the drift, which
+        carries it into every later absorb.  Strips the survivors' masks
+        (one list of m elements each) from round rnd's aggregate in the same
+        fold.  Returns the deficit."""
         lost = sharing.piece_sum(recovered, self.ring_params) if recovered else None
         if lost is not None:
             self.shift_drift([lost])
-            for k in (rnd, rnd + 1):
-                if k in self.deficit:
-                    prior = self.deficit[k]
-                    self.deficit[k] = lost if prior is None else prior + lost
-            if rnd + 1 in self.stored:
-                self._fold(rnd + 1, [(1, self.stored[rnd + 1])], lost)
+            prior = self.deficit[rnd]
+            self.deficit[rnd] = lost if prior is None else prior + lost
         self._fold(rnd, [(1, self.stored[rnd])] + [(-1, mk) for mk in masks], lost)
         return self.deficit[rnd]
 
@@ -341,12 +333,12 @@ def run_protocol(
     1 <= t <= h <= n, when the parameter set fails the noise budget of the
     program's reveal weights, since its reveals could wrap, or when packed
     lanes could carry (`check_packing`, and a slot width or an input too
-    narrow for the reveals).
+    narrow for the reveals), or when pset is sized for fewer rounds.
 
     Runs every round, then flushes the last reveal.  Round i's reveal is
     opened after round i+1's uploads are absorbed.  A recovery layer (see
-    `dropout.Recovery`) names each round's dropped clients, masks and backs
-    up every survivor's step, and repairs round i-1 before its reveal;
+    `dropout.Recovery`) names each round's dropped clients, backs up every
+    survivor's step, and repairs round i-1 before round i is absorbed;
     without one no client drops.  Round r's survivors reshare and back up
     like every other cohort's: the state is append-only and outlives any
     simulated prefix, so the last cohort hands the key on too.
@@ -356,6 +348,8 @@ def run_protocol(
         raise ValueError("invalid program: " + "; ".join(errs))
     if p.ell != pset.ell:
         raise ValueError(f"program length {p.ell} does not match params {pset.ell}")
+    if p.r > pset.r:
+        raise ValueError(f"program has {p.r} rounds, but params are sized for r={pset.r}")
     if pset.n < 1:
         raise ValueError(f"cohort size n={pset.n}: a run needs at least one client")
     if recovery is not None and not 1 <= pset.t <= pset.h:
@@ -397,22 +391,20 @@ def run_protocol(
         for j in range(n):
             if j in dropped:
                 continue
-            mask = recovery.mask(ctx, j) if recovery else None
             res = client_step(
-                ctx, j, inbox[j], inputs[i - 1][j], mask, next_inbox, keep_pieces=bool(recovery)
+                ctx, j, inbox[j], inputs[i - 1][j], next_inbox, keep_pieces=bool(recovery)
             )
             backup_bits, backup_messages = recovery.backup(ctx, res) if recovery else (0, 0)
-            res.pieces = ()  # a round's worth would be n*G elements
             rec.c2s_bytes += cost.client_server_bytes
-            rec.c2c_bytes += len(res.reshares) * cost.piece_bytes + backup_bits / 8.0
-            rec.c2c_messages += len(res.reshares) + backup_messages
+            rec.c2c_bytes += len(res.receivers) * cost.piece_bytes + backup_bits / 8.0
+            rec.c2c_messages += len(res.receivers) + backup_messages
             results.append(res)
             keys[j] = res.key_share
         if track_keys:
             key_history.append(keys)
-        server_step(server, ctx, results, dropped)
         if recovery and i >= 2:
             rec.c2s_bytes += recovery.repair(server, i - 1, dropped, seed)
+        server_step(server, ctx, results, dropped)
         deliver(i - 1)
         transcript.rows.append(rec)
         inbox = next_inbox

@@ -133,7 +133,8 @@ def invariant_digest(res, diag) -> str:
     secrets and recovered piece counts (no traffic)."""
     h = hashlib.sha256()
     _hash_run(h, res, diag)
-    h.update(repr(sorted(diag.mask_secrets.items())).encode())
+    for rnd, j in sorted(diag.mask_secrets):
+        h.update(f"{rnd},{j}:".encode() + diag.mask_secrets[(rnd, j)].res.tobytes())
     h.update(repr(sorted(diag.recovered_pieces.items())).encode())
     return h.hexdigest()
 

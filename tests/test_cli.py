@@ -407,6 +407,25 @@ def test_run_empty_cohort_under_dropout_names_the_cohort(runner, tmp_path):
     assert "n=0" in res.output and "t <= h" not in res.output
 
 
+def test_run_params_sized_for_fewer_rounds_exits_2(runner, tmp_path):
+    # A tree of height 2 has 8 rounds; a set sized for r = 1 would flood
+    # with sigma_n 9.05 instead of 19.2 and pick d = 31 instead of 33.
+    prog_file = tmp_path / "t.json"
+    res = runner.invoke(main, [
+        "gen", "tree", "--height", "2", "--l", "4", "--out", str(prog_file),
+    ])
+    assert res.exit_code == 0, res.output
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({"r": 1}))
+    res = runner.invoke(main, [
+        "run", "--program", str(prog_file), "--n", "8", "--seed", "7",
+        "--params", str(pfile), "--check-ideal", "--out", str(tmp_path),
+    ])
+    assert res.exit_code == 2, res.output
+    assert "program has 8 rounds, but params are sized for r=1" in res.output
+    assert not (tmp_path / "reveals.csv").exists()
+
+
 def _packed_reveal_run(runner, tmp_path, params, rows):
     """`run` of a one-round reveal of l = 4 by n = 4 clients of 4-bit
     inputs, with the given params file and --inputs rows."""

@@ -45,13 +45,12 @@ def test_store_message_shape_error():
 
 
 def test_store_mask_roundtrip():
+    # Without noise, removing the key mask a*s from an upload leaves x.
     a = crypto.derive_public("s", 1, 1, PR)
     x = _encode([9, 0, 0, 0, 0, 0, 0, 0])
-    rng = run_rng("mask")
-    mask = [ring.sample_uniform(rng, PR)]
-    plain = crypto.encrypt(a, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,))
-    masked = crypto.encrypt(a, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,), mask=mask)
-    assert masked[0] - mask[0] == plain[0]
+    s = ring.sample_uniform(run_rng("mask"), PR)
+    msg = crypto.encrypt(a, s, x, 0.0, ctx_rng("n", 1), (1,))
+    assert msg[0] - ring.mul(a[0], s) == x[0]
 
 
 def test_distributed_encryption_sums_to_joint_ciphertext():
@@ -239,15 +238,15 @@ def test_reveal_mask_and_open_match_per_round_scalars(m):
 
 
 def test_store_message_with_noise_and_mask_matches_termwise_sum():
+    # The key mask a*s, the input and T times one Gaussian, term by term.
     rng = run_rng("store-terms")
     a = crypto.derive_public("store-terms", 1, 2, PR)
     s = ring.sample_uniform(rng, PR)
     x = _encode(list(range(16)))
-    mask = [ring.sample_uniform(rng, PR) for _ in range(2)]
-    got = crypto.encrypt(a, s, x, 3.2, ctx_rng("st", 1), (1,), mask=mask)
+    got = crypto.encrypt(a, s, x, 3.2, ctx_rng("st", 1), (1,))
     g = ctx_rng("st", 1)
     want = [
-        ring.mul(a[k], s) + x[k] + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T) + mask[k]
+        ring.mul(a[k], s) + x[k] + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T)
         for k in range(2)
     ]
     assert list(got) == want
@@ -263,13 +262,12 @@ def test_encrypt_matches_one_sample_gaussian_per_noise_weight(N):
     basis = tuple(ring.sample_uniform(rng, pr) for _ in range(m))
     s = ring.sample_uniform(rng, pr)
     x = [ring.sample_uniform(rng, pr) for _ in range(m)]
-    mask = [ring.sample_uniform(rng, pr) for _ in range(m)]
     for weights in [(1,), (1,) * 47, (5, 0, pr.q - 1, 5, 2**64 + 12345, 1)]:
-        got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("fb", N, len(weights)), weights, mask)
+        got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("fb", N, len(weights)), weights)
         g = ctx_rng("fb", N, len(weights))
         want = []
         for e in range(m):
-            terms = [(1, x[e]), (1, ring.mul(basis[e], s)), (1, mask[e])]
+            terms = [(1, x[e]), (1, ring.mul(basis[e], s))]
             terms += [(c * pr.T, ring.sample_gaussian(g, 44.8, pr)) for c in weights if c]
             want.append(ring.lincomb(terms, pr))
         assert got == tuple(want)
@@ -277,15 +275,14 @@ def test_encrypt_matches_one_sample_gaussian_per_noise_weight(N):
 
 def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
     # A reveal with no earlier weights gets an all-zero basis: its upload is
-    # x + mask + T * (1*g_1 + 3*g_2), the same as with the zero product added.
+    # x + T * (1*g_1 + 3*g_2), the same as with the zero product added.
     rng = run_rng("zero-basis")
     s = ring.sample_uniform(rng, PR)
     x = _encode(list(range(16)))
-    mask = [ring.sample_uniform(rng, PR) for _ in range(2)]
     basis = (PR.zero(), PR.zero())
     g = ctx_rng("zb", 1)
     want = tuple(
-        ring.mul(basis[k], s) + x[k] + mask[k]
+        ring.mul(basis[k], s) + x[k]
         + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T)
         + ring.sample_gaussian(g, 3.2, PR).scalar(3 * PR.T)
         for k in range(2)
@@ -295,15 +292,5 @@ def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
         raise AssertionError("ring.mul called for a zero basis element")
 
     monkeypatch.setattr(ring, "mul", no_mul)
-    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), (1, 3), mask=mask)
+    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), (1, 3))
     assert got == want
-
-
-@pytest.mark.parametrize("mask_len", [1, 3])
-def test_encrypt_refuses_a_mask_of_the_wrong_length(mask_len):
-    rng = run_rng("mask-length", mask_len)
-    basis = [ring.sample_uniform(rng, PR) for _ in range(2)]
-    x = [ring.sample_uniform(rng, PR) for _ in range(2)]
-    mask = [ring.sample_uniform(rng, PR) for _ in range(mask_len)]
-    with pytest.raises(ValueError, match="mask shape does not match message shape"):
-        crypto.encrypt(basis, PR.zero(), x, 0.0, ctx_rng("n", 1), (1,), mask=mask)

@@ -430,6 +430,50 @@ def test_key_quorum_t_minus_one_alive_aborts():
             dropout.run_dropout_protocol(p, pset, schedule, seed=61)
 
 
+def test_starved_committee_raises_before_the_next_round_is_absorbed(monkeypatch):
+    # Client 0's committee is starved in round 3, when it must release
+    # client 0's round-2 pieces.  Round 2's repair runs after round 3's
+    # client steps and before round 3 is absorbed, so the run stops there.
+    p, pset, schedule = _key_quorum_case(alive=2, seed_resharing=False)
+    absorb, absorbed = protocol.server_step, []
+
+    def recorded_absorb(server, ctx, *args):
+        absorbed.append(ctx.index)
+        return absorb(server, ctx, *args)
+
+    monkeypatch.setattr(protocol, "server_step", recorded_absorb)
+    with pytest.raises(dropout.QuorumError, match="round 2: only 2 of 3"):
+        dropout.run_dropout_protocol(p, pset, schedule, seed=61)
+    assert absorbed == [1, 2]
+
+
+def test_backup_masks_the_upload_the_step_made(monkeypatch):
+    # A step's upload carries no self-mask; each survivor's absorbed upload
+    # is that upload plus the mask expanded from the secret its backup drew.
+    p, pset, data, schedule, seed = _consecutive_case()
+    step, absorb = protocol.client_step, protocol.server_step
+    stepped, absorbed = {}, {}
+
+    def recorded_step(ctx, j, *args, **kwargs):
+        res = step(ctx, j, *args, **kwargs)
+        stepped[(ctx.index, j)] = res.message
+        return res
+
+    def recorded_absorb(server, ctx, messages, *args):
+        absorbed.update(((ctx.index, res.index), res.message) for res in messages)
+        return absorb(server, ctx, messages, *args)
+
+    monkeypatch.setattr(protocol, "client_step", recorded_step)
+    monkeypatch.setattr(protocol, "server_step", recorded_absorb)
+    res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
+    assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)
+    assert set(absorbed) == set(stepped) == set(diag.mask_secrets)
+    rp = pset.ring()
+    for (i, j), upload in absorbed.items():
+        mask = dropout.prg_mask(diag.mask_secrets[(i, j)], pset.m, rp)
+        assert upload == tuple(w + mk for w, mk in zip(stepped[(i, j)], mask)), (i, j)
+
+
 def test_repaired_rounds_are_freed():
     # Each round's key backups and mask shares are popped at its repair;
     # only the backups meant for the never-run cohort r+1 remain.
@@ -513,9 +557,10 @@ def _perfbench_case():
     return p, pset, data, dropout.random_schedule(pset, p.r, 0), 0
 
 
-# The run digests were recorded when mask secrets became 128-bit elements
-# of the mask ring; before that, when each sender began routing one piece per
-# distinct receiver;
+# The run digests were recorded when the digest began hashing each mask
+# secret's residues, not its repr, which prints four coefficients; before
+# that, when mask secrets became 128-bit elements of the mask ring, and when
+# each sender began routing one piece per distinct receiver;
 # what recovery delivers does not depend on how the backups are cut.  The
 # stored-aggregate digests of the runs that recover pieces were recorded
 # when repairs began folding the lost pieces into the aggregates, which
@@ -524,17 +569,17 @@ def _perfbench_case():
 INVARIANT_DIGESTS = {
     "consecutive": (
         _consecutive_case,
-        "1158063d4f6a4cfe9f0a56cd125eeedacef5aa1b279396ffea66afb980711170",
+        "ecd4a36e0c605e59ef56ddf1bd81eaa9159a063ff1e33fd8d72336e533c53b2c",
         "fc8eefd7fda310bd9863fdc9a30533fe782414d650a5fea778738676827eafd5",
     ),
     "running-sum": (
         _running_sum_case,
-        "58f7145a2bc2b2220f82cfa32eae35826df08de3186882f7dbb7b887394a1fbf",
+        "e0dc81c77a9339bd83586a1253b87e5f90ca690b0993a8147243c7cd463c8e9c",
         "cbc375d0772aecd07c8cb605cb068b587df1e647123174ff5170be2805c80259",
     ),
     "perfbench": (
         _perfbench_case,
-        "59dfa3bc4a67c713eb2cf398eaf124e5d7633e1c34847e063c4dd13c3ab5a92f",
+        "1fc5611c425bfab6d694200b23121edf4070d314550832d192cfb71b683cf03b",
         "28e163a1d35da80e8c7539a7d6b1957dd25a20c482a6d1732e1e884d9701ec10",
     ),
 }
@@ -743,33 +788,41 @@ def _wire_bits(message, logq):
 @pytest.mark.parametrize("seed_resharing", [False, True])
 def test_peer_traffic_is_rebuilt_from_the_messages_sent(monkeypatch, seed_resharing):
     # Each survivor's client-to-client bytes and messages, rebuilt from the
-    # pieces it routed and the sharings its backups and mask produced: a
-    # holder at a seeded point is sent the seed, or the value where that is
-    # shorter, and every other holder the value.
+    # pieces it routed (seeds, or elements) and the sharings its backup of
+    # them and of its mask secret produced: a holder at a seeded point is
+    # sent the seed, or the value where that is shorter, and every other
+    # holder the value.
     p, pset, schedule, seed = _shared_case(seed_resharing)
     logq = pset.logq
-    sent, sender = {}, []
-    tshare, mask, backup = sharing.tshare, dropout.Recovery.mask, dropout.backup_shares
+    sent, sender, seeds = {}, [], []
+    tshare, reshare = sharing.tshare, sharing.seed_reshare
+    backup, backup_shares = dropout.Recovery.backup, dropout.backup_shares
 
-    def mask_recorded(self, ctx, j):
-        sender.append((ctx.index, j))
-        return mask(self, ctx, j)
+    def reshare_recorded(*args):
+        sr = reshare(*args)
+        seeds.append(sr.seeds)
+        return sr
+
+    def backup_recorded(self, ctx, res):
+        sender.append((ctx.index, res.index))
+        return backup(self, ctx, res)
 
     def tshare_recorded(*args):
         ts = tshare(*args)
         sent.setdefault(sender[-1], []).append(ts)
         return ts
 
-    def backup_recorded(recovery, ctx, res):
-        shared = backup(recovery, ctx, res)
-        sent.setdefault((ctx.index, res.index), []).extend(
-            [piece for _, piece in res.reshares] + shared
-        )
+    def backup_shares_recorded(recovery, ctx, res):
+        shared = backup_shares(recovery, ctx, res)
+        routed = seeds.pop() if seed_resharing else res.pieces
+        assert len(routed) == len(res.receivers)
+        sent.setdefault((ctx.index, res.index), []).extend(list(routed) + shared)
         return shared
 
-    monkeypatch.setattr(dropout.Recovery, "mask", mask_recorded)
+    monkeypatch.setattr(sharing, "seed_reshare", reshare_recorded)
+    monkeypatch.setattr(dropout.Recovery, "backup", backup_recorded)
     monkeypatch.setattr(sharing, "tshare", tshare_recorded)
-    monkeypatch.setattr(dropout, "backup_shares", backup_recorded)
+    monkeypatch.setattr(dropout, "backup_shares", backup_shares_recorded)
     data = random_data(run_rng("doubled"), p, pset.n)
     res, diag = dropout.run_dropout_protocol(p, pset, schedule, data_inputs=data, seed=seed)
     assert reveals_equal(res.reveals, _survivor_reference(p, pset, data, seed, schedule).reveals)

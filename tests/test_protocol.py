@@ -214,6 +214,20 @@ def test_program_params_length_mismatch():
         protocol.run_protocol(p, pset, seed=1)
 
 
+def test_params_sized_for_fewer_rounds_fail_closed(monkeypatch):
+    # The encryption noise 2*sigma*sqrt(r+1) and the picks d are sized from
+    # the set's r: a set sized for fewer rounds than the program has is
+    # refused before round 1, one sized for more errs on the safe side.
+    p = _sum_program(4, 2)
+    data = random_data(run_rng("rounds-sized"), p, 3)
+    longer = desk_paramset(_sum_program(6, 2), n=3)
+    res = protocol.run_protocol(p, longer, data_inputs=data, seed=1)
+    assert reveals_equal(res.reveals, _reference(p, longer, data, 1).reveals)
+    _no_client_steps(monkeypatch)
+    with pytest.raises(ValueError, match="program has 4 rounds, but params are sized for r=3"):
+        protocol.run_protocol(p, desk_paramset(_sum_program(3, 2), n=3), seed=1)
+
+
 def test_vectors_spanning_multiple_ring_elements():
     # ell=40 at N=16 packs into three ring elements per message.
     p = _sum_program(3, 40)
@@ -506,8 +520,8 @@ def test_plain_resharing_with_empty_inboxes_is_pinned():
 
 def test_fold_forms_no_product_for_zero_basis_elements(monkeypatch):
     # Absorb and repair fold basis_k[e] * key into each element of a stored
-    # aggregate; an all-zero basis element, or a zero drift (None), forms
-    # no ring.mul and leaves the element the plain sum.
+    # aggregate; an all-zero basis element, a zero drift (None) or a repair
+    # with nothing lost forms no ring.mul and leaves the element as it was.
     p = _sum_program(3, 40)
     pset = desk_paramset(p, n=3, N=16)
     assert pset.m == 3
@@ -519,10 +533,10 @@ def test_fold_forms_no_product_for_zero_basis_elements(monkeypatch):
     uploads = [
         protocol.ClientStepResult(j, rp.zero(), msg, [], None, ()) for j, msg in enumerate(messages)
     ]
+    mul = ring.mul
     sums = [sharing.piece_sum([msg[e] for msg in messages], rp) for e in range(pset.m)]
     ctx = protocol.build_context(server, "gs", 1, 0)
     products = []
-    mul = ring.mul
 
     def counted(x, y):
         products.append((x, y))
@@ -533,14 +547,27 @@ def test_fold_forms_no_product_for_zero_basis_elements(monkeypatch):
     protocol.server_step(server, replace(ctx, basis=(a, rp.zero(), b)), uploads)
     assert products == [(a, drift), (b, drift)]
     assert server.stored[1] == (sums[0] + mul(a, drift), sums[1], sums[2] + mul(b, drift))
+    # Round 1's lost piece, repaired before round 2 is absorbed, is folded
+    # into round 1 alone, then reaches round 2 through the drift: two
+    # products each.
     server.drift = None
-    protocol.server_step(server, replace(ctx, index=2, basis=(a, b, rp.zero())), uploads)
-    assert server.stored[2] == tuple(sums)
     products.clear()
-    # Round 1's lost piece reaches rounds 1 and 2: two products each.
     server.repair(1, [lost], [])
-    assert products == [(a, lost), (b, lost), (a, lost), (b, lost)]
+    assert products == [(a, lost), (b, lost)] and 2 not in server.stored
+    assert server.stored[1] == (
+        sums[0] + mul(a, drift) + mul(a, lost), sums[1], sums[2] + mul(b, drift) + mul(b, lost)
+    )
+    assert server.deficit[1] == drift + lost and server.drift == lost
+    products.clear()
+    protocol.server_step(server, replace(ctx, index=2, basis=(a, b, rp.zero())), uploads)
+    assert products == [(a, lost), (b, lost)]
     assert server.stored[2] == (sums[0] + mul(a, lost), sums[1] + mul(b, lost), sums[2])
+    assert server.deficit[2] == lost
+    products.clear()
+    server.repair(2, [], [])
+    server.drift = None
+    protocol.server_step(server, replace(ctx, index=3, basis=(a, b, rp.zero())), uploads)
+    assert products == [] and server.stored[3] == tuple(sums)
     # A running sum reveals under all-zero bases only: no product at all,
     # though seed resharing moves the drift every round.
     products.clear()
@@ -553,6 +580,27 @@ def test_fold_forms_no_product_for_zero_basis_elements(monkeypatch):
     res = protocol.run_protocol(q, qset, data_inputs=data, seed=72)
     assert reveals_equal(res.reveals, _reference(q, qset, data, 72).reveals)
     assert products == []
+
+
+@pytest.mark.parametrize("seed_resharing", [False, True])
+def test_a_step_keeps_pieces_only_when_asked(seed_resharing):
+    # Without keep_pieces a step routes the same pieces into the inbox and
+    # returns none of them, in either resharing mode.
+    p = _sum_program(2, 1)
+    pset = desk_paramset(p, n=5, d=4, N=16, seed_resharing=seed_resharing)
+    rp = pset.ring()
+    ctx = protocol.build_context(protocol.ServerState(p, pset), "gs", 1, 3)
+    got = []
+    for keep in (True, False):
+        inbox = np.zeros((pset.n, len(rp.limbs), pset.N), dtype=np.uint64)
+        res = protocol.client_step(
+            ctx, 0, [], np.zeros(1, dtype=np.int64), inbox=inbox, keep_pieces=keep
+        )
+        got.append((res, inbox))
+    (kept, kept_inbox), (bare, bare_inbox) = got
+    assert len(kept.pieces) == len(kept.receivers) and bare.pieces == ()
+    assert (bare.receivers, bare.message) == (kept.receivers, kept.message)
+    assert (bare_inbox == kept_inbox).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,17 +621,21 @@ def test_one_piece_per_distinct_receiver(n, d, seed, seed_resharing):
     picks = ctx_rng(seed, "reshare", 1, 0).integers(0, n, size=d)
     inbox = np.zeros((n, len(rp.limbs), pset.N), dtype=np.uint64)
     res = protocol.client_step(ctx, 0, [], np.zeros(1, dtype=object), inbox=inbox)
-    receivers = [recv for recv, _ in res.reshares]
+    receivers = res.receivers
     assert receivers == sorted(set(picks.tolist()))
     assert len(res.pieces) == len(receivers) <= min(d, n)
     for recv in range(n):
         want = res.pieces[receivers.index(recv)].res if recv in receivers else 0
         assert (inbox[recv] == want).all()
+    # The pieces come from the generator that drew the picks, right after them.
+    share_rng = ctx_rng(seed, "reshare", 1, 0)
+    share_rng.integers(0, n, size=d)
     if seed_resharing:
-        expanded = [sharing.expand_seed(s, rp) for _, s in res.reshares]
+        sr = sharing.seed_reshare(res.key_share, len(receivers), share_rng)
+        expanded = [sharing.expand_seed(s, rp) for s in sr.seeds]
         assert expanded == list(res.pieces)
         assert sharing.piece_sum(expanded + [res.correction], rp) == res.key_share
     else:
-        assert [part for _, part in res.reshares] == list(res.pieces)
+        assert sharing.ashare(res.key_share, len(receivers), share_rng) == res.pieces
         assert res.correction is None
         assert sharing.piece_sum(res.pieces, rp) == res.key_share
