@@ -19,8 +19,12 @@ and new/base.
 Layers:
 
 * sampler: `ring.gaussian_ints` and `ring.sample_gaussian`, per sigma and
-  shape; gaussian_ints draws the shape itself, sample_gaussian a (K, N)
-  block for K unit weights in a ring of degree N (a 1-D shape is K = 1).
+  shape; gaussian_ints draws the shape itself, sample_gaussian one element
+  of degree N for each 1-D shape (N).  Then `ring.sample_flood`, one
+  reveal upload element's flood, at each workload's widest reveal width
+  sigma_n * ||lam||_2 in its ring.  A tree without sample_flood draws that
+  reveal's floods as it did, one Gaussian per weighted round summed with
+  the weights lam_k (`sample_gaussian(rng, sigma_n, params, lam)`).
 * sharing: `sharing.tshare_many` of K elements with the `dropout`
   workload's committees (h, t) and ring, `sharing.tshare` of a mask secret
   (an element of `dropout.mask_ring` of that ring, as a run shares one per
@@ -68,6 +72,7 @@ import dataclasses
 import functools
 import importlib.util
 import json
+import math
 import os
 import platform
 import resource
@@ -183,19 +188,40 @@ def sampler_cells(new):
     """(cell fields, factory) pairs, the fields read from the tree `new`; a
     factory takes a package and returns a zero-argument closure making one
     call."""
-    for fn in ("gaussian_ints", "sample_gaussian"):
+    unit = [shape for shape in SHAPES if len(shape) == 1]
+    for fn, shapes in (("gaussian_ints", SHAPES), ("sample_gaussian", unit)):
         for sigma in SIGMAS:
-            for shape in SHAPES:
+            for shape in shapes:
                 def make(pkg, fn=fn, sigma=sigma, shape=shape):
                     ring, rng = pkg.ring, _rng()
                     if fn == "gaussian_ints":
                         return lambda: ring.gaussian_ints(rng, sigma, shape)
-                    k, n = (1, shape[0]) if len(shape) == 1 else shape
-                    params = ring.RingParams.from_bits(n, SAMPLER_LOGQ, 2**16)
-                    weights = (1,) * k
-                    return lambda: ring.sample_gaussian(rng, sigma, params, weights)
+                    params = ring.RingParams.from_bits(shape[0], SAMPLER_LOGQ, 2**16)
+                    return lambda: ring.sample_gaussian(rng, sigma, params)
 
                 yield {"function": fn, "sigma": sigma, "shape": list(shape)}, make
+    for name in workloads(new):
+        def flood(pkg, name=name):
+            pset, lam, width = _widest_reveal(pkg, name)
+            ring, rng, params = pkg.ring, _rng(), pset.ring()
+            if hasattr(ring, "sample_flood"):
+                return lambda: ring.sample_flood(rng, width, params)
+            return lambda: ring.sample_gaussian(rng, pset.sigma_n, params, tuple(lam.values()))
+
+        pset, _, width = _widest_reveal(new, name)
+        shape = {"name": name, "N": pset.N, "limbs": len(pset.ring().limbs)}
+        yield {"function": "sample_flood", "sigma": round(width, 1), "shape": shape}, flood
+
+
+def _widest_reveal(pkg, name: str):
+    """(parameter set, flattened table, flood width sigma_n * ||lam||_2) of
+    the workload's reveal whose table lam has the largest norm."""
+    _, case, pset = built(pkg, name)
+    p = case.program
+    tables = pkg.program.compose_all(p)
+    reveals = [t for t, instr in zip(tables, p.rounds) if instr.mode == pkg.program.REVEAL]
+    lam = max(reveals, key=lambda t: sum(w * w for w in t.values()))
+    return pset, lam, pset.sigma_n * math.sqrt(sum(w * w for w in lam.values()))
 
 
 def sharing_cells(new):

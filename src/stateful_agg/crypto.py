@@ -1,16 +1,29 @@
 """Symmetric RLWE encryption with key and message homomorphism.
 
 Every client upload has one form, linear in the client's key share s:
-    w[e] = b[e]*s + x[e] + T * sum_k c_k * g_k
-with one fresh small Gaussian g_k per nonzero noise weight c_k.  A store encrypts the encoded input
-under the round's public elements (b = a, noise weights (1,)).  A reveal
-is a decryption share under the composed public basis b = -sum_k w_k * d_k
-of the stored rounds it releases, flooded with one Gaussian per weighted
-round (noise weights w_k).  Because the scheme is linear in both the key
-and the message, clients holding additive shares of s can each encrypt
-with their share and the server's sum is a valid ciphertext under s;
-adding the weighted stored ciphertexts to a reveal's sum cancels every key
-term and leaves the plaintext plus a T-multiple.
+    w[e] = b[e]*s + x[e] + T * g[e]
+A store encrypts the encoded input under the round's public elements (b =
+a), g a discrete Gaussian of width sigma_n: the RLWE error, whose hardness
+is stated for that distribution.  A reveal is a decryption share under the
+composed public basis b = -sum_k w_k * d_k of the stored rounds it
+releases, g one rounded Gaussian flood of width sigma_n * ||w||_2.  Because
+the scheme is linear in both the key and the message, clients holding
+additive shares of s can each encrypt with their share and the server's sum
+is a valid ciphertext under s; adding the weighted stored ciphertexts to a
+reveal's sum cancels every key term and leaves the plaintext plus a
+T-multiple.
+
+The flood.  Beyond the plaintext, an opening exposes T times the weighted
+stored errors mu = sum_k w_k * E_k, an integer vector, plus the floods T *
+round(X), X ~ N(0, sigma^2).  For integer mu, round(mu + X) = mu +
+round(X) is a function of the continuous mu + X, so by data processing the
+flood hides mu as well as the continuous Gaussian does (noise flooding,
+Asharov et al., EUROCRYPT 2012).  Its variance, sigma_n^2 * sum_k w_k^2 plus
+the rounding's 1/12, is that of the per-round floods sum_k w_k * g_k it
+replaced, so noise_budget is unchanged.  It is not truncated, but
+|round(X)| > 12 sigma has probability below 2^-103 (ring.sample_flood), so
+GAUSS_TAIL still bounds it.  The input DP noise (ideal) stays discrete: its
+guarantee is the discrete Gaussian mechanism's, not a shift argument.
 """
 
 from __future__ import annotations
@@ -44,27 +57,29 @@ def encrypt(
     x_elems: Sequence[ring.RingElement],
     sigma: float,
     rng: np.random.Generator,
-    noise_weights: Sequence[int],
+    flood: float | None = None,
 ) -> tuple[ring.RingElement, ...]:
-    """One upload: basis[e]*s + x[e] + T * sum_k c_k * g_k.
+    """One upload: basis[e]*s + x[e] + T * g[e], one draw per element, in order.
 
-    Draws one Gaussian per nonzero noise weight c_k, per element and in
-    order; none when sigma is 0.  An element's draws are one block, which
-    ring.sample_gaussian sums with the weights c_k * T.  A basis element
-    that is all zero (a reveal with no earlier weights) contributes no key
-    term and costs no product.
+    A store (flood None) draws g[e] = ring.sample_gaussian(rng, sigma), none
+    when sigma is 0.  A reveal passes its width sigma_n * ||w||_2 as flood
+    and draws g[e] = ring.sample_flood(rng, flood), none when it is 0; as
+    round(mu + X) = mu + round(X) for integer mu, the flood hides the
+    weighted stored errors mu (see the module docstring).  An all-zero basis
+    element (a reveal with no earlier weights) adds no key term and costs no
+    product.
     """
     if len(x_elems) != len(basis):
         raise ValueError(f"{len(basis)} basis elements but {len(x_elems)} plaintext elements")
     params = key_share.params
-    flood = [c * params.T for c in noise_weights if c] if sigma > 0 else []
+    width, sample = (sigma, ring.sample_gaussian) if flood is None else (flood, ring.sample_flood)
     out = []
     for e, b in enumerate(basis):
         terms = [(1, x_elems[e])]
         if b.res.any():
             terms.append((1, ring.mul(b, key_share)))
-        if flood:
-            terms.append((1, ring.sample_gaussian(rng, sigma, params, flood)))
+        if width > 0:
+            terms.append((params.T, sample(rng, width, params)))
         out.append(ring.lincomb(terms, params))
     return tuple(out)
 

@@ -150,7 +150,7 @@ def format_bytes(b: float) -> str:
 @dataclass(frozen=True)
 class NoiseBudget:
     ok: bool
-    required_bits: float  # estimate: 12-sigma tails combined by RSS
+    required_bits: float  # 12-sigma tail of the opened noise's exact width
     worstcase_bits: float  # triangle-inequality combination
     budget_bits: float  # log2(q/2)
     deficit_bits: float  # shortfall of the estimate, 0 when ok
@@ -167,7 +167,11 @@ def noise_budget(pset: "ParamSet", stats: tuple[float, float] | None = None) -> 
     """Check T * (accumulated noise tail) + plaintext < q/2.
 
     stats is the worst per-reveal (sum |w|, sum w^2) over flattened weights;
-    (1, 1) models independent per-round releases.
+    (1, 1) models independent per-round releases.  An opened reveal holds
+    the n store errors of each released round, weighted by w, and the n
+    reveal floods of width sigma_n * ||w||_2 (crypto): a width of
+    sigma_n * sqrt(2n * sum w^2) in all, whose 12-sigma tail required_bits
+    takes exactly.  worstcase_bits adds every draw's tail instead.
     """
     sum_abs, sum_sq = stats if stats is not None else (1.0, 1.0)
     req, worst = _budget_bits(pset.T, pset.sigma_n, pset.n, sum_abs, sum_sq)

@@ -20,10 +20,11 @@ keeps the pieces as elements, for the backups, which free them.
 Every upload, store or reveal, is one `crypto.encrypt` under the round's
 public mask basis: the fresh public elements for a store, with one Gaussian
 of noise, and the composed negative combination of the stored rounds' bases
-for a reveal, with one flooding Gaussian per weighted round.  The server
-keeps one aggregate under s per round plus the round's basis, and a reveal
-is a linear function of them: the round's sparse flattened weights
-(`program.compose_all`), applied once, at reveal time.  The server
+for a reveal, with one rounded Gaussian flood of the round's width
+sigma_n * ||w||_2 (`RoundContext.flood`).  The server keeps one aggregate
+under s per round plus the round's basis, and a reveal is a linear function
+of them: the round's sparse flattened weights (`program.compose_all`),
+applied once, at reveal time.  The server
 originates no messages of its own; it only aggregates and forwards.
 
 `run_protocol` is the one round loop.  Without a recovery layer no client
@@ -42,6 +43,7 @@ transcript row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +107,7 @@ class RoundContext:
     index: int
     instr: prog.Instruction
     basis: tuple[ring.RingElement, ...]  # key mask: public elements, or reveal mask
-    noise_weights: tuple[int, ...]  # store (1,); reveal: signed flattened weights
+    flood: float | None  # None on a store; a reveal's flood width sigma_n * ||w||_2
     pset: ParamSet
     run_seed: int
 
@@ -147,7 +149,7 @@ def client_step(
     noise_rng = ctx_rng(ctx.run_seed, "enc-noise", i, j)
     msg = crypto.encrypt(
         ctx.basis, key_share, ring.encode(x_vec, pset.pf, pset.slot_width, rp),
-        pset.sigma_n, noise_rng, ctx.noise_weights,
+        pset.sigma_n, noise_rng, ctx.flood,
     )
     share_rng = ctx_rng(ctx.run_seed, "reshare", i, j)
     receivers = sorted({int(v) for v in share_rng.integers(0, pset.n, size=pset.d)})
@@ -253,14 +255,14 @@ def build_context(server: ServerState, global_seed, i: int, run_seed: int) -> Ro
     instr = server.program.instruction(i)
     if instr.mode == prog.STORE:
         basis = crypto.derive_public(global_seed, i, pset.m, rp)
-        noise_weights = (1,)
+        flood = None
     else:
         weights = server.weights[i - 1]
         basis = tuple(crypto.reveal_mask(server.basis, weights)) if weights else tuple(
             rp.zero() for _ in range(pset.m)
         )
-        noise_weights = tuple(weights.values())
-    return RoundContext(i, instr, basis, noise_weights, pset, run_seed)
+        flood = pset.sigma_n * math.sqrt(sum(w * w for w in weights.values()))
+    return RoundContext(i, instr, basis, flood, pset, run_seed)
 
 
 def check_packing(p: prog.Program, pf: int, tables) -> None:

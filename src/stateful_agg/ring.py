@@ -13,11 +13,12 @@ summation order, and each stage's result is brought back to a residue by
 subtracting a rounded float quotient times p (see _NttTables).  Values are
 lifted back to Z_q via the CRT only where an integer answer is needed.
 
-Also provides the uniform and discrete-Gaussian samplers and the slot
-packing used to encode input vectors into plaintext coefficients.  Packing
-works on residues: encode builds limb residues from int64 slot values, and
-the reveal's lift to the centered value mod T (centered_mod_t) runs on
-uint64 mixed-radix digits when T is a power of two no larger than 2^64.
+Also provides the uniform, discrete-Gaussian and rounded-Gaussian samplers
+and the slot packing used to encode input vectors into plaintext
+coefficients.  Packing works on residues: encode builds limb residues from
+int64 slot values, and the reveal's lift to the centered value mod T
+(centered_mod_t) runs on uint64 mixed-radix digits when T is a power of two
+no larger than 2^64.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "lincomb",
     "sample_uniform",
     "sample_gaussian",
+    "sample_flood",
     "gaussian_ints",
     "encode",
     "decode",
@@ -753,34 +755,37 @@ def gaussian_ints(
     return z.astype(np.int64)
 
 
-def sample_gaussian(
-    rng: np.random.Generator, sigma: float, params: RingParams, weights: Sequence[int] = (1,)
-) -> RingElement:
-    """sum_k w_k * g_k mod q over the weights w_k, for independent elements
-    g_k with discrete-Gaussian coefficients (by default one element, g_0).
-
-    Row k of one (K, N) gaussian_ints block is g_k: the generator's words
-    fill it in the order of K separate N-draw calls, so the stream is the
-    same.  The draws of each distinct weight are summed in int64 and reduced
-    once: one conditional add of p while that sum's bound stays below the
-    smallest limb, otherwise a signed np.mod.  lincomb then weights the sums
-    and reduces once more.
-    """
-    ints = gaussian_ints(rng, sigma, (len(weights), params.N))
-    groups: dict[int, list[int]] = {}
-    for k, w in enumerate(weights):
-        groups.setdefault(w, []).append(k)
+def _signed_element(ints: np.ndarray, bound: int, params: RingParams) -> RingElement:
+    """The element whose coefficients are the int64 values ints, |ints| <=
+    bound: one conditional add of p while bound stays below the smallest
+    limb, otherwise a signed np.mod."""
     ps = params._ps.astype(np.int64)
-    bound = math.ceil(12 * sigma)
-    terms = []
-    for w, rows in groups.items():
-        s = ints.sum(axis=0) if len(rows) == len(weights) else ints[rows].sum(axis=0)
-        if len(rows) * bound < min(params.limbs):
-            res = np.where(s < 0, s + ps, s)
-        else:
-            res = np.mod(s, ps)
-        terms.append((w, RingElement(res.view(np.uint64), params)))
-    return lincomb(terms, params)
+    if bound < min(params.limbs):
+        res = np.where(ints < 0, ints + ps, ints)
+    else:
+        res = np.mod(ints, ps)
+    return RingElement(res.view(np.uint64), params)
+
+
+def sample_gaussian(rng: np.random.Generator, sigma: float, params: RingParams) -> RingElement:
+    """One element with discrete-Gaussian coefficients, gaussian_ints(rng,
+    sigma, N) mod q."""
+    return _signed_element(gaussian_ints(rng, sigma, params.N), math.ceil(12 * sigma), params)
+
+
+def sample_flood(rng: np.random.Generator, sigma: float, params: RingParams) -> RingElement:
+    """One element with coefficients round(X) mod q, X ~ N(0, sigma^2)
+    i.i.d.: a rounded continuous Gaussian, the reveals' flooding noise (see
+    crypto).  Generator.normal (a ziggurat) draws it with no table, at a
+    cost that does not depend on sigma.  round(X) has mean 0 and variance
+    sigma^2 + 1/12 up to terms of order exp(-2 pi^2 sigma^2); it is not
+    truncated, but |round(X)| > 12 sigma needs |X| > 12 sigma - 1/2, which
+    for sigma >= 2 has probability below 2^-103.  Widths of 2^48 and more
+    raise ValueError: a draw could pass 2^53, where doubles skip integers."""
+    if not 0 <= sigma < 2.0**48:
+        raise ValueError(f"flood width {sigma} is outside [0, 2^48)")
+    ints = np.rint(rng.normal(0.0, sigma, params.N)).astype(np.int64)
+    return _signed_element(ints, int(np.abs(ints).max()), params)
 
 
 # ---------------------------------------------------------------------------

@@ -228,25 +228,26 @@ def test_criterion_8_noise_budget_end_to_end():
             truth += x.sum(axis=0)
             e = ring.gaussian_ints(noise_rng, sigma_n, (n, N))
             agg = crypto.encrypt(
-                publics[k], s, ring.encode(x.sum(axis=0), 1, slot, rp), 0.0, trial_rng, (1,)
+                publics[k], s, ring.encode(x.sum(axis=0), 1, slot, rp), 0.0, trial_rng
             )[0] + rp.from_coeffs(e.sum(axis=0)).scalar(t_mod)
             if k in spot_rounds:
                 by_client = None
                 for j, share in enumerate(shares):
                     mj = crypto.encrypt(
-                        publics[k], share, ring.encode(x[j], 1, slot, rp), 0.0, trial_rng, (1,)
+                        publics[k], share, ring.encode(x[j], 1, slot, rp), 0.0, trial_rng
                     )[0] + rp.from_coeffs(e[j]).scalar(t_mod)
                     by_client = mj if by_client is None else by_client + mj
                 assert by_client == agg, f"trial {trial}: client sum != aggregate"
             stored[k] = (agg,)
         x_r = data_rng.integers(0, 2**input_bits, size=(n, ell))
         truth += x_r.sum(axis=0)
-        # flooding: one fresh Gaussian per referenced round per client
-        g = ring.gaussian_ints(noise_rng, sigma_n, ((r - 1) * n, N)).sum(axis=0)
+        # flooding: one rounded Gaussian per client, of width sigma_n * ||w||_2
+        g = rp.zero()
+        for _ in range(n):
+            g = g + ring.sample_flood(noise_rng, sigma_n * math.sqrt(r - 1), rp)
         reveal_agg = crypto.encrypt(
-            basis, s, ring.encode(x_r.sum(axis=0), 1, slot, rp), 0.0, trial_rng,
-            tuple(weights.values()),
-        )[0] + rp.from_coeffs(g).scalar(t_mod)
+            basis, s, ring.encode(x_r.sum(axis=0), 1, slot, rp), 0.0, trial_rng, flood=0.0
+        )[0] + g.scalar(t_mod)
         opened = crypto.open(stored, [reveal_agg], weights, ell, 1, slot)
         if any(int(a) != int(b) % t_mod for a, b in zip(opened, truth)):
             wraps += 1

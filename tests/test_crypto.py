@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,14 +36,14 @@ def test_derive_public_no_collisions():
 def test_store_degenerate_is_plaintext():
     a = crypto.derive_public("s", 1, 1, PR)
     x = _encode([1, 2, 3, 4, 5, 6, 7, 0])
-    msg = crypto.encrypt(a, PR.zero(), x, 0.0, run_rng("sm"), (1,))
+    msg = crypto.encrypt(a, PR.zero(), x, 0.0, run_rng("sm"))
     assert msg[0] == x[0]
 
 
 def test_store_message_shape_error():
     a = crypto.derive_public("s", 1, 2, PR)
     with pytest.raises(ValueError, match="plaintext"):
-        crypto.encrypt(a, PR.zero(), _encode([1] * 8), 0.0, run_rng("se"), (1,))
+        crypto.encrypt(a, PR.zero(), _encode([1] * 8), 0.0, run_rng("se"))
 
 
 def test_store_mask_roundtrip():
@@ -49,7 +51,7 @@ def test_store_mask_roundtrip():
     a = crypto.derive_public("s", 1, 1, PR)
     x = _encode([9, 0, 0, 0, 0, 0, 0, 0])
     s = ring.sample_uniform(run_rng("mask"), PR)
-    msg = crypto.encrypt(a, s, x, 0.0, ctx_rng("n", 1), (1,))
+    msg = crypto.encrypt(a, s, x, 0.0, ctx_rng("n", 1))
     assert msg[0] - ring.mul(a[0], s) == x[0]
 
 
@@ -62,7 +64,7 @@ def test_distributed_encryption_sums_to_joint_ciphertext():
     a = crypto.derive_public("dist", 1, 1, PR)
     x = [5, 100, 7, 0, 0, 0, 0, 3]
     msgs = [
-        crypto.encrypt(a, sh, _encode(x if j == 0 else [0] * 8), 2.0, ctx_rng("dn", j), (1,))
+        crypto.encrypt(a, sh, _encode(x if j == 0 else [0] * 8), 2.0, ctx_rng("dn", j))
         for j, sh in enumerate(shares)
     ]
     agg = msgs[0][0] + msgs[1][0] + msgs[2][0]
@@ -71,7 +73,7 @@ def test_distributed_encryption_sums_to_joint_ciphertext():
 
 
 def test_reveal_zero_weights():
-    msg = crypto.encrypt([PR.zero()], PR.zero(), [PR.zero()], 0.0, run_rng("rz"), ())
+    msg = crypto.encrypt([PR.zero()], PR.zero(), [PR.zero()], 0.0, run_rng("rz"), flood=0.0)
     assert msg[0] == PR.zero()
 
 
@@ -80,7 +82,7 @@ def test_reveal_single_weight_is_negated_key_product():
     s = ring.sample_uniform(rng, PR)
     a = crypto.derive_public("r1", 1, 1, PR)
     basis = crypto.reveal_mask({1: a}, {1: 1})
-    msg = crypto.encrypt(basis, s, [PR.zero()], 0.0, ctx_rng("rn"), (1,))
+    msg = crypto.encrypt(basis, s, [PR.zero()], 0.0, ctx_rng("rn"), flood=0.0)
     assert msg[0] == -ring.mul(a[0], s)
 
 
@@ -97,12 +99,12 @@ def test_store_then_reveal_open_single_round():
     shares = sharing.ashare(s, 2, rng)
     a = crypto.derive_public("open1", 1, 1, PR)
     x = [3, 1, 4, 1, 5, 9, 2, 6]
-    stored = crypto.encrypt(a, shares[0], _encode(x), 2.0, ctx_rng("o", 1), (1,))[0] + \
-        crypto.encrypt(a, shares[1], _encode([0] * 8), 2.0, ctx_rng("o", 2), (1,))[0]
+    stored = crypto.encrypt(a, shares[0], _encode(x), 2.0, ctx_rng("o", 1))[0] + \
+        crypto.encrypt(a, shares[1], _encode([0] * 8), 2.0, ctx_rng("o", 2))[0]
     reveal_agg = [PR.zero()]
     basis = crypto.reveal_mask({1: a}, {1: 1})
     for j, sh in enumerate(shares):
-        msg = crypto.encrypt(basis, sh, [PR.zero()], 2.0, ctx_rng("o", 10 + j), (1,))
+        msg = crypto.encrypt(basis, sh, [PR.zero()], 2.0, ctx_rng("o", 10 + j), flood=2.0)
         reveal_agg[0] = reveal_agg[0] + msg[0]
     out = crypto.open({1: (stored,)}, reveal_agg, {1: 1}, 8, 1, 12)
     assert [int(v) for v in out] == x
@@ -128,8 +130,8 @@ def test_message_homomorphism():
     s = ring.sample_uniform(rng, PR)
     pub = crypto.derive_public("hom", 1, 1, PR)
     x1, x2 = [10, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 20, 0, 0, 0, 0]
-    c1 = crypto.encrypt(pub, s, _encode(x1), 2.0, ctx_rng("h", 1), (1,))[0]
-    c2 = crypto.encrypt(pub, s, _encode(x2), 2.0, ctx_rng("h", 2), (1,))[0]
+    c1 = crypto.encrypt(pub, s, _encode(x1), 2.0, ctx_rng("h", 1))[0]
+    c2 = crypto.encrypt(pub, s, _encode(x2), 2.0, ctx_rng("h", 2))[0]
     a, b = 3, 5
     combined = c1.scalar(a) + c2.scalar(b)
     key_term = ring.mul(pub[0], s).scalar(a + b)
@@ -146,27 +148,25 @@ def test_noise_budget_no_wraparound_smalls():
     for trial in range(200):
         s = ring.sample_uniform(rng, PR)
         x = [int(v) for v in rng.integers(0, 2**8, 8)]
-        c = crypto.encrypt(pub, s, _encode(x), 3.2, ctx_rng("b", trial), (1,))[0]
+        c = crypto.encrypt(pub, s, _encode(x), 3.2, ctx_rng("b", trial))[0]
         plain = (c - ring.mul(pub[0], s)).centered() % PR.T
         assert [int(v) for v in ring.decode([plain], 8, 1, 12)] == x
 
 
-def _reveal_reference(round_elems, weights, key_share, sigma_flood, rng, x_elems):
-    # Reference flooding: one sampled element per weighted round, scaled by
-    # its weight, summed, then scaled by T.
+def _reveal_reference(round_elems, weights, key_share, sigma_n, rng, x_elems):
+    # Reference flooding: one rounded Gaussian element of width
+    # sigma_n * ||w||_2 per upload element, scaled by T.
     params = key_share.params
+    width = sigma_n * math.sqrt(sum(w * w for w in weights.values()))
     out = []
     for e, base in enumerate(crypto.reveal_mask(round_elems, weights)):
-        g = params.zero()
-        for wt in weights.values():
-            if wt:
-                g = g + ring.sample_gaussian(rng, sigma_flood, params).scalar(wt)
+        g = ring.sample_flood(rng, width, params) if width else params.zero()
         out.append(ring.mul(base, key_share) + g.scalar(params.T) + x_elems[e])
     return out
 
 
 @pytest.mark.parametrize("case", ["empty", "single", "mixed", "47-rounds"])
-def test_reveal_message_matches_per_round_flooding(case):
+def test_reveal_message_matches_one_flood_per_element(case):
     pr = ring.RingParams.from_bits(256, 54, 2**12)
     rng = run_rng("rv-ref", case)
     rounds = 47 if case == "47-rounds" else 4
@@ -174,13 +174,14 @@ def test_reveal_message_matches_per_round_flooding(case):
     weights = {
         "empty": {},
         "single": {1: 1},
-        "mixed": {1: 0, 2: pr.q - 1, 3: 5, 4: 0},
-        "47-rounds": {k: int(rng.integers(0, 2**40)) for k in elems},
+        "mixed": {1: 0, 2: -1, 3: 5, 4: 0},
+        "47-rounds": {k: int(rng.integers(-(2**16), 2**16)) for k in elems},
     }[case]
     s = ring.sample_uniform(rng, pr)
     x = [ring.sample_uniform(rng, pr) for _ in range(2)]
     basis = crypto.reveal_mask(elems, weights)
-    got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("rv", case), tuple(weights.values()))
+    width = 44.8 * math.sqrt(sum(w * w for w in weights.values()))
+    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("rv", case), flood=width)
     want = _reveal_reference(elems, weights, s, 44.8, ctx_rng("rv", case), x)
     assert list(got) == want
 
@@ -243,7 +244,7 @@ def test_store_message_with_noise_and_mask_matches_termwise_sum():
     a = crypto.derive_public("store-terms", 1, 2, PR)
     s = ring.sample_uniform(rng, PR)
     x = _encode(list(range(16)))
-    got = crypto.encrypt(a, s, x, 3.2, ctx_rng("st", 1), (1,))
+    got = crypto.encrypt(a, s, x, 3.2, ctx_rng("st", 1))
     g = ctx_rng("st", 1)
     want = [
         ring.mul(a[k], s) + x[k] + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T)
@@ -253,38 +254,37 @@ def test_store_message_with_noise_and_mask_matches_termwise_sum():
 
 
 @pytest.mark.parametrize("N", [8, 2048])
-def test_encrypt_matches_one_sample_gaussian_per_noise_weight(N):
-    # The flood is drawn per element as one block; the reference draws each
-    # weight's Gaussian with its own sample_gaussian call, element by element.
+def test_encrypt_draws_one_noise_element_per_upload_element(N):
+    # A store draws one discrete Gaussian per element, a reveal one rounded
+    # Gaussian flood per element, element by element from the one generator.
     pr = ring.RingParams.from_bits(N, 54, 2**12)
     rng = run_rng("flood-block", N)
     m = 3
     basis = tuple(ring.sample_uniform(rng, pr) for _ in range(m))
     s = ring.sample_uniform(rng, pr)
     x = [ring.sample_uniform(rng, pr) for _ in range(m)]
-    for weights in [(1,), (1,) * 47, (5, 0, pr.q - 1, 5, 2**64 + 12345, 1)]:
-        got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("fb", N, len(weights)), weights)
-        g = ctx_rng("fb", N, len(weights))
-        want = []
-        for e in range(m):
-            terms = [(1, x[e]), (1, ring.mul(basis[e], s))]
-            terms += [(c * pr.T, ring.sample_gaussian(g, 44.8, pr)) for c in weights if c]
-            want.append(ring.lincomb(terms, pr))
-        assert got == tuple(want)
+    for flood, sample, width in [
+        (None, ring.sample_gaussian, 44.8), (307.1, ring.sample_flood, 307.1),
+    ]:
+        got = crypto.encrypt(basis, s, x, 44.8, ctx_rng("fb", N, flood), flood)
+        g = ctx_rng("fb", N, flood)
+        want = tuple(
+            ring.lincomb([(1, x[e]), (1, ring.mul(basis[e], s)), (pr.T, sample(g, width, pr))], pr)
+            for e in range(m)
+        )
+        assert got == want
 
 
 def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
     # A reveal with no earlier weights gets an all-zero basis: its upload is
-    # x + T * (1*g_1 + 3*g_2), the same as with the zero product added.
+    # x + T * f, the same as with the zero product added.
     rng = run_rng("zero-basis")
     s = ring.sample_uniform(rng, PR)
     x = _encode(list(range(16)))
     basis = (PR.zero(), PR.zero())
     g = ctx_rng("zb", 1)
     want = tuple(
-        ring.mul(basis[k], s) + x[k]
-        + ring.sample_gaussian(g, 3.2, PR).scalar(PR.T)
-        + ring.sample_gaussian(g, 3.2, PR).scalar(3 * PR.T)
+        ring.mul(basis[k], s) + x[k] + ring.sample_flood(g, 3.2 * math.sqrt(10), PR).scalar(PR.T)
         for k in range(2)
     )
 
@@ -292,5 +292,5 @@ def test_encrypt_forms_no_product_for_a_zero_basis(monkeypatch):
         raise AssertionError("ring.mul called for a zero basis element")
 
     monkeypatch.setattr(ring, "mul", no_mul)
-    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), (1, 3))
+    got = crypto.encrypt(basis, s, x, 3.2, ctx_rng("zb", 1), flood=3.2 * math.sqrt(10))
     assert got == want

@@ -565,22 +565,25 @@ def _perfbench_case():
 # stored-aggregate digests of the runs that recover pieces were recorded
 # when repairs began folding the lost pieces into the aggregates, which
 # keeps them under the full key; the running sum's reveal bases are all
-# zero, so its aggregates form no product and kept their digest.
+# zero, so its aggregates form no product and kept their digest.  All three
+# stored-aggregate digests were re-recorded when each reveal upload element
+# began drawing one rounded Gaussian flood instead of one discrete Gaussian
+# per weighted round; the reveals and the run digests did not move.
 INVARIANT_DIGESTS = {
     "consecutive": (
         _consecutive_case,
         "ecd4a36e0c605e59ef56ddf1bd81eaa9159a063ff1e33fd8d72336e533c53b2c",
-        "fc8eefd7fda310bd9863fdc9a30533fe782414d650a5fea778738676827eafd5",
+        "fa5cbe8a6e5c59907c03ccaaf96590a0980ba5ed7a14d75df3513141f2b42eba",
     ),
     "running-sum": (
         _running_sum_case,
         "e0dc81c77a9339bd83586a1253b87e5f90ca690b0993a8147243c7cd463c8e9c",
-        "cbc375d0772aecd07c8cb605cb068b587df1e647123174ff5170be2805c80259",
+        "e2db4f1027953e4273ed9de9f132e89617fc01ddd84f4ab96ee97203f3f9df8f",
     ),
     "perfbench": (
         _perfbench_case,
         "1fc5611c425bfab6d694200b23121edf4070d314550832d192cfb71b683cf03b",
-        "28e163a1d35da80e8c7539a7d6b1957dd25a20c482a6d1732e1e884d9701ec10",
+        "70d904494b1f0d32ec11b27e822cf5be81591e2bfee6daa88b53feeee9e46c0d",
     ),
 }
 

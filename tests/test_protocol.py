@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from stateful_agg import dropout, ideal, params, protocol, ring, sharing
 from stateful_agg import program as prog
-from stateful_agg.dp import tree_program
+from stateful_agg.dp import mf_program, random_banded, tree_program
 from stateful_agg.prng import ctx_rng
 
 from helpers import (
@@ -297,7 +298,8 @@ def test_running_sum_run_is_pinned():
 
 def test_running_sum_stored_aggregates_are_pinned(monkeypatch):
     # The reveal digests never see an upload; the stored aggregates carry
-    # every client's encryption and flooding noise.
+    # every client's encryption and flooding noise.  Re-recorded when each
+    # reveal upload element began drawing one rounded Gaussian flood.
     p = running_sum_program(10, 8)
     pset = params.make_paramset(
         n=4, r=p.r, ell=p.ell, input_bits=20, N=256, d=3, stats=prog.reveal_stats(p)
@@ -308,7 +310,7 @@ def test_running_sum_stored_aggregates_are_pinned(monkeypatch):
     assert reveals_equal(res.reveals, _reference(p, pset, data, 71).reveals)
     assert len(servers) == 1
     assert stored_digest(servers[0]) == (
-        "c44b2f3a687acf43ab0ebf36572e8b2e6106c692f85f769a5d1fe61733605fdf"
+        "a8710ef9e4310143fb8c85706041adf31168de14ea8c5d08b4777bf285e0a702"
     )
 
 
@@ -639,3 +641,89 @@ def test_one_piece_per_distinct_receiver(n, d, seed, seed_resharing):
         assert sharing.ashare(res.key_share, len(receivers), share_rng) == res.pieces
         assert res.correction is None
         assert sharing.piece_sum(res.pieces, rp) == res.key_share
+
+
+def _reveal_floods(monkeypatch, p, pset, data, seed):
+    """{reveal round: every client's flood draws}: each reveal upload less
+    its key term and plaintext, divided by T."""
+    steps = []
+    step = protocol.client_step
+
+    def recording_step(ctx, j, incoming, x_vec, *args, **kwargs):
+        res = step(ctx, j, incoming, x_vec, *args, **kwargs)
+        steps.append((ctx, x_vec, res))
+        return res
+
+    monkeypatch.setattr(protocol, "client_step", recording_step)
+    protocol.run_protocol(p, pset, data_inputs=data, seed=seed)
+    rp, T = pset.ring(), pset.T
+    floods = {}
+    for ctx, x_vec, res in steps:
+        if ctx.instr.mode != prog.REVEAL:
+            continue
+        x = ring.encode(x_vec, pset.pf, pset.slot_width, rp)
+        for e, msg in enumerate(res.message):
+            noise = (msg - ring.mul(ctx.basis[e], res.key_share) - x[e]).centered()
+            assert all(int(v) % T == 0 for v in noise)
+            floods.setdefault(ctx.index, []).extend(int(v) // T for v in noise)
+    return floods
+
+
+def _tree_case():
+    p = tree_program(2, 2.0, ell=16)
+    return p, params.make_paramset(
+        n=8, r=p.r, ell=p.ell, input_bits=8, N=2048, dp_sigma=2.0, stats=prog.reveal_stats(p)
+    )
+
+
+def _mf_case():
+    p = mf_program(random_banded(4, 3, 12, run_rng("flood-mf")), 0.0, ell=16)
+    return p, params.make_paramset(
+        n=8, r=p.r, ell=p.ell, input_bits=8, N=2048, stats=prog.reveal_stats(p)
+    )
+
+
+@pytest.mark.parametrize("make", [_tree_case, _mf_case], ids=["tree", "mf"])
+def test_reveal_upload_flood_variance_is_sigma_n_squared_times_sum_of_squared_weights(
+    monkeypatch, make
+):
+    # Each reveal's n * N draws: mean within five standard errors of 0 and
+    # variance within five relative standard errors, sqrt(2 / M), of
+    # sigma_n^2 * sum_k lam_k^2 + 1/12, lam the round's flattened table.
+    p, pset = make()
+    data = random_data(run_rng("flood-var"), p, pset.n, input_bits=8)
+    floods = _reveal_floods(monkeypatch, p, pset, data, 19)
+    tables = prog.compose_all(p)
+    reveals = [i for i in range(1, p.r + 1) if p.instruction(i).mode == prog.REVEAL]
+    assert sorted(floods) == reveals
+    for i in reveals:
+        draws = np.array(floods[i], dtype=np.float64)
+        m = len(draws)
+        assert m == pset.n * pset.N
+        var = pset.sigma_n**2 * sum(w * w for w in tables[i - 1].values()) + 1 / 12
+        assert var > 1
+        assert abs(draws.mean()) < 5 * math.sqrt(var / m), i
+        assert abs(draws.var() / var - 1) < 5 * math.sqrt(2 / m), i
+
+
+def test_running_sum_builds_no_gaussian_table_for_its_reveals():
+    # The long-horizon benchmark's shape after one store: a running sum
+    # whose 47 reveals read 1..47 earlier rounds.  The floods take no table,
+    # so the only one built is the store noise's, at sigma_n.
+    rounds = [prog.Instruction.make(prog.STORE, prog.InputRule.data())] + [
+        prog.Instruction.make(prog.REVEAL, prog.InputRule.data(), {i - 1: 1})
+        for i in range(2, 49)
+    ]
+    p = prog.Program(ell=8, rounds=rounds)
+    pset = params.make_paramset(
+        n=4, r=p.r, ell=p.ell, input_bits=8, N=2048, stats=prog.reveal_stats(p)
+    )
+    data = random_data(run_rng("table-cache"), p, 4, input_bits=8)
+    ring._gauss_table.cache_clear()
+    res = protocol.run_protocol(p, pset, data_inputs=data, seed=5)
+    assert reveals_equal(res.reveals, _reference(p, pset, data, 5).reveals)
+    before = ring._gauss_table.cache_info()
+    assert before.currsize == 1
+    ring._gauss_table(pset.sigma_n)
+    after = ring._gauss_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)

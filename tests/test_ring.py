@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -470,10 +472,14 @@ def _weighted_gaussian_reference(rng, sigma, pr, weights):
     return ring.lincomb(terms, pr)
 
 
+def _weighted_gaussian(rng, sigma, pr, weights):
+    """sum_k w_k * g_k from one unit sample_gaussian draw per weight."""
+    return ring.lincomb([(w, ring.sample_gaussian(rng, sigma, pr)) for w in weights], pr)
+
+
 # 193 = 3*64 + 1 is prime: a 32-coefficient ring whose one limb a single
-# draw at sigma 44.8 (bound 538) already overruns, so every group takes the
-# np.mod branch; at sigma 3.2 (bound 39) a single draw stays below it, five
-# summed draws (195) do not.
+# draw at sigma 44.8 (bound 538) already overruns, so every draw takes the
+# np.mod branch; at sigma 3.2 (bound 39) a single draw stays below it.
 _WEIGHTED_PARAMS = {
     "1-limb-31-bit": ring.RingParams(32, 2**8 + 1, limbs=(ring.find_ntt_prime(64, 31),)),
     "2-limb": ring.RingParams(32, 2**8 + 1, limbs=ring.choose_limbs(32, 40)),
@@ -497,26 +503,26 @@ def _weight_vectors(q):
 @pytest.mark.parametrize("sigma", [3.2, 44.8])
 @pytest.mark.parametrize("which", list(_WEIGHTED_PARAMS))
 def test_weighted_sample_gaussian_matches_per_draw_lincomb(which, sigma):
+    # A weighted sum of Gaussian elements is lincomb over unit draws; each
+    # draw's reduction must agree with a signed np.mod, on either branch.
     pr = _WEIGHTED_PARAMS[which]
     for name, weights in _weight_vectors(pr.q).items():
-        got = ring.sample_gaussian(ctx_rng("wsg", which, name), sigma, pr, weights)
+        got = _weighted_gaussian(ctx_rng("wsg", which, name), sigma, pr, weights)
         want = _weighted_gaussian_reference(ctx_rng("wsg", which, name), sigma, pr, weights)
         assert got.res.dtype == np.uint64
         assert got == want, name
-    # The default is one unit-weight draw, and no weights draw nothing.
-    assert ring.sample_gaussian(ctx_rng("wsg-1"), sigma, pr) == ring.sample_gaussian(
-        ctx_rng("wsg-1"), sigma, pr, (1,)
-    )
-    assert ring.sample_gaussian(ctx_rng("wsg-0"), sigma, pr, ()) == pr.zero()
+    one = ring.sample_gaussian(ctx_rng("wsg-1"), sigma, pr)
+    assert one == _weighted_gaussian_reference(ctx_rng("wsg-1"), sigma, pr, (1,))
+    assert (one.res < np.array(pr.limbs, dtype=np.uint64)[:, None]).all()
 
 
 def test_weighted_sample_gaussian_reaches_past_the_conditional_add():
-    # Summed draws overrun the limb: a conditional add alone would leave
-    # values outside [0, p).
+    # Single draws at sigma 100 overrun the limb 193: a conditional add
+    # alone would leave values outside [0, p).
     pr = _WEIGHTED_PARAMS["tiny-limb"]
-    ints = ring.gaussian_ints(ctx_rng("wsg-over"), 44.8, (47, pr.N))
-    assert np.abs(ints.sum(axis=0)).max() >= 2 * 193
-    got = ring.sample_gaussian(ctx_rng("wsg-over"), 44.8, pr, (1,) * 47)
+    ints = ring.gaussian_ints(ctx_rng("wsg-over"), 100.0, (47, pr.N))
+    assert np.abs(ints).max() >= 193
+    got = _weighted_gaussian(ctx_rng("wsg-over"), 100.0, pr, (1,) * 47)
     assert got.res.max() < 193
     assert np.array_equal(got.res[0], np.mod(ints.sum(axis=0), 193).astype(np.uint64))
 
@@ -532,8 +538,58 @@ def test_weighted_sample_gaussian_reaches_past_the_conditional_add():
 )
 def test_weighted_sample_gaussian_property(weights, which, sigma, seed):
     pr = _WEIGHTED_PARAMS[which]
-    got = ring.sample_gaussian(ctx_rng("wsg-prop", seed), sigma, pr, weights)
+    got = _weighted_gaussian(ctx_rng("wsg-prop", seed), sigma, pr, weights)
     assert got == _weighted_gaussian_reference(ctx_rng("wsg-prop", seed), sigma, pr, weights)
+
+
+# The flood is not truncated, so its values come from a one-limb ring wide
+# enough that |round(X)| < p/2 for every draw these tests can make.
+_FLOOD_RING = ring.RingParams(2048, 2**16, limbs=(ring.find_ntt_prime(4096, 30),))
+
+
+def _flood_ints(rng, sigma, count):
+    p = _FLOOD_RING.limbs[0]
+    res = np.concatenate(
+        [ring.sample_flood(rng, sigma, _FLOOD_RING).res[0] for _ in range(count)]
+    ).astype(np.int64)
+    return np.where(res > p // 2, res - p, res)
+
+
+@pytest.mark.parametrize("sigma", [307.1, 666450.0])
+def test_sample_flood_mean_and_variance(sigma):
+    # round(X) for X ~ N(0, sigma^2) has mean 0 and variance sigma^2 + 1/12.
+    # Over M = 64 * 2048 draws the sample mean's standard error is
+    # sigma / sqrt(M) and the sample variance's relative one sqrt(2 / M)
+    # (0.39%); both must fall within five of them.
+    draws = _flood_ints(ctx_rng("flood-stats", sigma), sigma, 64)
+    m = len(draws)
+    assert abs(draws.mean()) < 5 * sigma / math.sqrt(m)
+    var = sigma * sigma + 1 / 12
+    assert abs(draws.var() / var - 1) < 5 * math.sqrt(2 / m)
+    assert np.abs(draws).max() <= 12 * sigma
+
+
+@pytest.mark.parametrize("pr,sigma,passes", [
+    (_FLOOD_RING, 307.1, False),  # every draw below the limb: the conditional add
+    (_WEIGHTED_PARAMS["4-limb"], 666450.0, False),
+    (_WEIGHTED_PARAMS["tiny-limb"], 100.0, True),  # draws pass the limb 193: np.mod
+])
+def test_sample_flood_matches_signed_mod_of_rounded_normals(pr, sigma, passes):
+    widest = 0
+    for seed in range(3):
+        got = ring.sample_flood(ctx_rng("flood-mod", seed), sigma, pr)
+        ints = np.rint(ctx_rng("flood-mod", seed).normal(0.0, sigma, pr.N)).astype(np.int64)
+        want = np.mod(ints, np.array(pr.limbs, dtype=np.int64)[:, None]).astype(np.uint64)
+        assert np.array_equal(got.res, want)
+        widest = max(widest, int(np.abs(ints).max()))
+    assert (widest >= min(pr.limbs)) == passes
+
+
+def test_sample_flood_replays_from_the_same_generator():
+    a = [ring.sample_flood(ctx_rng("flood-replay"), 307.1, _FLOOD_RING) for _ in range(2)]
+    rng = ctx_rng("flood-replay")
+    b = [ring.sample_flood(rng, 307.1, _FLOOD_RING) for _ in range(2)]
+    assert a[0] == a[1] == b[0] != b[1]
 
 
 def _encode_reference(values, pf, slot_width, params):
@@ -882,8 +938,9 @@ def test_ntt_matches_schoolbook_on_widest_limbs():
     (lambda: ring.encode([1, 2], 2, 8, ring.RingParams(4, 2**12, q=17)),
      "pf \\* slot_width exceeds plaintext modulus width"),
     (lambda: ring.gaussian_ints(ctx_rng("sigma"), -1.0, (4,)), "sigma must be nonnegative"),
+    (lambda: ring.sample_flood(ctx_rng("sigma"), 2.0**48, TINY), "outside \\[0, 2\\^48\\)"),
 ], ids=["non-prime", "over-wide", "duplicate", "q-mismatch", "T-below-2", "coeff-count",
-        "pf-below-1", "slots-wider-than-T", "negative-sigma"])
+        "pf-below-1", "slots-wider-than-T", "negative-sigma", "flood-too-wide"])
 def test_malformed_ring_inputs_fail_closed(make, why):
     with pytest.raises(ValueError, match=why):
         make()
